@@ -61,10 +61,7 @@ pub mod transient;
 
 pub use availability::{paper_approximation, steady_state, with_redundancy, ComponentAvailability};
 pub use bdd::{Bdd, BddRef};
-pub use mcprog::{
-    mc_result_from, steal_chunk, wide_block_count, McProgram, McScratch, PosteriorAccum,
-    PosteriorSampler,
-};
+pub use mcprog::{McProgram, McScratch, PosteriorSampler};
 pub use params::{
     overlay_model, refine, ComponentObservations, GammaPosterior, NonMonotoneTimestamp,
     ParamEstimator, ParamSource, PosteriorComponent,

@@ -55,13 +55,12 @@
 //!
 //! # Parallel execution
 //!
-//! [`McProgram::run`] executes inline when one worker (or one block)
-//! suffices; otherwise its workers drain a shared atomic block cursor
-//! ([`McProgram::run_partial`]) in [`steal_chunk`]-sized claims, so a
-//! straggler rebalances instead of serializing the tail. The same
-//! partial-run API lets the engine's persistent worker pool price one
-//! `MC` query cooperatively — successes sum identically for every
-//! partition ([`mc_result_from`]).
+//! [`McProgram::run`] and [`McProgram::run_posterior`] execute inline
+//! when one worker (or one block) suffices; otherwise their scoped
+//! workers drain a shared atomic block cursor in small claims, so a
+//! straggler rebalances instead of serializing the tail. Successes (and
+//! the posterior run's block moments) are integer sums over blocks, so
+//! every partition of the blocks gives a bit-identical result.
 //!
 //! Compilation constant-folds degenerate availabilities: a component with
 //! `p ≥ 1` is dropped from its paths (AND identity), a path containing a
@@ -473,23 +472,23 @@ impl PosteriorSampler {
 /// *and* the per-block parameter draws, so their spread is the honest
 /// total uncertainty.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PosteriorAccum {
+struct PosteriorAccum {
     /// Successes over every evaluated trial.
-    pub successes: u64,
+    successes: u64,
     /// Full (512-trial) blocks evaluated.
-    pub full_blocks: u64,
+    full_blocks: u64,
     /// Σ successes over full blocks.
-    pub block_sum: u64,
+    block_sum: u64,
     /// Σ successes² over full blocks.
-    pub block_sum_sq: u128,
+    block_sum_sq: u128,
     /// Successes of the ragged tail block, if any.
-    pub tail_successes: u64,
+    tail_successes: u64,
 }
 
 impl PosteriorAccum {
     /// Folds another partition's accumulator in (field-wise integer
     /// sums — order-independent).
-    pub fn merge(&mut self, other: &PosteriorAccum) {
+    fn merge(&mut self, other: &PosteriorAccum) {
         self.successes += other.successes;
         self.full_blocks += other.full_blocks;
         self.block_sum += other.block_sum;
@@ -509,8 +508,8 @@ impl PosteriorAccum {
     }
 
     /// The point result over all evaluated trials (same reduction as
-    /// [`mc_result_from`]).
-    pub fn result(&self, samples: usize) -> MonteCarloResult {
+    /// [`McProgram::run`]).
+    fn result(&self, samples: usize) -> MonteCarloResult {
         result_from(self.successes, samples)
     }
 
@@ -519,7 +518,7 @@ impl PosteriorAccum {
     /// block is one draw from the posterior predictive distribution).
     /// With fewer than two full blocks there is no between-block spread
     /// to measure, so the Wilson interval of the point result stands in.
-    pub fn interval95(&self, samples: usize) -> (f64, f64) {
+    fn interval95(&self, samples: usize) -> (f64, f64) {
         let estimate = self.successes as f64 / samples as f64;
         if self.full_blocks < 2 {
             return self.result(samples).confidence_95();
@@ -841,13 +840,11 @@ impl McProgram {
     /// Work-stealing partial run: claims `chunk`-sized spans of the
     /// `samples`-trial grid's wide blocks from the shared `cursor` until
     /// it is exhausted, returning the successes of the claimed blocks.
-    /// Any set of callers sharing one cursor — scoped threads inside
-    /// [`run`](McProgram::run), or the engine's persistent worker pool —
-    /// partitions the block range exactly once, and because summation
-    /// over blocks is partition-invariant the summed total is
-    /// bit-identical to a single-threaded run. Reduce the summed total
-    /// with [`mc_result_from`].
-    pub fn run_partial(
+    /// Any set of callers sharing one cursor partitions the block range
+    /// exactly once, and because summation over blocks is
+    /// partition-invariant the summed total is bit-identical to a
+    /// single-threaded run.
+    fn run_partial(
         &self,
         samples: usize,
         seed: u64,
@@ -898,12 +895,13 @@ impl McProgram {
     /// parameter posterior (counter-based on `(seed, block, component)`),
     /// so the 512 trials of a block share one parameter draw and blocks
     /// are independent draws from the posterior predictive distribution.
-    /// Block successes fold into `accum` instead of a bare sum so the
-    /// caller can form the predictive interval; partition invariance
-    /// holds exactly as for `run_partial` (merge the accumulators in any
-    /// order). With an empty sampler every threshold stays at its point
-    /// estimate and the evaluated bits are identical to `run_partial`.
-    pub fn run_posterior_partial(
+    /// Block successes fold into the returned accumulator instead of a
+    /// bare sum so the caller can form the predictive interval; partition
+    /// invariance holds exactly as for `run_partial` (merge the
+    /// accumulators in any order). With an empty sampler every threshold
+    /// stays at its point estimate and the evaluated bits are identical
+    /// to `run_partial`.
+    fn run_posterior_partial(
         &self,
         samples: usize,
         seed: u64,
@@ -911,8 +909,8 @@ impl McProgram {
         chunk: u64,
         scratch: &mut McScratch,
         sampler: &PosteriorSampler,
-        accum: &mut PosteriorAccum,
-    ) {
+    ) -> PosteriorAccum {
+        let mut accum = PosteriorAccum::default();
         let chunk = chunk.max(1);
         let wide_blocks = wide_block_count(samples);
         let pack = pack_slots_fn();
@@ -945,6 +943,7 @@ impl McProgram {
             }
         }
         scratch.draws = draws;
+        accum
     }
 
     /// Posterior-resampled parallel run: like [`run`](McProgram::run),
@@ -973,18 +972,9 @@ impl McProgram {
         let wide_blocks = wide_block_count(samples);
         let workers = resolve_workers(workers).min(wide_blocks as usize).max(1);
         let cursor = AtomicU64::new(0);
-        let mut accum = PosteriorAccum::default();
-        if workers == 1 {
+        let accum = if workers == 1 {
             let mut scratch = self.scratch();
-            self.run_posterior_partial(
-                samples,
-                seed,
-                &cursor,
-                wide_blocks,
-                &mut scratch,
-                sampler,
-                &mut accum,
-            );
+            self.run_posterior_partial(samples, seed, &cursor, wide_blocks, &mut scratch, sampler)
         } else {
             let chunk = steal_chunk(wide_blocks, workers);
             let partials: Vec<PosteriorAccum> = crossbeam::thread::scope(|scope| {
@@ -992,7 +982,6 @@ impl McProgram {
                     .map(|_| {
                         scope.spawn(|_| {
                             let mut scratch = self.scratch();
-                            let mut part = PosteriorAccum::default();
                             self.run_posterior_partial(
                                 samples,
                                 seed,
@@ -1000,9 +989,7 @@ impl McProgram {
                                 chunk,
                                 &mut scratch,
                                 sampler,
-                                &mut part,
-                            );
-                            part
+                            )
                         })
                     })
                     .collect();
@@ -1012,14 +999,16 @@ impl McProgram {
                     .collect()
             })
             .expect("crossbeam scope");
+            let mut accum = PosteriorAccum::default();
             for part in &partials {
                 accum.merge(part);
             }
-        }
+            accum
+        };
         (accum.result(samples), accum.interval95(samples))
     }
 
-    /// The campaign twin of [`run_posterior`]: prices a perturbed
+    /// The campaign twin of [`McProgram::run_posterior`]: prices a perturbed
     /// probability vector (scratch-held threshold overlay, exactly like
     /// [`run_thresholds`](McProgram::run_thresholds)) while the
     /// `sampler`'s slots resample per block *on top of* the overlay.
@@ -1361,7 +1350,7 @@ impl McProgram {
 
 /// Number of 512-trial wide blocks a `samples`-trial run covers — the
 /// unit of [`McProgram::run_partial`] work-stealing.
-pub fn wide_block_count(samples: usize) -> u64 {
+fn wide_block_count(samples: usize) -> u64 {
     samples.div_ceil(WIDE_TRIALS) as u64
 }
 
@@ -1370,15 +1359,8 @@ pub fn wide_block_count(samples: usize) -> u64 {
 /// `[1, 64]` so neither the claim rate nor the per-claim latency
 /// degenerates. Chunking only changes which worker sums which blocks —
 /// never the total — so any chunk size preserves bit-exactness.
-pub fn steal_chunk(blocks: u64, workers: usize) -> u64 {
+fn steal_chunk(blocks: u64, workers: usize) -> u64 {
     (blocks / (workers.max(1) as u64 * 8)).clamp(1, 64)
-}
-
-/// Reduces the summed successes of a [`McProgram::run_partial`] fan-out
-/// (or any other partition of a `samples`-trial grid) to the result
-/// [`McProgram::run`] would return.
-pub fn mc_result_from(successes: u64, samples: usize) -> MonteCarloResult {
-    result_from(successes, samples)
 }
 
 /// `0` means "use every core the host offers".
@@ -1656,7 +1638,7 @@ mod tests {
                 handles.into_iter().map(|h| h.join().unwrap()).sum()
             })
             .expect("crossbeam scope");
-            assert_eq!(mc_result_from(total, samples), reference);
+            assert_eq!(result_from(total, samples), reference);
         }
     }
 
@@ -1749,7 +1731,6 @@ mod tests {
                     .map(|_| {
                         scope.spawn(|_| {
                             let mut scratch = program.scratch();
-                            let mut part = PosteriorAccum::default();
                             program.run_posterior_partial(
                                 samples,
                                 42,
@@ -1757,9 +1738,7 @@ mod tests {
                                 chunk,
                                 &mut scratch,
                                 &sampler,
-                                &mut part,
-                            );
-                            part
+                            )
                         })
                     })
                     .collect();

@@ -1,5 +1,16 @@
 //! The resident query engine: a registry of model shards + worker pool.
 //!
+//! Request path: every verb enters through [`Engine::execute_wire`]. It
+//! resolves the shard, answers cache hits and immediate errors on the
+//! calling thread, and hands everything that evaluates, mutates or
+//! samples to the worker pool as one job; a campaign gets a thread of
+//! its own, which fans its scenarios over the same pool. The answer goes
+//! to a completion callback. The TCP front-end's callback writes the
+//! reply; the blocking methods (`query`, `batch`, `monte_carlo`,
+//! `update`, `save_state`, `campaign` and their `_on` forms) pass a
+//! one-shot channel and wait on it. A request is therefore counted,
+//! queued and cancelled in one place, whichever caller sent it.
+//!
 //! Concurrency design, in one paragraph: each registered model lives in
 //! its own shard — an `RwLock<Arc<ModelSnapshot>>`; workers clone the
 //! `Arc` (briefly holding the read lock) and evaluate against that
@@ -29,10 +40,9 @@ use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, SendTimeoutError, Sender};
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
-use dependability::{mc_result_from, steal_chunk, wide_block_count};
 use upsim_campaign::{
-    aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, CampaignInput,
-    CampaignReport, CampaignSpec, EvalCtx,
+    aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, BaselinePerspective,
+    CampaignInput, CampaignReport, CampaignSpec, EvalCtx,
 };
 use upsim_core::discovery::DiscoveryOptions;
 use upsim_core::error::UpsimError;
@@ -72,6 +82,10 @@ pub enum EngineError {
     UnknownModel(String),
     /// A model-layer failure (validation, pipeline, update).
     Model(String),
+    /// `UPDATE CONNECT` named two devices that are already linked. A
+    /// second link would be a parallel edge, so the update is refused
+    /// before it is journaled.
+    DuplicateLink { a: String, b: String },
     /// A what-if campaign failed (bad spec, scope, or evaluation).
     Campaign(String),
     /// A persistence failure (journal append, snapshot save, state dir).
@@ -91,6 +105,7 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownDevice(name) => write!(f, "unknown device `{name}`"),
             EngineError::UnknownModel(name) => write!(f, "unknown model `{name}` (try MODELS)"),
             EngineError::Model(msg) => write!(f, "model error: {msg}"),
+            EngineError::DuplicateLink { a, b } => write!(f, "link {a}--{b} already exists"),
             EngineError::Campaign(msg) => write!(f, "campaign error: {msg}"),
             EngineError::Persist(msg) => write!(f, "persistence error: {msg}"),
             EngineError::NonMonotoneObservation(msg) => write!(f, "{msg}"),
@@ -227,9 +242,6 @@ pub struct UpdateSummary {
     pub kind: &'static str,
 }
 
-/// A boxed fallible unit of campaign work, fanned out via `scatter`.
-type CampaignTask<T> = Box<dyn FnOnce() -> Result<T, String> + Send>;
-
 /// A boxed streaming chunk of scatter work: sends one `(index, value)`
 /// pair through the result channel for every item it owns.
 type StreamTask<T> = Box<dyn FnOnce(&Sender<(usize, T)>) + Send>;
@@ -239,28 +251,14 @@ type StreamTask<T> = Box<dyn FnOnce(&Sender<(usize, T)>) + Send>;
 type WarmPipelines = HashMap<String, (u64, UpsimPipeline)>;
 
 enum Job {
-    Eval {
-        shard: Arc<Shard>,
-        client: String,
-        provider: String,
-        reply: Sender<Result<Arc<CachedPerspective>, EngineError>>,
-    },
-    /// An opaque unit of campaign work — a chunk of scenarios or
-    /// baselines streaming results through the sender it owns; dropping
-    /// an unexecuted Task (shutdown drain) drops the sender, which the
-    /// submitting thread observes as a closed channel. The shard tag is
-    /// accounting only (`worker_busy_ns` / `tasks_executed`).
-    Task {
-        shard: Arc<Shard>,
-        run: Box<dyn FnOnce() + Send>,
-    },
-    /// One wire request's pool half ([`Engine::execute_wire`]): runs on a
-    /// worker with access to its warm pipelines and reports through the
-    /// completion callback captured in the closure. Dropping an unexecuted
-    /// Wire (shutdown drain) drops that callback, which the front-end's
-    /// ticket guard turns into a shutdown reply. The shard tag is
-    /// accounting only.
-    Wire {
+    /// One unit of pool work: a request's pool half (which reports
+    /// through the completion callback it captured) or a chunk of a
+    /// campaign's fan-out (which streams through the result sender it
+    /// captured, ignoring the warm pipelines). Dropping an unexecuted Run
+    /// (shutdown drain) drops that callback or sender, which its waiter
+    /// reads as `EngineError::Shutdown`. The shard tag is accounting only
+    /// (`worker_busy_ns` / `tasks_executed`).
+    Run {
         shard: Arc<Shard>,
         run: Box<dyn FnOnce(&mut WarmPipelines) + Send>,
     },
@@ -278,10 +276,10 @@ pub fn adaptive_chunk(total: usize, workers: usize, heavy: bool) -> usize {
     total.div_ceil(workers.max(1) * claims).clamp(1, 64)
 }
 
-/// A wire-shaped request the TCP front-end hands to the engine without
-/// blocking: the engine answers cache hits synchronously and routes
-/// everything that computes, mutates, or samples to the worker pool.
-#[derive(Debug, Clone)]
+/// A request as [`Engine::execute_wire`] takes it. The TCP front-end
+/// builds one per parsed command, the blocking methods one per call. The
+/// engine answers cache hits synchronously and routes everything that
+/// computes, mutates, or samples to the worker pool.
 pub enum WireRequest {
     Query {
         client: String,
@@ -303,6 +301,15 @@ pub enum WireRequest {
     },
     Update(UpdateCommand),
     Save,
+    /// A what-if campaign. It runs on a thread of its own, calling
+    /// `progress(done, total)` after each scenario; flipping `cancel`
+    /// (e.g. when the requesting client disconnects) stops the fan-out
+    /// and answers `campaign cancelled`.
+    Campaign {
+        spec: CampaignSpec,
+        cancel: Arc<AtomicBool>,
+        progress: Box<dyn FnMut(usize, usize) + Send>,
+    },
 }
 
 /// The typed result of a [`WireRequest`], delivered to the completion
@@ -322,22 +329,27 @@ pub enum WireResponse {
     },
     Update(UpdateSummary),
     Save(SaveSummary),
+    /// `json` echoes the spec's `json` clause, which picks the rendering.
+    Campaign {
+        report: CampaignReport,
+        json: bool,
+    },
 }
 
 /// Completion callback of [`Engine::execute_wire`]. May run on the calling
-/// thread (cache hit, immediate error) or on a worker. If the engine shuts
-/// down with the job still queued the callback is *dropped* without being
-/// invoked — callers that must always answer should put a drop guard
-/// around the state it captures (the TCP front-end does exactly that).
+/// thread (cache hit, immediate error), on a worker, or on a campaign's
+/// own thread. If the engine shuts down with the job still queued the
+/// callback is *dropped* without being invoked — callers that must always
+/// answer should put a drop guard around the state it captures (the TCP
+/// front-end does exactly that).
 pub type WireCallback = Box<dyn FnOnce(Result<WireResponse, EngineError>) + Send>;
 
 /// One pending slot of a wire `BATCH`: empty until its pair resolves.
 type BatchSlot = Option<Result<Arc<CachedPerspective>, EngineError>>;
 
-/// Accumulates a wire `BATCH`'s per-pair results across the pool and fires
-/// the completion callback when the last slot fills — the callback-world
-/// equivalent of `batch_on`'s enqueue-all-then-collect, with no thread
-/// parked anywhere.
+/// Accumulates a `BATCH`'s per-pair results across the pool and fires the
+/// completion callback when the last slot fills, with no thread parked
+/// anywhere.
 struct BatchCollector {
     slots: Mutex<Vec<BatchSlot>>,
     remaining: std::sync::atomic::AtomicUsize,
@@ -714,11 +726,10 @@ impl Engine {
 
     /// Exports one model's snapshot to its persistence subtree.
     pub fn save_state_on(&self, model: Option<&str>) -> Result<SaveSummary, EngineError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::Shutdown);
+        match self.call(model, WireRequest::Save)? {
+            WireResponse::Save(summary) => Ok(summary),
+            _ => unreachable!("SAVE is answered with WireResponse::Save"),
         }
-        let shard = self.shard(model)?;
-        save_shard(shard)
     }
 
     /// Evaluates one perspective against the default shard, serving from
@@ -748,25 +759,25 @@ impl Engine {
         client: &str,
         provider: &str,
     ) -> Result<(Arc<CachedPerspective>, bool), EngineError> {
-        let shard = Arc::clone(self.shard(model)?);
-        EngineMetrics::bump(&shard.metrics.queries);
-        match self.lookup_or_enqueue(&shard, client, provider)? {
-            Ok(hit) => Ok((hit, true)),
-            Err(reply_rx) => {
-                let entry = reply_rx.recv().map_err(|_| EngineError::Shutdown)??;
-                Ok((entry, false))
-            }
+        let request = WireRequest::Query {
+            client: client.to_string(),
+            provider: provider.to_string(),
+        };
+        match self.call(model, request)? {
+            WireResponse::Query { entry, cached } => Ok((entry, cached)),
+            _ => unreachable!("QUERY is answered with WireResponse::Query"),
         }
     }
 
     /// Evaluates a batch of perspectives concurrently across the pool,
-    /// returning results in input order (default shard).
+    /// returning results in input order (default shard). A failure of the
+    /// whole request (the engine shut down) fails every pair.
     pub fn batch(
         &self,
         pairs: &[(String, String)],
     ) -> Vec<Result<Arc<CachedPerspective>, EngineError>> {
         self.batch_on(None, pairs)
-            .expect("default shard always resolves")
+            .unwrap_or_else(|err| vec![Err(err); pairs.len()])
     }
 
     /// [`Engine::batch`] against a named model (`None` = default).
@@ -775,23 +786,13 @@ impl Engine {
         model: Option<&str>,
         pairs: &[(String, String)],
     ) -> Result<Vec<Result<Arc<CachedPerspective>, EngineError>>, EngineError> {
-        let shard = Arc::clone(self.shard(model)?);
-        EngineMetrics::bump(&shard.metrics.batches);
-        EngineMetrics::add(&shard.metrics.queries, pairs.len() as u64);
-        // First pass: resolve cache hits and enqueue the misses, so the
-        // whole batch is in flight before we wait on anything.
-        let pending: Vec<_> = pairs
-            .iter()
-            .map(|(client, provider)| self.lookup_or_enqueue(&shard, client, provider))
-            .collect();
-        Ok(pending
-            .into_iter()
-            .map(|slot| match slot {
-                Err(err) => Err(err),
-                Ok(Ok(hit)) => Ok(hit),
-                Ok(Err(reply_rx)) => reply_rx.recv().map_err(|_| EngineError::Shutdown)?,
-            })
-            .collect())
+        let request = WireRequest::Batch {
+            pairs: pairs.to_vec(),
+        };
+        match self.call(model, request)? {
+            WireResponse::Batch(results) => Ok(results),
+            _ => unreachable!("BATCH is answered with WireResponse::Batch"),
+        }
     }
 
     /// Runs the perspective's compiled bit-sliced Monte-Carlo program for
@@ -803,9 +804,9 @@ impl Engine {
     /// The program is compiled once per `(epoch, perspective)` inside the
     /// evaluation; repeated `MC` requests — e.g. with growing sample
     /// counts or different seeds — replay it without touching the
-    /// pipeline. The counter-based kernel makes the estimate a pure
-    /// function of `(samples, seed)`, so the reply does not depend on the
-    /// pool size.
+    /// pipeline. The trials run on one worker, and the counter-based
+    /// kernel makes the estimate a pure function of `(samples, seed)`, so
+    /// the reply does not depend on the pool size.
     pub fn monte_carlo(
         &self,
         client: &str,
@@ -839,136 +840,59 @@ impl Engine {
         ),
         EngineError,
     > {
-        let shard = Arc::clone(self.shard(model)?);
-        let (entry, cached) = self.query_traced_on(model, client, provider)?;
-        EngineMetrics::bump(&shard.metrics.mc_queries);
-        EngineMetrics::add(&shard.metrics.mc_trials_total, samples as u64);
-        let result = self.pooled_mc(&shard, &entry.mc_program, samples, seed);
-        Ok((result, entry, cached))
+        let request = WireRequest::MonteCarlo {
+            client: client.to_string(),
+            provider: provider.to_string(),
+            samples,
+            seed,
+            interval: false,
+        };
+        match self.call(model, request)? {
+            WireResponse::MonteCarlo {
+                result,
+                entry,
+                cached,
+                ..
+            } => Ok((result, entry, cached)),
+            _ => unreachable!("MC is answered with WireResponse::MonteCarlo"),
+        }
     }
 
-    /// Runs a compiled MC program on the engine's own worker pool: the
-    /// calling thread and up to `workers - 1` enqueued helpers share one
-    /// work-stealing block cursor via [`McProgram::run_partial`], so the
-    /// pool's persistent threads replace the per-call scoped spawn inside
-    /// [`McProgram::run`]. The block sum is partition-invariant, so the
-    /// estimate is bit-identical whether zero, some, or all helpers get
-    /// scheduled — the calling thread drains whatever the pool doesn't
-    /// claim, which also makes the fan-out deadlock-free: it never waits
-    /// on a helper for work it could do itself, and a helper that runs
-    /// after the cursor is exhausted just reports zero.
-    ///
-    /// Must only be called from non-pool threads (the blocking API): a
-    /// worker enqueueing helpers and then blocking on their results could
-    /// deadlock a fully-busy pool. Wire-path MC stays single-threaded on
-    /// its worker for exactly that reason.
-    ///
-    /// [`McProgram::run`]: dependability::McProgram::run
-    /// [`McProgram::run_partial`]: dependability::McProgram::run_partial
-    fn pooled_mc(
-        &self,
-        shard: &Arc<Shard>,
-        program: &Arc<dependability::McProgram>,
-        samples: usize,
-        seed: u64,
-    ) -> dependability::montecarlo::MonteCarloResult {
-        let blocks = wide_block_count(samples);
-        let participants = self.workers.max(1).min(blocks as usize).max(1);
-        if participants == 1 || program.constant_estimate().is_some() {
-            return program.run(samples, 1, seed);
-        }
-        let cursor = Arc::new(AtomicU64::new(0));
-        let chunk = steal_chunk(blocks, participants);
-        let helpers = participants - 1;
-        let (tx, rx) = channel::bounded::<u64>(helpers);
-        let mut queued = 0usize;
-        for _ in 0..helpers {
-            let task_program = Arc::clone(program);
-            let task_cursor = Arc::clone(&cursor);
-            let task_tx = tx.clone();
-            let job = Job::Task {
-                shard: Arc::clone(shard),
-                run: Box::new(move || {
-                    let mut scratch = task_program.scratch();
-                    let _ = task_tx.send(task_program.run_partial(
-                        samples,
-                        seed,
-                        &task_cursor,
-                        chunk,
-                        &mut scratch,
-                    ));
-                }),
-            };
-            // Best-effort: a full job queue means the pool is saturated
-            // with other work, so skip the helper rather than wait — the
-            // calling thread picks up its share through the cursor.
-            if self
-                .job_tx
-                .send_timeout(job, std::time::Duration::ZERO)
-                .is_err()
-            {
-                break;
-            }
-            queued += 1;
-        }
-        drop(tx);
-        let mut scratch = program.scratch();
-        let mut successes = program.run_partial(samples, seed, &cursor, chunk, &mut scratch);
-        for _ in 0..queued {
-            // A helper dropped by the shutdown drain never claimed blocks
-            // (the calling thread ran them), so a closed channel is safe
-            // to ignore: `successes` is already complete.
-            match rx.recv() {
-                Ok(part) => successes += part,
-                Err(_) => break,
-            }
-        }
-        mc_result_from(successes, samples)
+    /// The blocking primitive behind every blocking method: submits
+    /// `request` and waits for its answer.
+    fn call(&self, model: Option<&str>, request: WireRequest) -> Result<WireResponse, EngineError> {
+        self.submit(model, request)
+            .recv()
+            .unwrap_or(Err(EngineError::Shutdown))
     }
 
-    /// Cache fast-path; on miss hands the evaluation to the pool and
-    /// returns the reply channel.
-    #[allow(clippy::type_complexity)]
-    fn lookup_or_enqueue(
+    /// Submits `request` through [`Engine::execute_wire`] with a one-shot
+    /// channel as the completion callback. A callback the shutdown drain
+    /// drops unfired closes the channel, which the waiter reads as
+    /// [`EngineError::Shutdown`].
+    fn submit(
         &self,
-        shard: &Arc<Shard>,
-        client: &str,
-        provider: &str,
-    ) -> Result<
-        Result<Arc<CachedPerspective>, Receiver<Result<Arc<CachedPerspective>, EngineError>>>,
-        EngineError,
-    > {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::Shutdown);
-        }
-        if let Some(hit) = probe(shard, client, provider)? {
-            return Ok(Ok(hit));
-        }
+        model: Option<&str>,
+        request: WireRequest,
+    ) -> Receiver<Result<WireResponse, EngineError>> {
         let (reply_tx, reply_rx) = channel::bounded(1);
-        self.job_tx
-            .send(Job::Eval {
-                shard: Arc::clone(shard),
-                client: client.to_string(),
-                provider: provider.to_string(),
-                reply: reply_tx,
-            })
-            .map_err(|_| EngineError::Shutdown)?;
-        // Close the race with `shutdown`: if the flag flipped between the
-        // check above and the send, our job may sit behind the Stop jobs
-        // with every worker already gone — drain it (and any neighbours)
-        // ourselves so no caller blocks forever on `reply_rx`.
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.drain_pending();
-        }
-        Ok(Err(reply_rx))
+        self.execute_wire(
+            model,
+            request,
+            Box::new(move |result| {
+                let _ = reply_tx.send(result);
+            }),
+        );
+        reply_rx
     }
 
-    /// Non-blocking request execution for the TCP front-end: the reactor
-    /// thread calls this and returns to its event loop immediately. Cache
-    /// hits and immediate errors invoke `done` synchronously on the
-    /// calling thread; everything else runs on a worker (with its warm
-    /// pipelines) and invokes `done` there. Metric accounting matches the
-    /// blocking `*_on` APIs bump for bump.
+    /// The engine's one request path, and it never blocks: the TCP
+    /// front-end's reactor calls it and returns to its event loop
+    /// immediately, and the blocking methods wait on a channel it answers.
+    /// Cache hits and immediate errors invoke `done` synchronously on the
+    /// calling thread; campaigns run on a thread of their own; everything
+    /// else runs on a worker (with its warm pipelines) and invokes `done`
+    /// there.
     pub fn execute_wire(&self, model: Option<&str>, request: WireRequest, done: WireCallback) {
         let shard = match self.shard(model) {
             Ok(shard) => Arc::clone(shard),
@@ -988,7 +912,7 @@ impl Engine {
                     })),
                     Ok(None) => {
                         let tag = Arc::clone(&shard);
-                        self.spawn_wire(
+                        self.enqueue(
                             &tag,
                             Box::new(move |warm| {
                                 let result = evaluate(&shard, warm, &client, &provider);
@@ -1010,9 +934,9 @@ impl Engine {
                 if pairs.is_empty() {
                     return done(Ok(WireResponse::Batch(Vec::new())));
                 }
-                // Mirror `batch_on`: probe every pair up front so the whole
-                // batch is in flight before any result lands; the collector
-                // fires `done` when the last slot fills, wherever that is.
+                // Probe every pair up front so the whole batch is in flight
+                // before any result lands; the collector fires `done` when
+                // the last slot fills, wherever that is.
                 let collector = Arc::new(BatchCollector {
                     slots: Mutex::new(vec![None; pairs.len()]),
                     remaining: std::sync::atomic::AtomicUsize::new(pairs.len()),
@@ -1025,7 +949,7 @@ impl Engine {
                         Ok(None) => {
                             let task_shard = Arc::clone(&shard);
                             let task_collector = Arc::clone(&collector);
-                            self.spawn_wire(
+                            self.enqueue(
                                 &shard,
                                 Box::new(move |warm| {
                                     let result = evaluate(&task_shard, warm, &client, &provider);
@@ -1048,11 +972,10 @@ impl Engine {
             } => {
                 // The whole request runs on one worker: probe + (maybe)
                 // evaluation + the sampling loop. The counter-based kernel
-                // is bit-identical for any thread split, so running the
-                // trials single-threaded on that worker reproduces
-                // `monte_carlo_on`'s estimate exactly.
+                // is bit-identical for any thread split, so the estimate
+                // does not depend on running single-threaded.
                 let tag = Arc::clone(&shard);
-                self.spawn_wire(
+                self.enqueue(
                     &tag,
                     Box::new(move |warm| {
                         EngineMetrics::bump(&shard.metrics.queries);
@@ -1099,7 +1022,7 @@ impl Engine {
             }
             WireRequest::Update(command) => {
                 let tag = Arc::clone(&shard);
-                self.spawn_wire(
+                self.enqueue(
                     &tag,
                     Box::new(move |_warm| {
                         done(apply_update(&shard, command).map(WireResponse::Update));
@@ -1108,24 +1031,39 @@ impl Engine {
             }
             WireRequest::Save => {
                 let tag = Arc::clone(&shard);
-                self.spawn_wire(
+                self.enqueue(
                     &tag,
                     Box::new(move |_warm| {
                         done(save_shard(&shard).map(WireResponse::Save));
                     }),
                 );
             }
+            WireRequest::Campaign {
+                spec,
+                cancel,
+                mut progress,
+            } => {
+                // A campaign blocks until its fan-out drains, so it can run
+                // neither on the calling thread (the reactor must keep
+                // serving) nor on a worker (the pool would wait on itself).
+                let engine = self.clone();
+                std::thread::spawn(move || {
+                    let json = spec.json;
+                    let result = engine.fan_out_campaign(&shard, spec, &mut progress, &cancel);
+                    done(result.map(|report| WireResponse::Campaign { report, json }));
+                });
+            }
         }
     }
 
-    /// Enqueues a wire task, closing the same shutdown race as
-    /// `lookup_or_enqueue`: if the flag flipped after the send, the final
-    /// drain drops the job (and its callback — the front-end's ticket
-    /// guard answers the wire).
-    fn spawn_wire(&self, shard: &Arc<Shard>, task: Box<dyn FnOnce(&mut WarmPipelines) + Send>) {
-        let job = Job::Wire {
+    /// Enqueues one request's pool half. If the shutdown flag flipped
+    /// after the send, the job may sit behind the Stop jobs with every
+    /// worker already gone: drain it (and any neighbours) here, which
+    /// drops its callback unfired — read as `EngineError::Shutdown`.
+    fn enqueue(&self, shard: &Arc<Shard>, run: Box<dyn FnOnce(&mut WarmPipelines) + Send>) {
+        let job = Job::Run {
             shard: Arc::clone(shard),
-            run: task,
+            run,
         };
         if self.job_tx.send(job).is_err() {
             return;
@@ -1151,11 +1089,10 @@ impl Engine {
         model: Option<&str>,
         command: UpdateCommand,
     ) -> Result<UpdateSummary, EngineError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::Shutdown);
+        match self.call(model, WireRequest::Update(command))? {
+            WireResponse::Update(summary) => Ok(summary),
+            _ => unreachable!("UPDATE is answered with WireResponse::Update"),
         }
-        let shard = self.shard(model)?;
-        apply_update(shard, command)
     }
 
     /// Runs a what-if campaign against the default shard.
@@ -1172,35 +1109,48 @@ impl Engine {
     /// evaluations across the worker pool, and aggregates the ranked
     /// report. The live shard is never mutated — no epoch bump, no cache
     /// traffic, no journal line; only the `campaigns_run` /
-    /// `scenarios_evaluated` counters move. `progress` is called after
-    /// each completed scenario with `(done, total)`.
+    /// `scenarios_evaluated` counters move. `progress` is called on the
+    /// calling thread after each completed scenario with `(done, total)`.
     pub fn campaign_on(
         &self,
         model: Option<&str>,
         spec: CampaignSpec,
-        progress: impl FnMut(usize, usize),
+        mut progress: impl FnMut(usize, usize),
     ) -> Result<CampaignReport, EngineError> {
-        let never = Arc::new(AtomicBool::new(false));
-        self.campaign_on_cancellable(model, spec, progress, &never)
+        let (tick_tx, tick_rx) = channel::unbounded();
+        let request = WireRequest::Campaign {
+            spec,
+            cancel: Arc::new(AtomicBool::new(false)),
+            progress: Box::new(move |done, total| {
+                let _ = tick_tx.send((done, total));
+            }),
+        };
+        let reply = self.submit(model, request);
+        // The campaign drops its progress sender when it finishes (or when
+        // the request is refused), which ends the relay.
+        while let Ok((done, total)) = tick_rx.recv() {
+            progress(done, total);
+        }
+        match reply.recv().unwrap_or(Err(EngineError::Shutdown))? {
+            WireResponse::Campaign { report, .. } => Ok(report),
+            _ => unreachable!("CAMPAIGN is answered with WireResponse::Campaign"),
+        }
     }
 
-    /// [`Engine::campaign_on`] with a cooperative cancellation flag: when
-    /// `cancel` flips to `true` (e.g. the requesting client disconnected),
-    /// submission stops, queued scenario tasks return early instead of
-    /// evaluating, and the call errors with `campaign cancelled` — the
-    /// worker pool goes back to serving live traffic within one scenario's
-    /// latency instead of grinding through the whole list.
-    pub fn campaign_on_cancellable(
+    /// The body of a campaign's thread: pins the shard's current
+    /// snapshot, fans per-perspective baselines and then per-scenario
+    /// evaluations across the pool, and aggregates the ranked report.
+    /// When `cancel` flips, submission stops, queued scenario chunks
+    /// return early instead of evaluating, and the campaign errors with
+    /// `campaign cancelled` — the pool goes back to live traffic within
+    /// one scenario's latency.
+    fn fan_out_campaign(
         &self,
-        model: Option<&str>,
+        shard: &Arc<Shard>,
         spec: CampaignSpec,
-        mut progress: impl FnMut(usize, usize),
+        progress: &mut dyn FnMut(usize, usize),
         cancel: &Arc<AtomicBool>,
     ) -> Result<CampaignReport, EngineError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::Shutdown);
-        }
-        let shard = Arc::clone(self.shard(model)?);
         let snapshot = shard.model();
         let input = Arc::new(
             CampaignInput::prepare(
@@ -1216,23 +1166,26 @@ impl Engine {
         );
 
         // Phase 1: baselines, chunked so each task amortises one warm
-        // pipeline over a contiguous run of perspectives. Baselines are
-        // always heavy (a pipeline run per perspective, plus the CRN
-        // pack when sampling), so they take the fine-grained policy.
+        // pipeline over a contiguous run of perspectives and streams its
+        // chunk back under the chunk's index. Baselines are always heavy
+        // (a pipeline run per perspective, plus the CRN pack when
+        // sampling), so they take the fine-grained policy.
         let pairs = input.pairs.len();
         let chunk = adaptive_chunk(pairs, self.workers.max(1), true);
-        let mut baseline_tasks: Vec<CampaignTask<Vec<upsim_campaign::BaselinePerspective>>> =
+        let mut baseline_tasks: Vec<StreamTask<Result<Vec<BaselinePerspective>, String>>> =
             Vec::new();
         let mut start = 0;
         while start < pairs {
             let end = (start + chunk).min(pairs);
+            let index = baseline_tasks.len();
             let task_input = Arc::clone(&input);
-            baseline_tasks.push(Box::new(move || {
-                evaluate_baseline_chunk(&task_input, start..end)
+            baseline_tasks.push(Box::new(move |tx| {
+                let _ = tx.send((index, evaluate_baseline_chunk(&task_input, start..end)));
             }));
             start = end;
         }
-        let chunks = self.scatter(&shard, baseline_tasks, |_| {}, Some(cancel))?;
+        let expected = baseline_tasks.len();
+        let chunks = self.scatter_stream(shard, expected, baseline_tasks, |_| {}, cancel)?;
         let mut perspectives = Vec::with_capacity(pairs);
         for chunk in chunks {
             perspectives.extend(chunk.map_err(EngineError::Campaign)?);
@@ -1268,7 +1221,7 @@ impl Engine {
             let task_input = Arc::clone(&input);
             let task_baseline = Arc::clone(&baseline);
             let task_cancel = Arc::clone(cancel);
-            let task_shard = Arc::clone(&shard);
+            let task_shard = Arc::clone(shard);
             scenario_tasks.push(Box::new(move |tx| {
                 let mut ctx = EvalCtx::default();
                 for index in start..end {
@@ -1297,11 +1250,11 @@ impl Engine {
         }
         let outcomes = self
             .scatter_stream(
-                &shard,
+                shard,
                 total,
                 scenario_tasks,
                 |done| progress(done, total),
-                Some(cancel),
+                cancel,
             )?
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
@@ -1310,29 +1263,6 @@ impl Engine {
         let report = aggregate(&input, &baseline, &outcomes);
         EngineMetrics::bump(&shard.metrics.campaigns_run);
         Ok(report)
-    }
-
-    /// Fans a batch of independent closures across the worker pool and
-    /// blocks until every result is back, returned in submission order —
-    /// the one-result-per-task face of [`Engine::scatter_stream`].
-    fn scatter<T: Send + 'static>(
-        &self,
-        shard: &Arc<Shard>,
-        tasks: Vec<Box<dyn FnOnce() -> T + Send>>,
-        on_result: impl FnMut(usize),
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> Result<Vec<T>, EngineError> {
-        let expected = tasks.len();
-        let tasks: Vec<StreamTask<T>> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(index, task)| {
-                Box::new(move |tx: &Sender<(usize, T)>| {
-                    let _ = tx.send((index, task()));
-                }) as StreamTask<T>
-            })
-            .collect();
-        self.scatter_stream(shard, expected, tasks, on_result, cancel)
     }
 
     /// The chunked scatter core: submits `tasks` to the pool, each task
@@ -1352,17 +1282,17 @@ impl Engine {
         expected: usize,
         tasks: Vec<StreamTask<T>>,
         mut on_result: impl FnMut(usize),
-        cancel: Option<&Arc<AtomicBool>>,
+        cancel: &AtomicBool,
     ) -> Result<Vec<T>, EngineError> {
-        let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
+        let cancelled = || cancel.load(Ordering::Relaxed);
         let total = expected;
         EngineMetrics::add(&shard.metrics.scatter_chunks, tasks.len() as u64);
         let (result_tx, result_rx) = channel::bounded::<(usize, T)>(total.max(1));
         for task in tasks {
             let tx = result_tx.clone();
-            let mut job = Job::Task {
+            let mut job = Job::Run {
                 shard: Arc::clone(shard),
-                run: Box::new(move || task(&tx)),
+                run: Box::new(move |_| task(&tx)),
             };
             // The result channel has room for every result, so workers
             // never block sending — the job queue always drains while
@@ -1386,8 +1316,8 @@ impl Engine {
             }
         }
         drop(result_tx);
-        // Close the race with `shutdown` exactly like `lookup_or_enqueue`:
-        // if the flag flipped after our last send, drain the queue so no
+        // Close the race with `shutdown` exactly like `enqueue`: if the
+        // flag flipped after our last send, drain the queue so no
         // submitted task keeps its result sender alive forever.
         if self.shared.shutdown.load(Ordering::SeqCst) {
             self.drain_pending();
@@ -1497,40 +1427,26 @@ impl Engine {
         }
     }
 
-    /// Answers every `Eval` job still sitting in the queue with
-    /// `EngineError::Shutdown`. Safe to call from multiple threads — each
-    /// queued job is received (and thus answered) exactly once.
+    /// Drops every job still sitting in the queue. A dropped Run drops
+    /// the callback or result sender it captured, which its waiter reads
+    /// as `EngineError::Shutdown`. Safe to call from multiple threads —
+    /// each queued job is received (and thus dropped) exactly once.
     ///
-    /// A racing drain (from `lookup_or_enqueue`'s tail) can also pull out
-    /// a `Job::Stop` that `stop_workers` addressed to a worker still
-    /// blocked in `recv`; stealing it would leave that worker (and the
-    /// `shutdown` join) hanging forever, so every drained Stop is re-sent
-    /// after the drain loop.
+    /// A racing drain (from `enqueue`'s tail) can also pull out a
+    /// `Job::Stop` that `stop_workers` addressed to a worker still blocked
+    /// in `recv`; stealing it would leave that worker (and the `shutdown`
+    /// join) hanging forever, so every drained Stop is re-sent. A blocking
+    /// send is safe: a Stop can only be in the queue while its worker is
+    /// still alive to receive it.
     fn drain_pending(&self) {
-        let mut replies = Vec::new();
         let mut stolen_stops = 0usize;
         while let Ok(job) = self.job_rx.try_recv() {
-            match job {
-                Job::Eval { reply, .. } => replies.push(reply),
-                // Dropping the closure drops its embedded result sender;
-                // the campaign's aggregation loop sees the channel close
-                // and reports `EngineError::Shutdown` itself.
-                Job::Task { run, .. } => drop(run),
-                // Likewise: the wire completion callback inside is dropped
-                // unfired, which the front-end's ticket guard converts to a
-                // shutdown reply on the wire.
-                Job::Wire { run, .. } => drop(run),
-                Job::Stop => stolen_stops += 1,
+            if let Job::Stop = job {
+                stolen_stops += 1;
             }
         }
-        // Put stolen Stops back first so blocked workers can exit while we
-        // answer the evals. A blocking send is safe: a Stop can only be in
-        // the queue while its worker is still alive to receive it.
         for _ in 0..stolen_stops {
             let _ = self.job_tx.send(Job::Stop);
-        }
-        for reply in replies {
-            let _ = reply.send(Err(EngineError::Shutdown));
         }
     }
 }
@@ -1542,51 +1458,29 @@ fn worker_loop(rx: Receiver<Job>) {
     // model name means a cold sweep on one model (its epoch bumped) never
     // evicts another model's warm state from this worker.
     let mut warm: WarmPipelines = HashMap::new();
-    // Every executed job is accounted to its shard: busy wall time and a
-    // job count, so `STATS` can expose pool utilization per model.
-    let account = |shard: &Shard, started: Instant| {
-        EngineMetrics::add(
-            &shard.metrics.worker_busy_ns,
-            started.elapsed().as_nanos() as u64,
-        );
-        EngineMetrics::bump(&shard.metrics.tasks_executed);
-    };
     while let Ok(job) = rx.recv() {
         match job {
             Job::Stop => break,
-            Job::Eval {
-                shard,
-                client,
-                provider,
-                reply,
-            } => {
-                let started = Instant::now();
-                let result = evaluate(&shard, &mut warm, &client, &provider);
-                if result.is_err() {
-                    EngineMetrics::bump(&shard.metrics.errors);
-                }
-                account(&shard, started);
-                let _ = reply.send(result);
-            }
-            Job::Task { shard, run } => {
-                let started = Instant::now();
-                run();
-                account(&shard, started);
-            }
-            Job::Wire { shard, run } => {
+            Job::Run { shard, run } => {
                 let started = Instant::now();
                 run(&mut warm);
-                account(&shard, started);
+                // Every executed job is accounted to its shard: busy wall
+                // time and a job count, so `STATS` can expose pool
+                // utilization per model.
+                EngineMetrics::add(
+                    &shard.metrics.worker_busy_ns,
+                    started.elapsed().as_nanos() as u64,
+                );
+                EngineMetrics::bump(&shard.metrics.tasks_executed);
             }
         }
     }
 }
 
 /// The synchronous half of a query: negative cache, device existence,
-/// perspective cache — exactly the checks `lookup_or_enqueue` runs before
-/// deciding whether the pool is needed. `Ok(None)` means "miss: evaluate".
-/// Metric accounting (negative_hits / errors / cache_hits) matches the
-/// pre-wire engine bump for bump.
+/// perspective cache — the checks that decide whether the pool is
+/// needed. `Ok(None)` means "miss: evaluate". Bumps `negative_hits`,
+/// `errors` and `cache_hits` as it goes.
 fn probe(
     shard: &Shard,
     client: &str,
@@ -1616,11 +1510,9 @@ fn probe(
     Ok(None)
 }
 
-/// The shard half of `update_on`: journal (fsynced, under the write lock),
+/// The pool half of an `UPDATE`: journal (fsynced, under the write lock),
 /// publish the next snapshot generation, sweep exactly the affected cache
-/// keys. Runs identically from the blocking API and from a worker
-/// executing a wire `UPDATE` — the snapshot write lock is the serializer
-/// either way.
+/// keys. The snapshot write lock serializes concurrent updates.
 fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, EngineError> {
     let mut guard = shard.snapshot.write().expect("snapshot poisoned");
     let mut next = (**guard).clone();
@@ -1638,6 +1530,23 @@ fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, 
         UpdateCommand::ObserveBatch { events } => {
             next.observe_events(events.iter().map(|(c, up, ts)| (c.as_str(), *up, *ts)))?;
             next.inherit_interned(guard.as_ref());
+        }
+        // A second link between linked devices would be a parallel edge
+        // that inflates path counts; refuse it before it is journaled.
+        // Journal replay (`ModelSnapshot::apply`) still accepts one, so
+        // state directories that already hold one restore.
+        UpdateCommand::Connect { a, b }
+            if guard
+                .infrastructure
+                .objects
+                .links
+                .iter()
+                .any(|l| (l.end_a == *a && l.end_b == *b) || (l.end_a == *b && l.end_b == *a)) =>
+        {
+            return Err(EngineError::DuplicateLink {
+                a: a.clone(),
+                b: b.clone(),
+            });
         }
         _ => next.apply(&command)?,
     }
@@ -1685,8 +1594,8 @@ fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, 
     })
 }
 
-/// The shard half of `save_state_on`: exports the current snapshot to the
-/// shard's persistence subtree.
+/// The pool half of a `SAVE`: exports the current snapshot to the shard's
+/// persistence subtree.
 fn save_shard(shard: &Shard) -> Result<SaveSummary, EngineError> {
     let snapshot = shard.model();
     let mut persist = shard.persist.lock().expect("persist poisoned");
@@ -1878,7 +1787,8 @@ mod tests {
     /// flag check concurrently with `shutdown()` lands in the queue behind
     /// the Stop jobs, after every worker is gone. Pre-fix its reply channel
     /// lived in the queue forever and the caller blocked indefinitely on
-    /// `recv`; the drain must answer it with `EngineError::Shutdown`.
+    /// `recv`; the drain must drop the job, closing the reply channel,
+    /// which `call` reads as `EngineError::Shutdown`.
     #[test]
     fn shutdown_drains_jobs_that_raced_the_flag() {
         let engine = usi_engine(1);
@@ -1886,14 +1796,14 @@ mod tests {
         // flips and the workers stop (the first half of `shutdown`)...
         engine.shared.shutdown.store(true, Ordering::SeqCst);
         engine.stop_workers();
-        // ...while a racer that already passed the flag check enqueues its
-        // Eval job, exactly as `lookup_or_enqueue`'s tail does.
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let sent = engine.job_tx.send(Job::Eval {
+        // ...while a racer that already passed the flag check enqueues a
+        // job holding its reply sender, exactly as `enqueue` does.
+        let (reply_tx, reply_rx) = channel::bounded::<()>(1);
+        let sent = engine.job_tx.send(Job::Run {
             shard: Arc::clone(&engine.shared.shards[0]),
-            client: "t1".into(),
-            provider: "p1".into(),
-            reply: reply_tx,
+            run: Box::new(move |_| {
+                let _ = reply_tx.send(());
+            }),
         });
         assert!(sent.is_ok(), "engine keeps a receiver alive");
         // The second half of `shutdown`: without this drain (the pre-fix
@@ -1906,11 +1816,10 @@ mod tests {
         });
         let answer = done_rx
             .recv_timeout(Duration::from_secs(5))
-            .expect("raced job must be answered, not leaked")
-            .expect("reply channel stays connected");
+            .expect("raced job must be dropped, not leaked");
         assert!(
-            matches!(answer, Err(EngineError::Shutdown)),
-            "raced job must be answered with Shutdown, got {answer:?}"
+            answer.is_err(),
+            "raced job must be dropped unrun, closing its reply channel"
         );
     }
 
@@ -1923,17 +1832,18 @@ mod tests {
         // Occupy the single worker with a real evaluation so the Stop sent
         // below sits in the queue where the racing drain can see it.
         let (busy_tx, busy_rx) = channel::bounded(1);
-        let sent = engine.job_tx.send(Job::Eval {
-            shard: Arc::clone(&engine.shared.shards[0]),
-            client: "t1".into(),
-            provider: "p1".into(),
-            reply: busy_tx,
+        let shard = Arc::clone(&engine.shared.shards[0]);
+        let sent = engine.job_tx.send(Job::Run {
+            shard: Arc::clone(&shard),
+            run: Box::new(move |warm| {
+                let _ = busy_tx.send(evaluate(&shard, warm, "t1", "p1").is_ok());
+            }),
         });
         assert!(sent.is_ok(), "queue accepts the busy eval");
         engine.shared.shutdown.store(true, Ordering::SeqCst);
         // As `stop_workers` does: one Stop addressed to the single worker —
-        // but a racing sender (the `lookup_or_enqueue` tail) drains the
-        // queue before the worker picks it up.
+        // but a racing sender (the `enqueue` tail) drains the queue before
+        // the worker picks it up.
         assert!(engine.job_tx.send(Job::Stop).is_ok(), "queue accepts");
         engine.drain_pending();
         // Whichever side answered it (worker or drain), the eval resolves.
@@ -1952,9 +1862,6 @@ mod tests {
             .expect("worker must exit after a drained Stop is re-sent");
     }
 
-    /// The sender-side half of the fix: a query that observes the flag
-    /// after its send self-drains, so even a job enqueued after
-    /// `shutdown()` fully completed is answered.
     /// `MC` runs the perspective's compiled program: the estimate's CI
     /// covers the exact BDD availability, the second request hits the
     /// cached program (one evaluation total), and the reply is a pure

@@ -41,8 +41,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use upsim_campaign::CampaignSpec;
-
 use crate::engine::{Engine, EngineError, WireRequest, WireResponse};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
@@ -290,13 +288,6 @@ impl Ticket {
             binary,
             finished: false,
         }
-    }
-
-    fn progress(&self, line: String) {
-        self.sink.post(Completion::Progress {
-            token: self.token,
-            line,
-        });
     }
 
     fn finish_line(self, line: String) {
@@ -905,22 +896,24 @@ impl Reactor {
                 self.engine.shutdown();
             }
             Request::Campaign(spec) => {
-                let (token, model) = {
-                    let conn = self.conns[slot].as_mut().expect("live conn");
-                    conn.inflight = true;
-                    (conn.token, conn.session_model.clone())
-                };
                 let cancel = Arc::new(AtomicBool::new(false));
-                self.conns[slot].as_mut().expect("live conn").cancel = Some(Arc::clone(&cancel));
-                let ticket = Ticket::new(&self.sink, token, false);
-                let engine = self.engine.clone();
-                // Campaigns block in `scatter` until the fan-out drains, so
-                // they cannot run on the reactor (it must keep serving) or
-                // on a worker (the pool would wait on itself). A dedicated
-                // thread per running campaign mirrors the old
-                // thread-per-connection cost only for the rare, expensive
-                // verb that warrants it.
-                std::thread::spawn(move || run_campaign(engine, model, spec, cancel, ticket));
+                let conn = self.conns[slot].as_mut().expect("live conn");
+                conn.cancel = Some(Arc::clone(&cancel));
+                let (sink, token) = (Arc::clone(&self.sink), conn.token);
+                let progress = Box::new(move |done: usize, total: usize| {
+                    // Milestones at ~eighths of the run.
+                    let step = (total / 8).max(1);
+                    if done.is_multiple_of(step) || done == total {
+                        let line = render_campaign_progress(done, total);
+                        sink.post(Completion::Progress { token, line });
+                    }
+                });
+                let request = WireRequest::Campaign {
+                    spec,
+                    cancel,
+                    progress,
+                };
+                self.dispatch_engine(slot, request, false);
             }
             Request::Query { client, provider } => {
                 self.dispatch_engine(slot, WireRequest::Query { client, provider }, false);
@@ -1063,36 +1056,6 @@ fn render_wire_response(result: Result<WireResponse, EngineError>) -> String {
         ),
         Ok(WireResponse::Update(summary)) => render_update(&summary),
         Ok(WireResponse::Save(summary)) => render_save(&summary),
+        Ok(WireResponse::Campaign { report, json }) => render_campaign(&report, json),
     }
-}
-
-/// Body of a campaign thread: streams `PROGRESS` milestones through the
-/// ticket, then finishes with the report (or the error — including
-/// `campaign cancelled` when the client hung up and the reactor flipped
-/// the flag).
-fn run_campaign(
-    engine: Engine,
-    model: Option<String>,
-    spec: CampaignSpec,
-    cancel: Arc<AtomicBool>,
-    ticket: Ticket,
-) {
-    let json = spec.json;
-    let result = engine.campaign_on_cancellable(
-        model.as_deref(),
-        spec,
-        |done, total| {
-            // Milestones at ~eighths of the run, as before.
-            let step = (total / 8).max(1);
-            if done % step == 0 || done == total {
-                ticket.progress(render_campaign_progress(done, total));
-            }
-        },
-        &cancel,
-    );
-    let line = match result {
-        Ok(report) => render_campaign(&report, json),
-        Err(err) => render_error(&err),
-    };
-    ticket.finish_line(line);
 }
