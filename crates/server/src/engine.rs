@@ -86,6 +86,14 @@ pub enum EngineError {
     /// second link would be a parallel edge, so the update is refused
     /// before it is journaled.
     DuplicateLink { a: String, b: String },
+    /// `UPDATE DISCONNECT` named two devices that are not linked (or a
+    /// device that does not exist): the update would change nothing, so
+    /// it is refused before it is journaled.
+    NoLink { a: String, b: String },
+    /// `UPDATE CONNECT` named the same device twice. A self-link is no
+    /// edge of any simple path, so the update is refused before it is
+    /// journaled.
+    SelfLink(String),
     /// A what-if campaign failed (bad spec, scope, or evaluation).
     Campaign(String),
     /// A persistence failure (journal append, snapshot save, state dir).
@@ -106,6 +114,8 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownModel(name) => write!(f, "unknown model `{name}` (try MODELS)"),
             EngineError::Model(msg) => write!(f, "model error: {msg}"),
             EngineError::DuplicateLink { a, b } => write!(f, "link {a}--{b} already exists"),
+            EngineError::NoLink { a, b } => write!(f, "no link {a}--{b}"),
+            EngineError::SelfLink(device) => write!(f, "cannot link {device} to itself"),
             EngineError::Campaign(msg) => write!(f, "campaign error: {msg}"),
             EngineError::Persist(msg) => write!(f, "persistence error: {msg}"),
             EngineError::NonMonotoneObservation(msg) => write!(f, "{msg}"),
@@ -1547,6 +1557,32 @@ fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, 
                 a: a.clone(),
                 b: b.clone(),
             });
+        }
+        // Likewise a self-link, which is no edge of any path, and the
+        // removal of a link that is not there, which changes nothing.
+        UpdateCommand::Connect { a, b } if a == b => {
+            return Err(EngineError::SelfLink(a.clone()));
+        }
+        UpdateCommand::Disconnect { a, b }
+            if !guard
+                .infrastructure
+                .objects
+                .links
+                .iter()
+                .any(|l| (l.end_a == *a && l.end_b == *b) || (l.end_a == *b && l.end_b == *a)) =>
+        {
+            return Err(EngineError::NoLink {
+                a: a.clone(),
+                b: b.clone(),
+            });
+        }
+        // Likewise a service the mapper cannot map, which would fail every
+        // later query. The in-tree mappers map the same atomic services
+        // whatever client and provider they are given, so one probe covers
+        // every pair.
+        UpdateCommand::SubstituteService { service } => {
+            (shard.mapper)(service, "", "").for_service(service)?;
+            next.apply(&command)?;
         }
         _ => next.apply(&command)?,
     }

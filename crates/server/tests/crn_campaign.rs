@@ -5,9 +5,10 @@
 //! (per-scenario derived streams) at the same sample count — the
 //! classic variance-reduction guarantee of paired sampling.
 //!
-//! Also pins the determinism contract: an `mc:`-priced CRN campaign
-//! renders a byte-identical JSON report when re-run on a fresh engine
-//! with more workers.
+//! Also pins the determinism contract: an `mc:`-priced CRN campaign, its
+//! `independent-seeds` twin and a kill campaign each render a
+//! byte-identical JSON report when re-run on a fresh engine with more
+//! workers, and only the CRN sweep reuses draw words.
 
 use netgen::campus::{campus_scenario, CampusParams};
 use upsim_server::{CampaignSpec, Engine, EngineConfig, ModelSnapshot};
@@ -105,24 +106,47 @@ fn crn_deltas_are_strictly_tighter_than_independent_seeds() {
 
 /// The CRN estimate is a pure function of the spec: a fresh engine with
 /// a different worker count must render the byte-identical JSON report.
+/// The same holds for the `independent-seeds` sweep and the structural
+/// kill campaign over the same pairs, and neither of them ever serves a
+/// draw word from the shared table.
 #[test]
 fn crn_report_is_byte_identical_across_worker_counts() {
-    let spec_text =
-        format!("scale-mtbf:*:0.5,0.9 pairs:t0_0_0:srv0,t1_0_0:srv1 mc:{SAMPLES}:2013 top:5");
-    let mut reports = Vec::new();
-    for workers in [1, 4] {
-        let engine = campus_engine(workers);
-        let spec = CampaignSpec::parse(&spec_text).expect("spec parses");
-        let report = engine.campaign(spec, |_, _| {}).expect("campaign runs");
-        assert!(
-            engine.stats().campaign_crn_reuse > 0,
-            "CRN sweep never reused a cached draw word"
+    let pairs = "pairs:t0_0_0:srv0,t1_0_0:srv1";
+    let sweep = format!("scale-mtbf:*:0.5,0.9 {pairs} mc:{SAMPLES}:2013 top:5");
+    for (spec_text, crn, mc) in [
+        (sweep.clone(), true, true),
+        (format!("{sweep} independent-seeds"), false, true),
+        (format!("kill-each-component {pairs} top:5"), false, false),
+    ] {
+        let mut reports = Vec::new();
+        for workers in [1, 4] {
+            let engine = campus_engine(workers);
+            let spec = CampaignSpec::parse(&spec_text).expect("spec parses");
+            let report = engine.campaign(spec, |_, _| {}).expect("campaign runs");
+            let stats = engine.stats();
+            if crn {
+                assert!(
+                    stats.campaign_crn_reuse > 0,
+                    "CRN sweep never reused a cached draw word"
+                );
+            } else {
+                assert_eq!(
+                    stats.campaign_crn_reuse, 0,
+                    "`{spec_text}` touched the CRN draw table"
+                );
+            }
+            if mc {
+                assert!(
+                    stats.mc_trials_total > 0,
+                    "`{spec_text}` priced no scenario by Monte-Carlo"
+                );
+            }
+            reports.push(report.render_json());
+            engine.shutdown();
+        }
+        assert_eq!(
+            reports[0], reports[1],
+            "`{spec_text}` report drifted across worker counts"
         );
-        reports.push(report.render_json());
-        engine.shutdown();
     }
-    assert_eq!(
-        reports[0], reports[1],
-        "CRN report drifted across worker counts"
-    );
 }

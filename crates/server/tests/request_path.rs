@@ -226,7 +226,10 @@ fn blocking_verbs_after_shutdown_fail_fast() {
 
 /// `UPDATE CONNECT` of two devices that are already linked, in either
 /// direction, answers a distinct `ERR` and leaves the epoch, the journal
-/// and the cache alone; restoring a removed link still works.
+/// and the cache alone; restoring a removed link still works. So do the
+/// other updates that would change nothing or corrupt the model: removing
+/// a link that is not there (or names no device), linking a device to
+/// itself, and substituting a service the mapper cannot map.
 #[test]
 fn duplicate_connect_is_rejected_before_journaling() {
     let dir = state_dir("duplicate");
@@ -243,6 +246,17 @@ fn duplicate_connect_is_rejected_before_journaling() {
             reply.starts_with("ERR link ") && reply.ends_with(" already exists"),
             "{command}: {reply}"
         );
+    }
+    for (command, expected) in [
+        ("UPDATE DISCONNECT t1 p1", "ERR no link t1--p1"),
+        ("UPDATE DISCONNECT ghost t1", "ERR no link ghost--t1"),
+        ("UPDATE CONNECT t1 t1", "ERR cannot link t1 to itself"),
+        (
+            "UPDATE SERVICE backup store",
+            "ERR model error: atomic service 'store' has no service mapping pair",
+        ),
+    ] {
+        assert_eq!(client.request(command), expected, "{command}");
     }
     let stats_after = client.request("STATS");
     for key in ["epoch", "journal_len", "updates", "cache_len"] {
