@@ -300,7 +300,7 @@ pub fn e8_availability() -> String {
         // The compiled bit-sliced kernel; `workers = 0` (all cores) is
         // safe for reproducibility — counter-based draws make the
         // estimate worker-count-invariant.
-        let mc = model.monte_carlo_bitsliced(200_000, 0, 2013);
+        let mc = model.monte_carlo(200_000, 0, 2013);
         let (lo, hi) = mc.confidence_95();
         t.row([
             label.to_string(),

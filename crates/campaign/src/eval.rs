@@ -45,11 +45,11 @@ use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
-use dependability::mcprog::{derive_seed, DrawTable};
+use dependability::mcprog::{derive_seed, DrawTable, RunSpec, Sampling};
 use dependability::perturb::{availability_with, scaled_availability};
 use dependability::{
     overlay_model, AnalysisOptions, McProgram, McScratch, ParamEstimator, PosteriorComponent,
-    ServiceAvailabilityModel,
+    PosteriorSampler, ServiceAvailabilityModel,
 };
 use upsim_core::discovery::DiscoveryOptions;
 use upsim_core::infrastructure::{DeviceKind, Infrastructure};
@@ -206,6 +206,28 @@ pub struct McBaseline {
     pub seed: u64,
 }
 
+impl McBaseline {
+    /// How one run on this perspective's stream draws its trials:
+    /// posterior resampling when a sampler is given, otherwise served
+    /// from the table when there is one, otherwise point sampling.
+    fn sampling<'a>(
+        &'a self,
+        samples: usize,
+        seed: u64,
+        sampler: Option<&'a PosteriorSampler>,
+    ) -> Sampling<'a> {
+        match (sampler, &self.table) {
+            (Some(sampler), _) => Sampling::Posterior {
+                samples,
+                seed,
+                sampler,
+            },
+            (None, Some(table)) => Sampling::Table(table),
+            (None, None) => Sampling::Point { samples, seed },
+        }
+    }
+}
+
 /// One perspective's baseline: exact availability plus everything needed
 /// to decide whether a perturbation touches it and to re-price it.
 pub struct BaselinePerspective {
@@ -230,8 +252,8 @@ pub struct BaselinePerspective {
     /// `model.components`; `None` = authored). Empty outside `posterior`
     /// campaigns.
     pub posteriors: Vec<Option<PosteriorComponent>>,
-    /// The baseline's 95% posterior predictive interval (`posterior`
-    /// campaigns only).
+    /// The baseline's 95% confidence interval for the posterior-mean
+    /// availability (`posterior` campaigns only).
     pub interval: Option<(f64, f64)>,
 }
 
@@ -326,28 +348,21 @@ pub fn evaluate_baseline_chunk(
         };
         // Under CRN the baseline is priced from the same stream the
         // scenarios will share; otherwise it is BDD-exact.
-        let mut interval = None;
-        let availability = match &mc {
+        let (availability, interval) = match &mc {
             Some(mcb) => {
                 let settings = input.spec.mc.expect("mc settings present");
-                if input.spec.posterior {
-                    let sampler = mcb.program.posterior_sampler(&posteriors);
-                    let (result, ci) =
-                        mcb.program
-                            .run_posterior(settings.samples, 1, mcb.seed, &sampler);
-                    interval = Some(ci);
-                    result.estimate
-                } else {
-                    match &mcb.table {
-                        Some(table) => {
-                            let mut scratch = mcb.program.scratch();
-                            mcb.program.run_with_table(table, &mut scratch).0.estimate
-                        }
-                        None => mcb.program.run(settings.samples, 1, mcb.seed).estimate,
-                    }
-                }
+                let sampler = input
+                    .spec
+                    .posterior
+                    .then(|| mcb.program.posterior_sampler(&posteriors));
+                let spec = RunSpec {
+                    probs: None,
+                    sampling: mcb.sampling(settings.samples, mcb.seed, sampler.as_ref()),
+                };
+                let outcome = mcb.program.execute(&spec, &mut McScratch::default());
+                (outcome.result.estimate, outcome.interval)
             }
-            None => model.availability_bdd(),
+            None => (model.availability_bdd(), None),
         };
         out.push(BaselinePerspective {
             client: Arc::clone(client),
@@ -378,9 +393,9 @@ pub struct ScenarioOutcome {
     /// Draw words served from the shared baseline table instead of being
     /// re-packed (common-random-number reuse; 0 outside CRN pricing).
     pub crn_reused: u64,
-    /// 95% posterior predictive interval per perspective, aligned with
-    /// `availabilities` (`posterior` campaigns only; untouched
-    /// perspectives carry their baseline interval).
+    /// 95% confidence interval for the posterior-mean availability per
+    /// perspective, aligned with `availabilities` (`posterior` campaigns
+    /// only; untouched perspectives carry their baseline interval).
     pub intervals: Option<Vec<(f64, f64)>>,
 }
 
@@ -520,44 +535,27 @@ pub fn evaluate_scenario_with(
             );
             let settings = input.spec.mc.expect("mc settings present under CRN");
             mc_trials += settings.samples as u64;
-            if input.spec.posterior {
-                // A perturbation overrides an observation: perturbed
-                // components keep their overlaid point threshold instead
-                // of resampling around a posterior the perturbation just
-                // invalidated.
-                let sampler = mcb.program.posterior_sampler(&blank_perturbed(
+            // A perturbation overrides an observation: perturbed
+            // components keep their overlaid point threshold instead of
+            // resampling around a posterior the perturbation just
+            // invalidated.
+            let sampler = input.spec.posterior.then(|| {
+                mcb.program.posterior_sampler(&blank_perturbed(
                     &persp.posteriors,
                     &persp.model,
                     &persp.classes,
                     &kills,
                     &scales,
-                ));
-                let seed = scenario_seed(input, mcb.seed, index, p_ix);
-                let (result, ci) = mcb.program.run_posterior_thresholds(
-                    &probs,
-                    settings.samples,
-                    seed,
-                    &sampler,
-                    &mut ctx.scratch,
-                );
-                (result.estimate, Some(ci))
-            } else {
-                let estimate = match &mcb.table {
-                    Some(table) => {
-                        let (result, reused) =
-                            mcb.program
-                                .run_with_table_thresholds(table, &probs, &mut ctx.scratch);
-                        crn_reused += reused;
-                        result.estimate
-                    }
-                    None => {
-                        mcb.program
-                            .run_thresholds(&probs, settings.samples, mcb.seed, &mut ctx.scratch)
-                            .estimate
-                    }
-                };
-                (estimate, None)
-            }
+                ))
+            });
+            let seed = scenario_seed(input, mcb.seed, index, p_ix);
+            let spec = RunSpec {
+                probs: Some(&probs),
+                sampling: mcb.sampling(settings.samples, seed, sampler.as_ref()),
+            };
+            let outcome = mcb.program.execute(&spec, &mut ctx.scratch);
+            crn_reused += outcome.reused_words;
+            (outcome.result.estimate, outcome.interval)
         } else {
             price(
                 input,
@@ -684,7 +682,8 @@ fn build_perturbed(
 /// numbers, or derived from (base seed, scenario, perspective) under
 /// `independent-seeds`. Under `posterior` the kernel block-resamples the
 /// unperturbed components' thresholds from `posteriors` and the second
-/// element carries the 95% predictive interval.
+/// element carries the 95% confidence interval for the posterior-mean
+/// availability.
 #[allow(clippy::too_many_arguments)]
 fn price(
     input: &CampaignInput,
@@ -717,9 +716,16 @@ fn price(
                 let program = model.compile_mc_unfolded();
                 let sampler = program
                     .posterior_sampler(&blank_perturbed(posteriors, model, classes, kills, scales));
-                let (result, ci) =
-                    program.run_posterior_thresholds(&probs, mc.samples, seed, &sampler, scratch);
-                (result.estimate, Some(ci))
+                let spec = RunSpec {
+                    probs: Some(&probs),
+                    sampling: Sampling::Posterior {
+                        samples: mc.samples,
+                        seed,
+                        sampler: &sampler,
+                    },
+                };
+                let outcome = program.execute(&spec, scratch);
+                (outcome.result.estimate, outcome.interval)
             } else {
                 let program = McProgram::compile(
                     &probs,

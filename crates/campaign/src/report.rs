@@ -40,9 +40,10 @@ pub struct ScenarioRow {
     pub nines_lost: f64,
     /// Some perspective that worked at baseline is dead (`A < 1e-12`).
     pub spof: bool,
-    /// Mean 95% credible band over the perspective scope — present only
-    /// for `posterior` campaigns, where every scenario price carries the
-    /// predictive interval from block-resampled component parameters.
+    /// Mean 95% band over the perspective scope — present only for
+    /// `posterior` campaigns, where every scenario price carries the 95%
+    /// confidence interval for its posterior-mean availability from
+    /// block-resampled component parameters.
     pub mean_interval: Option<(f64, f64)>,
 }
 

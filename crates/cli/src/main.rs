@@ -913,6 +913,9 @@ fn availability(flags: &Flags) -> Result<(), CliError> {
         let samples: usize = samples
             .parse()
             .map_err(|_| usage_err("--mc expects a sample count"))?;
+        if samples == 0 {
+            return Err(usage_err("--mc expects a positive sample count"));
+        }
         // The compiled bit-sliced kernel: 64 trials per word, and the
         // counter-based draws make the estimate independent of how many
         // workers the host offers.

@@ -74,6 +74,60 @@ fn runtime_failure_exits_one() {
 }
 
 #[test]
+fn availability_mc_prices_with_the_kernel_and_rejects_zero_samples() {
+    let dir = std::env::temp_dir().join(format!("upsim-cli-availability-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let export = upsim()
+        .arg("export-case-study")
+        .arg(&dir)
+        .output()
+        .expect("run upsim export-case-study");
+    assert_eq!(
+        export.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&export.stderr)
+    );
+    let availability = |samples: &str| {
+        upsim()
+            .arg("availability")
+            .arg("-i")
+            .arg(dir.join("usi-infrastructure.xml"))
+            .arg("-s")
+            .arg(dir.join("printing-service.xml"))
+            .arg("-m")
+            .arg(dir.join("mapping-t1-p2.xml"))
+            .args(["--mc", samples])
+            .output()
+            .expect("run upsim availability")
+    };
+
+    let priced = availability("2048");
+    assert_eq!(
+        priced.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&priced.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&priced.stdout);
+    assert!(
+        stdout.contains("service availability (Monte-Carlo, 2048 samples)"),
+        "stdout: {stdout}"
+    );
+
+    // Zero samples is a usage error, not a panic.
+    let zero = availability("0");
+    assert_eq!(zero.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&zero.stderr);
+    assert!(
+        stderr.contains("--mc expects a positive sample count"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn restore_smoke_tolerates_torn_journal_tail() {
     let dir = std::env::temp_dir().join(format!("upsim-cli-restore-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

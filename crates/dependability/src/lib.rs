@@ -20,12 +20,14 @@
 //!   core appears in every path — naive products are wrong there),
 //! * [`sdp`] — sum of disjoint products over minimal path sets (Abraham's
 //!   disjointing), the classical alternative to BDDs,
-//! * [`montecarlo`] — parallel Monte-Carlo estimation with confidence
-//!   intervals (crossbeam worker fan-out), used to cross-validate the
-//!   analytic engines,
-//! * [`mcprog`] — compiled bit-sliced Monte-Carlo programs: path sets
-//!   flattened into a word program evaluating 64 trials per `u64` with
-//!   counter-based draws (worker-count-invariant estimates),
+//! * [`montecarlo`] — the reference trial-at-a-time Monte-Carlo sampler
+//!   with confidence intervals (crossbeam worker fan-out), the oracle the
+//!   compiled kernel is tested against,
+//! * [`mcprog`] — compiled bit-sliced Monte-Carlo programs, the sampler
+//!   every production caller runs: path sets flattened into a word
+//!   program evaluating 64 trials per `u64` with counter-based draws
+//!   (worker-count-invariant estimates), executed by one block loop in
+//!   point, draw-table or posterior-resampling mode,
 //! * [`transform`] — the UPSIM → availability-model transformation: builds
 //!   a [`transform::ServiceAvailabilityModel`] from an object diagram, the
 //!   class diagram it instantiates and the service mapping pairs, and

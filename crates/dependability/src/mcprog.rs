@@ -18,40 +18,48 @@
 //! nearby seeds produce decorrelated sample sets instead of shifted
 //! copies of each other. A draw is a pure function of its coordinates —
 //! no state is consumed — so the estimate is **bit-identical for a fixed
-//! `(seed, samples)` regardless of worker count**, and the twins
-//! [`McProgram::run_narrow`] (one 64-trial word at a time) and
-//! [`McProgram::run_scalar`] (one trial at a time) reproduce
-//! [`McProgram::run`] exactly.
+//! `(seed, samples)` regardless of worker count**, and
+//! [`montecarlo::estimate`](crate::montecarlo::estimate) over the same
+//! path sets — the reference sampler the tests compare against —
+//! reproduces [`McProgram::run`] exactly.
 //!
 //! # Wide-lane execution
 //!
-//! The production executor [`McProgram::run`] generates draws in
-//! **wide blocks of [`WIDE_WORDS`] words = 512 trials**: because the
-//! draw counters advance by a constant Weyl stride, the whole
-//! mix/compare/pack loop is a pure function of `lane`, and the packing
-//! kernel is compiled three times — an AVX-512 version (native 64-bit
-//! vector multiply via `avx512dq`), an AVX2 version, and a portable
-//! scalar version — with the best one picked once per process by runtime
-//! CPU feature detection. All three run the *same* Rust loop over the
-//! same coordinates, so the choice never changes a single draw bit.
+//! The kernel generates draws in **wide blocks of [`WIDE_WORDS`] words =
+//! 512 trials**: because the draw counters advance by a constant Weyl
+//! stride, the whole mix/compare/pack loop is a pure function of `lane`,
+//! and the packing kernel is compiled three times — an AVX-512 version
+//! (native 64-bit vector multiply via `avx512dq`), an AVX2 version, and a
+//! portable scalar version — with the best one picked once per process by
+//! runtime CPU feature detection. All three run the *same* Rust loop over
+//! the same coordinates, so the choice never changes a single draw bit.
+//!
+//! # One block loop
+//!
+//! Every run is a [`RunSpec`] — an optional per-component probability
+//! overlay plus one [`Sampling`] mode (point, table-served or
+//! posterior-resampled) — executed by one private block loop that claims
+//! spans of wide blocks from a shared cursor. Three entry points reach
+//! it: [`McProgram::run`] (point sampling) and [`McProgram::run_posterior`]
+//! (posterior resampling) fan it over worker threads, and
+//! [`McProgram::execute`] runs any spec single-threaded on a caller-held
+//! [`McScratch`] — the campaign path, which parallelizes across scenarios
+//! instead.
 //!
 //! # Draw-word reuse (common random numbers)
 //!
 //! [`McProgram::draw_table`] packs every slot's words for a whole
-//! `(seed, samples)` grid once; [`McProgram::run_with_table`] then
-//! evaluates a program against that table, re-packing only slots whose
-//! `(stream, threshold)` key differs from the table's. Combined with
-//! [`McProgram::compile_unfolded`] / [`McProgram::with_thresholds`]
-//! (which keep program shape fixed while thresholds move) this is the
-//! common-random-number engine behind campaign pricing: an N-scenario
-//! sweep draws the baseline stream once and each scenario re-packs only
-//! the components its perturbation touched. The table is a pure cache —
-//! `run_with_table` is bit-identical to `run(samples, 1, seed)` on the
-//! same program. The clone-free twins
-//! [`McProgram::run_with_table_thresholds`] and
-//! [`McProgram::run_thresholds`] apply the threshold rewrite as a
-//! scratch-held overlay instead of cloning the program, so per-scenario
-//! setup cost is O(slots copied), not O(program allocated).
+//! `(seed, samples)` grid once; a [`Sampling::Table`] run then re-packs
+//! only slots whose `(stream, threshold)` key differs from the table's.
+//! Combined with [`McProgram::compile_unfolded`] and a [`RunSpec::probs`]
+//! overlay (which keep program shape fixed while thresholds move) this
+//! is the common-random-number engine behind campaign pricing: an
+//! N-scenario sweep draws the baseline stream once and each scenario
+//! re-packs only the components its perturbation touched. The table is a
+//! pure cache — a table run is bit-identical to a point run over the
+//! table's `(seed, samples)` with the same overlay — and the overlay is
+//! written into the scratch's draw vector, so per-scenario setup cost is
+//! O(slots copied), not O(program allocated).
 //!
 //! # Parallel execution
 //!
@@ -59,8 +67,9 @@
 //! when one worker (or one block) suffices; otherwise their scoped
 //! workers drain a shared atomic block cursor in small claims, so a
 //! straggler rebalances instead of serializing the tail. Successes (and
-//! the posterior run's block moments) are integer sums over blocks, so
-//! every partition of the blocks gives a bit-identical result.
+//! the block moments behind the posterior interval) are integer sums
+//! over blocks, so every partition of the blocks gives a bit-identical
+//! result.
 //!
 //! Compilation constant-folds degenerate availabilities: a component with
 //! `p ≥ 1` is dropped from its paths (AND identity), a path containing a
@@ -148,37 +157,10 @@ struct CompDraw {
 }
 
 impl CompDraw {
-    /// The up/down draw for one global trial index.
-    #[inline(always)]
-    fn up(&self, seed: u64, trial: u64) -> bool {
-        if self.threshold == u64::MAX {
-            return true;
-        }
-        let key = seed
-            .wrapping_add(trial.wrapping_mul(GAMMA))
-            .wrapping_add(self.stream);
-        mix(key) < self.threshold
-    }
-
-    /// 64 consecutive trials packed one per bit lane (lane `l` holds
-    /// trial `base_trial + l`) — the narrow (one-word) packing step.
-    #[inline(always)]
-    fn pack(&self, seed: u64, base_trial: u64) -> u64 {
-        if self.threshold == 0 {
-            return 0;
-        }
-        if self.threshold == u64::MAX {
-            return !0;
-        }
-        let mut key = seed
-            .wrapping_add(base_trial.wrapping_mul(GAMMA))
-            .wrapping_add(self.stream);
-        let mut word = 0u64;
-        for lane in 0..64u64 {
-            word |= u64::from(mix(key) < self.threshold) << lane;
-            key = key.wrapping_add(GAMMA);
-        }
-        word
+    /// The [`DrawTable`] key: a slot's packed words are a function of
+    /// this pair and the trial grid alone.
+    fn key(&self) -> (u64, u64) {
+        (self.stream, self.threshold)
     }
 }
 
@@ -288,8 +270,8 @@ unsafe fn pack_slots_avx512(
 /// Picks the widest packing kernel the host supports, once per process.
 /// Every instantiation runs the identical loop over the identical
 /// counters, so the pick affects speed only — never a draw bit.
-fn pack_slots_dispatch() -> (&'static str, PackSlotsFn) {
-    static CHOSEN: std::sync::OnceLock<(&'static str, PackSlotsFn)> = std::sync::OnceLock::new();
+fn pack_slots_fn() -> PackSlotsFn {
+    static CHOSEN: std::sync::OnceLock<PackSlotsFn> = std::sync::OnceLock::new();
     *CHOSEN.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
@@ -298,18 +280,14 @@ fn pack_slots_dispatch() -> (&'static str, PackSlotsFn) {
                 && std::arch::is_x86_feature_detected!("avx512bw")
                 && std::arch::is_x86_feature_detected!("avx512vl")
             {
-                return ("avx512", pack_slots_avx512 as PackSlotsFn);
+                return pack_slots_avx512 as PackSlotsFn;
             }
             if std::arch::is_x86_feature_detected!("avx2") {
-                return ("avx2", pack_slots_avx2 as PackSlotsFn);
+                return pack_slots_avx2 as PackSlotsFn;
             }
         }
-        ("portable", pack_slots_portable as PackSlotsFn)
+        pack_slots_portable as PackSlotsFn
     })
-}
-
-fn pack_slots_fn() -> PackSlotsFn {
-    pack_slots_dispatch().1
 }
 
 /// The one unsafe expression in the crate, behind a safe face.
@@ -323,17 +301,11 @@ fn pack_with(
     base_trial: u64,
     words: &mut [u64],
 ) {
-    // SAFETY: every `PackSlotsFn` value originates in
-    // `pack_slots_dispatch`, which returns a feature-gated instantiation
-    // only after runtime detection of the features it was compiled for;
-    // the portable instantiation has no feature requirement at all.
+    // SAFETY: every `PackSlotsFn` value originates in `pack_slots_fn`,
+    // which returns a feature-gated instantiation only after runtime
+    // detection of the features it was compiled for; the portable
+    // instantiation has no feature requirement at all.
     unsafe { pack(draws, slots, seed, base_trial, words) }
-}
-
-/// Human-readable name of the packing kernel the host dispatches to
-/// (`"avx512"`, `"avx2"`, or `"portable"`) — recorded by benchmarks.
-pub fn wide_kernel_name() -> &'static str {
-    pack_slots_dispatch().0
 }
 
 /// A compiled bit-sliced Monte-Carlo program: the flat word encoding of
@@ -345,8 +317,8 @@ pub fn wide_kernel_name() -> &'static str {
 pub struct McProgram {
     /// One entry per drawn component slot.
     draws: Vec<CompDraw>,
-    /// Model component index per slot (parallel to `draws`) — the key
-    /// [`McProgram::with_thresholds`] rewrites by.
+    /// Model component index per slot (parallel to `draws`) — the key a
+    /// [`RunSpec::probs`] overlay and a [`PosteriorSampler`] bind by.
     slot_comp: Vec<u32>,
     /// Flat slot ids; each path is a span of this.
     path_slots: Vec<u32>,
@@ -359,34 +331,27 @@ pub struct McProgram {
     dead: bool,
 }
 
-/// Reusable per-worker scratch: the packed draw words of the current
-/// wide block (slot-major, [`WIDE_WORDS`] words per slot) plus the slot
-/// worklist of the common-random-number path. One scratch can serve any
-/// number of programs of any shape — every run entry point resizes it —
-/// so a campaign worker allocates it once and reuses it across every
+/// Reusable per-worker scratch: the run's draw vector (compiled
+/// thresholds with the probability overlay and any posterior resample
+/// applied), the packed draw words of the current wide block (slot-major,
+/// [`WIDE_WORDS`] words per slot) and the worklist of slots packed fresh.
+/// The block loop sizes it for whichever program runs, so one
+/// `McScratch::default()` serves any number of programs of any shape — a
+/// campaign worker allocates it once and reuses it across every
 /// (scenario, perspective) it prices.
 #[derive(Debug, Default, Clone)]
 pub struct McScratch {
-    words: Vec<u64>,
-    /// Slots that must be packed fresh (all of them on the plain path;
-    /// only the perturbed ones when running against a draw table).
-    fresh: Vec<u32>,
-    /// Threshold-overlaid draw vector of the clone-free scenario runs
-    /// ([`McProgram::run_thresholds`] /
-    /// [`McProgram::run_with_table_thresholds`]).
     draws: Vec<CompDraw>,
-}
-
-impl McScratch {
-    fn ensure(&mut self, program: &McProgram) {
-        self.words.resize(program.draws.len() * WIDE_WORDS, 0);
-    }
+    words: Vec<u64>,
+    /// Slots packed fresh each block: all of them, except those a
+    /// [`Sampling::Table`] run serves from its table.
+    fresh: Vec<u32>,
 }
 
 /// Packed draw words for every slot of a program over a fixed
 /// `(seed, samples)` grid — the shared baseline stream of a
 /// common-random-number campaign. Keys are `(stream, threshold)` pairs:
-/// a later program reuses a slot's words iff its key matches, so
+/// a later run reuses a slot's words iff its key matches, so
 /// perturbing a component (threshold rewrite) transparently invalidates
 /// exactly that component's cache line.
 #[derive(Debug, Clone)]
@@ -416,10 +381,22 @@ impl DrawTable {
     pub fn word_count(&self) -> usize {
         self.words.len()
     }
+
+    /// Copies wide block `block`'s words of every slot whose key matches
+    /// the table into `words` (slot-major, [`WIDE_WORDS`] per slot).
+    fn copy_block(&self, block: u64, draws: &[CompDraw], words: &mut [u64]) {
+        for (slot, draw) in draws.iter().enumerate() {
+            if self.keys[slot] == draw.key() {
+                let src = slot * self.words_per_slot + block as usize * WIDE_WORDS;
+                words[slot * WIDE_WORDS..][..WIDE_WORDS]
+                    .copy_from_slice(&self.words[src..src + WIDE_WORDS]);
+            }
+        }
+    }
 }
 
 /// Per-slot parameter posteriors of a program — the block-resampling
-/// input of [`McProgram::run_posterior`]. Built by
+/// input of a [`Sampling::Posterior`] run. Built by
 /// [`McProgram::posterior_sampler`] from the per-model-component
 /// posterior vector an observation overlay produced
 /// ([`crate::params::overlay_model`]); components without a posterior
@@ -461,18 +438,87 @@ impl PosteriorSampler {
     }
 }
 
-/// Partition-invariant success accumulator of a posterior-resampled run.
+/// How a run draws its trials.
+#[derive(Debug, Clone, Copy)]
+pub enum Sampling<'a> {
+    /// Fixed thresholds over the `(seed, samples)` grid; every slot is
+    /// packed fresh.
+    Point {
+        /// Trials to run.
+        samples: usize,
+        /// Base seed of the counter-based draws.
+        seed: u64,
+    },
+    /// The table's `(seed, samples)` grid: slots whose
+    /// `(stream, threshold)` key matches the table copy its packed words,
+    /// the rest are packed fresh. The table is a cache, not a semantic
+    /// input — the outcome equals a `Point` run over the table's grid,
+    /// plus the count of words served. The program must be
+    /// shape-compatible with the table (the program that drew it).
+    Table(&'a DrawTable),
+    /// Each wide block redraws the sampler's slots' thresholds from their
+    /// parameter posteriors before packing, so the 512 trials of a block
+    /// share one parameter draw. Never combined with a table: the
+    /// thresholds move between blocks, which packed words cannot follow.
+    Posterior {
+        /// Trials to run.
+        samples: usize,
+        /// Base seed of the trial draws and the per-block parameter
+        /// draws.
+        seed: u64,
+        /// The posterior-bearing slots.
+        sampler: &'a PosteriorSampler,
+    },
+}
+
+impl Sampling<'_> {
+    /// The `(samples, seed)` grid the run covers.
+    fn grid(&self) -> (usize, u64) {
+        match *self {
+            Sampling::Point { samples, seed } | Sampling::Posterior { samples, seed, .. } => {
+                (samples, seed)
+            }
+            Sampling::Table(table) => (table.samples, table.seed),
+        }
+    }
+}
+
+/// One Monte-Carlo run of a compiled program.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// Per-model-component up-probabilities (indexed like the compile
+    /// input) replacing every slot's compiled threshold for this run;
+    /// `None` runs the compiled thresholds. The program's shape is
+    /// untouched, so an overlaid run of an unfolded program stays
+    /// key-compatible with its [`DrawTable`]: slots whose probability did
+    /// not move keep their cache line.
+    pub probs: Option<&'a [f64]>,
+    /// How the trials are drawn.
+    pub sampling: Sampling<'a>,
+}
+
+/// What a run produced.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunOutcome {
+    /// The point result over every trial.
+    pub result: MonteCarloResult,
+    /// [`Sampling::Posterior`] runs only: the 95% confidence interval for
+    /// the posterior-mean availability (see [`McProgram::run_posterior`]).
+    pub interval: Option<(f64, f64)>,
+    /// `u64` draw words served from a [`Sampling::Table`] instead of being
+    /// re-packed (0 for the other modes).
+    pub reused_words: u64,
+}
+
+/// Partition-invariant block accumulator of a run.
 ///
 /// Every field is an integer sum over blocks, so merging per-worker (or
 /// per-partition) accumulators in any order reproduces the
 /// single-threaded totals exactly — no float summation order to drift.
 /// Full 512-trial blocks additionally record per-block success moments,
-/// from which [`PosteriorAccum::interval95`] forms the posterior
-/// predictive interval: block means vary with both the Bernoulli noise
-/// *and* the per-block parameter draws, so their spread is the honest
-/// total uncertainty.
+/// from which [`BlockAccum::interval95`] forms the posterior interval.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct PosteriorAccum {
+struct BlockAccum {
     /// Successes over every evaluated trial.
     successes: u64,
     /// Full (512-trial) blocks evaluated.
@@ -481,19 +527,19 @@ struct PosteriorAccum {
     block_sum: u64,
     /// Σ successes² over full blocks.
     block_sum_sq: u128,
-    /// Successes of the ragged tail block, if any.
-    tail_successes: u64,
+    /// Draw words copied from a table instead of packed.
+    reused_words: u64,
 }
 
-impl PosteriorAccum {
+impl BlockAccum {
     /// Folds another partition's accumulator in (field-wise integer
     /// sums — order-independent).
-    fn merge(&mut self, other: &PosteriorAccum) {
+    fn merge(&mut self, other: &BlockAccum) {
         self.successes += other.successes;
         self.full_blocks += other.full_blocks;
         self.block_sum += other.block_sum;
         self.block_sum_sq += other.block_sum_sq;
-        self.tail_successes += other.tail_successes;
+        self.reused_words += other.reused_words;
     }
 
     fn record(&mut self, successes: u64, full: bool) {
@@ -502,22 +548,22 @@ impl PosteriorAccum {
             self.full_blocks += 1;
             self.block_sum += successes;
             self.block_sum_sq += (successes as u128) * (successes as u128);
-        } else {
-            self.tail_successes += successes;
         }
     }
 
-    /// The point result over all evaluated trials (same reduction as
-    /// [`McProgram::run`]).
+    /// The point result over all evaluated trials.
     fn result(&self, samples: usize) -> MonteCarloResult {
         result_from(self.successes, samples)
     }
 
-    /// 95% posterior predictive interval on the availability: the
-    /// estimate ± 1.96 standard errors of the block means (each full
-    /// block is one draw from the posterior predictive distribution).
-    /// With fewer than two full blocks there is no between-block spread
-    /// to measure, so the Wilson interval of the point result stands in.
+    /// 95% confidence interval for the posterior-mean availability
+    /// `E[A(θ)]`: the estimate ± 1.96 standard errors of the full blocks'
+    /// means. Each full block evaluates one posterior parameter draw, so
+    /// the block means scatter with both the parameter draws and the
+    /// Bernoulli noise, and the interval narrows as `1/√blocks` — it is
+    /// not a predictive interval for `A(θ)` itself. With fewer than two
+    /// full blocks there is no between-block spread to measure, so the
+    /// Wilson interval of the point result stands in.
     fn interval95(&self, samples: usize) -> (f64, f64) {
         let estimate = self.successes as f64 / samples as f64;
         if self.full_blocks < 2 {
@@ -607,8 +653,8 @@ impl McProgram {
     /// the 0 / `u64::MAX` sentinels, decided at pack time without
     /// mixing), and every path and pair keeps its span. The program's
     /// shape is therefore a function of the path structure alone — a
-    /// perturbed probability vector maps onto the same slots via
-    /// [`McProgram::with_thresholds`], which is what lets a
+    /// perturbed probability vector maps onto the same slots via a
+    /// [`RunSpec::probs`] overlay, which is what lets a
     /// common-random-number sweep share one [`DrawTable`] across its
     /// whole scenario list.
     pub fn compile_unfolded<'a>(
@@ -663,19 +709,6 @@ impl McProgram {
         }
     }
 
-    /// A copy of this program with every slot's threshold rewritten from
-    /// `probs` (indexed by model component, like the compile input). The
-    /// shape — slots, paths, pairs — is untouched, so the copy stays
-    /// key-compatible with any [`DrawTable`] drawn from this program:
-    /// slots whose probability did not move keep their cache line.
-    pub fn with_thresholds(&self, probs: &[f64]) -> McProgram {
-        let mut rewritten = self.clone();
-        for (slot, &comp) in self.slot_comp.iter().enumerate() {
-            rewritten.draws[slot].threshold = threshold_for(probs[comp as usize]);
-        }
-        rewritten
-    }
-
     /// Number of stochastic components the program draws per trial block.
     pub fn component_count(&self) -> usize {
         self.draws.len()
@@ -700,30 +733,19 @@ impl McProgram {
         }
     }
 
-    /// A scratch buffer sized for this program (reused across blocks; the
-    /// parallel runner keeps one per worker).
-    pub fn scratch(&self) -> McScratch {
-        McScratch {
-            words: vec![0; self.draws.len() * WIDE_WORDS],
-            fresh: Vec::with_capacity(self.draws.len()),
-            draws: Vec::new(),
-        }
-    }
-
-    /// Evaluates one 64-trial block (trials `block·64 .. block·64 + 64`)
-    /// over per-word draw storage with stride `stride` and word offset
-    /// `w`, returning the service word (bit lane = trial up). Early exits
-    /// are exact: draws are pure functions of their coordinates, so
-    /// skipping them cannot skew later blocks.
+    /// Evaluates one 64-trial word (word `w` of the current wide block's
+    /// slot-major draw storage), returning the service word (bit lane =
+    /// trial up). Early exits are exact: draws are pure functions of their
+    /// coordinates, so skipping them cannot skew later blocks.
     #[inline]
-    fn service_word(&self, words: &[u64], w: usize, stride: usize) -> u64 {
+    fn service_word(&self, words: &[u64], w: usize) -> u64 {
         let mut service = !0u64;
         for &(pair_lo, pair_hi) in &self.pairs {
             let mut pair_up = 0u64;
             for &(lo, hi) in &self.paths[pair_lo as usize..pair_hi as usize] {
                 let mut path_up = !0u64;
                 for &slot in &self.path_slots[lo as usize..hi as usize] {
-                    path_up &= words[slot as usize * stride + w];
+                    path_up &= words[slot as usize * WIDE_WORDS + w];
                     if path_up == 0 {
                         break;
                     }
@@ -741,39 +763,10 @@ impl McProgram {
         service
     }
 
-    /// Successes among the 64-trial words of one **wide** block (trials
-    /// `wide_block·512 .. wide_block·512 + 512`, intersected with
-    /// `[0, samples)`), packing all slots through the dispatched kernel.
-    fn wide_successes(
-        &self,
-        seed: u64,
-        wide_block: u64,
-        samples: usize,
-        pack: PackSlotsFn,
-        scratch: &mut McScratch,
-    ) -> u64 {
-        let base_trial = wide_block * WIDE_TRIALS as u64;
-        pack_with(
-            pack,
-            &self.draws,
-            &scratch.fresh,
-            seed,
-            base_trial,
-            &mut scratch.words,
-        );
-        self.masked_successes(&scratch.words, WIDE_WORDS, base_trial, samples)
-    }
-
     /// Popcounts the service words of one wide block's draw storage,
     /// masking lanes at or beyond `samples`.
     #[inline]
-    fn masked_successes(
-        &self,
-        words: &[u64],
-        stride: usize,
-        base_trial: u64,
-        samples: usize,
-    ) -> u64 {
+    fn masked_successes(&self, words: &[u64], base_trial: u64, samples: usize) -> u64 {
         let mut ok = 0u64;
         for w in 0..WIDE_WORDS {
             let word_base = base_trial as usize + w * 64;
@@ -786,7 +779,7 @@ impl McProgram {
             } else {
                 (1u64 << lanes) - 1
             };
-            ok += u64::from((self.service_word(words, w, stride) & mask).count_ones());
+            ok += u64::from((self.service_word(words, w) & mask).count_ones());
         }
         ok
     }
@@ -795,82 +788,57 @@ impl McProgram {
     /// 512-trial wide blocks. `workers == 1` (or a single block) runs
     /// inline on the calling thread — no spawn, no join. Larger counts
     /// fan `workers` crossbeam threads (0 = available parallelism) over a
-    /// shared work-stealing block cursor, one reusable scratch buffer per
-    /// worker, so a straggler never serializes the tail the way static
-    /// ranges did. Deterministic: the successes of a block depend only on
-    /// `(seed, block)`, and summation over blocks is partition-invariant,
-    /// so the estimate is bit-identical for any `workers` value — and
-    /// bit-identical to the narrow and scalar twins.
+    /// shared work-stealing block cursor. Deterministic: the successes of
+    /// a block depend only on `(seed, block)`, and summation over blocks
+    /// is partition-invariant, so the estimate is bit-identical for any
+    /// `workers` value — and bit-identical to
+    /// [`montecarlo::estimate`](crate::montecarlo::estimate) over the
+    /// same path sets.
     pub fn run(&self, samples: usize, workers: usize, seed: u64) -> MonteCarloResult {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            return MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
-        }
-        let wide_blocks = wide_block_count(samples);
-        let workers = resolve_workers(workers).min(wide_blocks as usize).max(1);
-        let cursor = AtomicU64::new(0);
-        if workers == 1 {
-            let mut scratch = self.scratch();
-            let successes = self.run_partial(samples, seed, &cursor, wide_blocks, &mut scratch);
-            return result_from(successes, samples);
-        }
-        let chunk = steal_chunk(wide_blocks, workers);
-        let successes: u64 = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut scratch = self.scratch();
-                        self.run_partial(samples, seed, &cursor, chunk, &mut scratch)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .sum()
-        })
-        .expect("crossbeam scope");
-        result_from(successes, samples)
+        let spec = RunSpec {
+            probs: None,
+            sampling: Sampling::Point { samples, seed },
+        };
+        self.fan_out(&spec, workers, &mut McScratch::default())
+            .result
     }
 
-    /// Work-stealing partial run: claims `chunk`-sized spans of the
-    /// `samples`-trial grid's wide blocks from the shared `cursor` until
-    /// it is exhausted, returning the successes of the claimed blocks.
-    /// Any set of callers sharing one cursor partitions the block range
-    /// exactly once, and because summation over blocks is
-    /// partition-invariant the summed total is bit-identical to a
-    /// single-threaded run.
-    fn run_partial(
+    /// Posterior-resampled parallel run: like [`run`](McProgram::run),
+    /// but each wide block draws its component availabilities from the
+    /// parameter posteriors in `sampler`. The returned interval is the
+    /// 95% confidence interval for the posterior-mean availability
+    /// `E[A(θ)]` — the estimate ± 1.96 standard errors of the 512-trial
+    /// block means, so parameter uncertainty and sampling noise both
+    /// widen it, while it narrows as `1/√blocks`; it is not a predictive
+    /// interval for `A(θ)`. Bit-identical for any `workers` value, and
+    /// with an empty sampler the estimate is bit-identical to `run`.
+    pub fn run_posterior(
         &self,
         samples: usize,
+        workers: usize,
         seed: u64,
-        cursor: &AtomicU64,
-        chunk: u64,
-        scratch: &mut McScratch,
-    ) -> u64 {
-        let chunk = chunk.max(1);
-        let wide_blocks = wide_block_count(samples);
-        let pack = pack_slots_fn();
-        scratch.ensure(self);
-        scratch.fresh.clear();
-        // No table here: every slot packs fresh.
-        scratch.fresh.extend(0..self.draws.len() as u32);
-        let mut ok = 0u64;
-        loop {
-            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= wide_blocks {
-                break;
-            }
-            let hi = (lo + chunk).min(wide_blocks);
-            for wide_block in lo..hi {
-                ok += self.wide_successes(seed, wide_block, samples, pack, scratch);
-            }
-        }
-        ok
+        sampler: &PosteriorSampler,
+    ) -> (MonteCarloResult, (f64, f64)) {
+        let spec = RunSpec {
+            probs: None,
+            sampling: Sampling::Posterior {
+                samples,
+                seed,
+                sampler,
+            },
+        };
+        let outcome = self.fan_out(&spec, workers, &mut McScratch::default());
+        let interval = outcome.interval.expect("posterior runs carry an interval");
+        (outcome.result, interval)
+    }
+
+    /// Runs `spec` single-threaded on the caller's `scratch` — the
+    /// campaign entry point: a campaign worker prices its (scenario,
+    /// perspective) pairs one after another, parallelizing across them,
+    /// and reuses one scratch for all of them. The outcome is
+    /// bit-identical to the same spec fanned over any number of workers.
+    pub fn execute(&self, spec: &RunSpec, scratch: &mut McScratch) -> RunOutcome {
+        self.fan_out(spec, 1, scratch)
     }
 
     /// Binds per-model-component posteriors (as produced by
@@ -889,467 +857,168 @@ impl McProgram {
         PosteriorSampler { slots }
     }
 
-    /// The posterior-resampling twin of
-    /// [`run_partial`](McProgram::run_partial): before packing each wide
-    /// block, the `sampler`'s slots redraw their availability from the
-    /// parameter posterior (counter-based on `(seed, block, component)`),
-    /// so the 512 trials of a block share one parameter draw and blocks
-    /// are independent draws from the posterior predictive distribution.
-    /// Block successes fold into the returned accumulator instead of a
-    /// bare sum so the caller can form the predictive interval; partition
-    /// invariance holds exactly as for `run_partial` (merge the
-    /// accumulators in any order). With an empty sampler every threshold
-    /// stays at its point estimate and the evaluated bits are identical
-    /// to `run_partial`.
-    fn run_posterior_partial(
-        &self,
-        samples: usize,
-        seed: u64,
-        cursor: &AtomicU64,
-        chunk: u64,
-        scratch: &mut McScratch,
-        sampler: &PosteriorSampler,
-    ) -> PosteriorAccum {
-        let mut accum = PosteriorAccum::default();
-        let chunk = chunk.max(1);
-        let wide_blocks = wide_block_count(samples);
-        let pack = pack_slots_fn();
-        scratch.ensure(self);
-        scratch.fresh.clear();
-        scratch.fresh.extend(0..self.draws.len() as u32);
-        let mut draws = std::mem::take(&mut scratch.draws);
-        draws.clear();
-        draws.extend_from_slice(&self.draws);
-        loop {
-            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= wide_blocks {
-                break;
-            }
-            let hi = (lo + chunk).min(wide_blocks);
-            for wide_block in lo..hi {
-                sampler.resample(seed, wide_block, &mut draws);
-                let base_trial = wide_block * WIDE_TRIALS as u64;
-                pack_with(
-                    pack,
-                    &draws,
-                    &scratch.fresh,
-                    seed,
-                    base_trial,
-                    &mut scratch.words,
-                );
-                let ok = self.masked_successes(&scratch.words, WIDE_WORDS, base_trial, samples);
-                let full = base_trial as usize + WIDE_TRIALS <= samples;
-                accum.record(ok, full);
-            }
-        }
-        scratch.draws = draws;
-        accum
-    }
-
-    /// Posterior-resampled parallel run: like [`run`](McProgram::run),
-    /// but each wide block draws its component availabilities from the
-    /// parameter posteriors in `sampler`, and the returned interval is
-    /// the 95% posterior *predictive* interval — parameter uncertainty
-    /// and sampling noise combined — rather than the Bernoulli-only
-    /// Wilson interval. Bit-identical for any `workers` value, and with
-    /// an empty sampler the estimate is bit-identical to `run`.
-    pub fn run_posterior(
-        &self,
-        samples: usize,
-        workers: usize,
-        seed: u64,
-        sampler: &PosteriorSampler,
-    ) -> (MonteCarloResult, (f64, f64)) {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            let result = MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
-            return (result, (estimate, estimate));
-        }
-        let wide_blocks = wide_block_count(samples);
-        let workers = resolve_workers(workers).min(wide_blocks as usize).max(1);
-        let cursor = AtomicU64::new(0);
-        let accum = if workers == 1 {
-            let mut scratch = self.scratch();
-            self.run_posterior_partial(samples, seed, &cursor, wide_blocks, &mut scratch, sampler)
-        } else {
-            let chunk = steal_chunk(wide_blocks, workers);
-            let partials: Vec<PosteriorAccum> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut scratch = self.scratch();
-                            self.run_posterior_partial(
-                                samples,
-                                seed,
-                                &cursor,
-                                chunk,
-                                &mut scratch,
-                                sampler,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-            .expect("crossbeam scope");
-            let mut accum = PosteriorAccum::default();
-            for part in &partials {
-                accum.merge(part);
-            }
-            accum
-        };
-        (accum.result(samples), accum.interval95(samples))
-    }
-
-    /// The campaign twin of [`McProgram::run_posterior`]: prices a perturbed
-    /// probability vector (scratch-held threshold overlay, exactly like
-    /// [`run_thresholds`](McProgram::run_thresholds)) while the
-    /// `sampler`'s slots resample per block *on top of* the overlay.
-    /// The sampler must not cover perturbed components — a perturbation
-    /// overrides an observation — which the caller enforces by blanking
-    /// those entries before [`posterior_sampler`](McProgram::posterior_sampler).
-    /// Single-threaded (campaign workers parallelize across scenarios).
-    pub fn run_posterior_thresholds(
-        &self,
-        probs: &[f64],
-        samples: usize,
-        seed: u64,
-        sampler: &PosteriorSampler,
-        scratch: &mut McScratch,
-    ) -> (MonteCarloResult, (f64, f64)) {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            let result = MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
-            return (result, (estimate, estimate));
-        }
-        let mut draws = std::mem::take(&mut scratch.draws);
-        self.overlay_thresholds(probs, &mut draws);
-        let pack = pack_slots_fn();
-        scratch.ensure(self);
-        scratch.fresh.clear();
-        scratch.fresh.extend(0..draws.len() as u32);
-        let wide_blocks = samples.div_ceil(WIDE_TRIALS);
-        let mut accum = PosteriorAccum::default();
-        for wide_block in 0..wide_blocks {
-            sampler.resample(seed, wide_block as u64, &mut draws);
-            let base_trial = (wide_block * WIDE_TRIALS) as u64;
-            pack_with(
-                pack,
-                &draws,
-                &scratch.fresh,
-                seed,
-                base_trial,
-                &mut scratch.words,
-            );
-            let ok = self.masked_successes(&scratch.words, WIDE_WORDS, base_trial, samples);
-            accum.record(ok, base_trial as usize + WIDE_TRIALS <= samples);
-        }
-        scratch.draws = draws;
-        (accum.result(samples), accum.interval95(samples))
-    }
-
     /// Packs every slot's draw words for the whole `(seed, samples)`
-    /// grid once. The resulting table backs
-    /// [`run_with_table`](McProgram::run_with_table) — re-evaluating
-    /// this program (or a [`with_thresholds`](McProgram::with_thresholds)
-    /// rewrite of it) against the table skips the mix work of every slot
-    /// whose key still matches.
+    /// grid once. The resulting table backs [`Sampling::Table`] runs of
+    /// this program, which skip the mix work of every slot whose key
+    /// (under the run's probability overlay) still matches.
     pub fn draw_table(&self, samples: usize, seed: u64) -> DrawTable {
         assert!(samples > 0, "need at least one sample");
         let pack = pack_slots_fn();
-        let wide_blocks = samples.div_ceil(WIDE_TRIALS);
-        let words_per_slot = wide_blocks * WIDE_WORDS;
+        let blocks = samples.div_ceil(WIDE_TRIALS);
+        let words_per_slot = blocks * WIDE_WORDS;
         let mut table = DrawTable {
             seed,
             samples,
             words_per_slot,
-            keys: self.draws.iter().map(|d| (d.stream, d.threshold)).collect(),
+            keys: self.draws.iter().map(CompDraw::key).collect(),
             words: vec![0; self.draws.len() * words_per_slot],
         };
-        let mut scratch = self.scratch();
-        scratch.fresh.clear();
-        scratch.fresh.extend(0..self.draws.len() as u32);
-        for wide_block in 0..wide_blocks {
-            let base_trial = (wide_block * WIDE_TRIALS) as u64;
-            pack_with(
-                pack,
-                &self.draws,
-                &scratch.fresh,
-                seed,
-                base_trial,
-                &mut scratch.words,
-            );
+        let slots: Vec<u32> = (0..self.draws.len() as u32).collect();
+        let mut words = vec![0; self.draws.len() * WIDE_WORDS];
+        for block in 0..blocks {
+            let base_trial = (block * WIDE_TRIALS) as u64;
+            pack_with(pack, &self.draws, &slots, seed, base_trial, &mut words);
             for slot in 0..self.draws.len() {
-                let src = &scratch.words[slot * WIDE_WORDS..][..WIDE_WORDS];
-                let dst_lo = slot * words_per_slot + wide_block * WIDE_WORDS;
-                table.words[dst_lo..dst_lo + WIDE_WORDS].copy_from_slice(src);
+                let dst = slot * words_per_slot + block * WIDE_WORDS;
+                table.words[dst..dst + WIDE_WORDS]
+                    .copy_from_slice(&words[slot * WIDE_WORDS..][..WIDE_WORDS]);
             }
         }
         table
     }
 
-    /// Single-threaded run against a shared [`DrawTable`]: slots whose
-    /// `(stream, threshold)` key matches the table reuse its packed
-    /// words; everything else (the perturbed components of a scenario)
-    /// is packed fresh. Returns the result plus the number of `u64`
-    /// draw words served from the table. **The table is a cache, not a
-    /// semantic input**: the result is bit-identical to
-    /// `self.run(table.samples(), 1, table.seed())`.
-    ///
-    /// The program must be shape-compatible with the table (same slot
-    /// list — i.e. this program or a `with_thresholds` rewrite of the
-    /// one that built it).
-    pub fn run_with_table(
-        &self,
-        table: &DrawTable,
-        scratch: &mut McScratch,
-    ) -> (MonteCarloResult, u64) {
-        let McScratch { words, fresh, .. } = scratch;
-        self.table_run(&self.draws, table, words, fresh)
-    }
-
-    /// The clone-free twin of
-    /// `self.with_thresholds(probs).run_with_table(table, scratch)`: the
-    /// threshold overlay is written into a scratch-held draw vector
-    /// instead of a cloned program, so an N-scenario
-    /// common-random-number sweep allocates nothing per scenario once
-    /// its worker's scratch is warm. Bit-identical to the
-    /// clone-then-run form, including the reused-word count.
-    pub fn run_with_table_thresholds(
-        &self,
-        table: &DrawTable,
-        probs: &[f64],
-        scratch: &mut McScratch,
-    ) -> (MonteCarloResult, u64) {
-        let mut draws = std::mem::take(&mut scratch.draws);
-        self.overlay_thresholds(probs, &mut draws);
-        let McScratch { words, fresh, .. } = scratch;
-        let out = self.table_run(&draws, table, words, fresh);
-        scratch.draws = draws;
-        out
-    }
-
-    /// The clone-free twin of
-    /// `self.with_thresholds(probs).run(samples, 1, seed)` — the
-    /// no-table fallback of campaign pricing. Single-threaded (campaign
-    /// workers parallelize across scenarios), reusing `scratch` for the
-    /// overlaid draw vector and the packed words. Bit-identical to the
-    /// clone-then-run form.
-    pub fn run_thresholds(
-        &self,
-        probs: &[f64],
-        samples: usize,
-        seed: u64,
-        scratch: &mut McScratch,
-    ) -> MonteCarloResult {
+    /// The one fan-out: runs `spec` inline on `scratch` when one worker
+    /// (or one block) suffices, otherwise on `workers` scoped threads
+    /// (0 = available parallelism), each with its own scratch, draining
+    /// one shared block cursor in small claims so a straggler rebalances
+    /// instead of serializing the tail.
+    fn fan_out(&self, spec: &RunSpec, workers: usize, scratch: &mut McScratch) -> RunOutcome {
+        let (samples, _) = spec.sampling.grid();
         assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            return MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
-        }
-        let mut draws = std::mem::take(&mut scratch.draws);
-        self.overlay_thresholds(probs, &mut draws);
-        let pack = pack_slots_fn();
-        scratch.ensure(self);
-        scratch.fresh.clear();
-        scratch.fresh.extend(0..draws.len() as u32);
-        let wide_blocks = samples.div_ceil(WIDE_TRIALS);
-        let mut successes = 0u64;
-        for wide_block in 0..wide_blocks {
-            let base_trial = (wide_block * WIDE_TRIALS) as u64;
-            pack_with(
-                pack,
-                &draws,
-                &scratch.fresh,
-                seed,
-                base_trial,
-                &mut scratch.words,
+        if let Sampling::Table(table) = spec.sampling {
+            assert_eq!(
+                self.draws.len(),
+                table.keys.len(),
+                "draw table shape mismatch: {} slots vs {}",
+                self.draws.len(),
+                table.keys.len()
             );
-            successes += self.masked_successes(&scratch.words, WIDE_WORDS, base_trial, samples);
         }
-        scratch.draws = draws;
-        result_from(successes, samples)
-    }
-
-    /// Fills `draws` with this program's slots, thresholds rewritten
-    /// from `probs` (indexed by model component) — the allocation-free
-    /// core of [`with_thresholds`](McProgram::with_thresholds).
-    fn overlay_thresholds(&self, probs: &[f64], draws: &mut Vec<CompDraw>) {
-        draws.clear();
-        draws.extend_from_slice(&self.draws);
-        for (slot, &comp) in self.slot_comp.iter().enumerate() {
-            draws[slot].threshold = threshold_for(probs[comp as usize]);
-        }
-    }
-
-    /// Shared core of the draw-table runs: evaluates this program's
-    /// structure function over `draws` (either `self.draws` or a
-    /// threshold overlay of them) against the table.
-    fn table_run(
-        &self,
-        draws: &[CompDraw],
-        table: &DrawTable,
-        words: &mut Vec<u64>,
-        fresh: &mut Vec<u32>,
-    ) -> (MonteCarloResult, u64) {
-        assert_eq!(
-            draws.len(),
-            table.keys.len(),
-            "draw table shape mismatch: {} slots vs {}",
-            draws.len(),
-            table.keys.len()
-        );
-        let samples = table.samples;
+        let posterior = matches!(spec.sampling, Sampling::Posterior { .. });
         if let Some(estimate) = self.constant_estimate() {
-            return (
-                MonteCarloResult {
+            return RunOutcome {
+                result: MonteCarloResult {
                     estimate,
                     std_error: 0.0,
                     samples,
                 },
-                0,
-            );
-        }
-        let pack = pack_slots_fn();
-        words.resize(draws.len() * WIDE_WORDS, 0);
-        fresh.clear();
-        let mut cached_slots = 0u64;
-        for (slot, draw) in draws.iter().enumerate() {
-            if table.keys[slot] == (draw.stream, draw.threshold) {
-                cached_slots += 1;
-            } else {
-                fresh.push(slot as u32);
-            }
-        }
-        let wide_blocks = samples.div_ceil(WIDE_TRIALS);
-        let mut successes = 0u64;
-        for wide_block in 0..wide_blocks {
-            let base_trial = (wide_block * WIDE_TRIALS) as u64;
-            for (slot, draw) in draws.iter().enumerate() {
-                if table.keys[slot] == (draw.stream, draw.threshold) {
-                    let src_lo = slot * table.words_per_slot + wide_block * WIDE_WORDS;
-                    words[slot * WIDE_WORDS..][..WIDE_WORDS]
-                        .copy_from_slice(&table.words[src_lo..src_lo + WIDE_WORDS]);
-                }
-            }
-            pack_with(pack, draws, fresh, seed_of(table), base_trial, words);
-            successes += self.masked_successes(words, WIDE_WORDS, base_trial, samples);
-        }
-        let reused_words = cached_slots * wide_blocks as u64 * WIDE_WORDS as u64;
-        (result_from(successes, samples), reused_words)
-    }
-
-    /// The one-word-at-a-time twin of [`run`](McProgram::run): the
-    /// pre-wide-kernel executor, kept as a differential-testing reference
-    /// — identical draws, identical structure function, 64 trials per
-    /// step. The two must agree bit-for-bit.
-    pub fn run_narrow(&self, samples: usize, workers: usize, seed: u64) -> MonteCarloResult {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            return MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
+                interval: posterior.then_some((estimate, estimate)),
+                reused_words: 0,
             };
         }
-        let blocks = samples.div_ceil(64) as u64;
+        let blocks = wide_block_count(samples);
         let workers = resolve_workers(workers).min(blocks as usize).max(1);
-        let narrow_span = |words: &mut Vec<u64>, lo: u64, hi: u64| {
-            let mut ok = 0u64;
-            for block in lo..hi {
-                let base_trial = block * 64;
-                for (slot, draw) in self.draws.iter().enumerate() {
-                    words[slot] = draw.pack(seed, base_trial);
-                }
-                let lanes = samples - block as usize * 64;
-                let mask = if lanes >= 64 {
-                    !0u64
-                } else {
-                    (1u64 << lanes) - 1
-                };
-                ok += u64::from((self.service_word(words, 0, 1) & mask).count_ones());
-            }
-            ok
-        };
-        let successes: u64 = if workers == 1 {
-            let mut words = vec![0u64; self.draws.len()];
-            narrow_span(&mut words, 0, blocks)
+        let cursor = AtomicU64::new(0);
+        let accum = if workers == 1 {
+            self.block_loop(spec, &cursor, blocks, scratch)
         } else {
-            let cursor = AtomicU64::new(0);
             let chunk = steal_chunk(blocks, workers);
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|_| {
-                            let mut words = vec![0u64; self.draws.len()];
-                            let mut ok = 0u64;
-                            loop {
-                                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                                if lo >= blocks {
-                                    break;
-                                }
-                                ok += narrow_span(&mut words, lo, (lo + chunk).min(blocks));
-                            }
-                            ok
+                            self.block_loop(spec, &cursor, chunk, &mut McScratch::default())
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .sum()
+                let mut accum = BlockAccum::default();
+                for handle in handles {
+                    accum.merge(&handle.join().expect("worker panicked"));
+                }
+                accum
             })
             .expect("crossbeam scope")
         };
-        result_from(successes, samples)
+        RunOutcome {
+            result: accum.result(samples),
+            interval: posterior.then(|| accum.interval95(samples)),
+            reused_words: accum.reused_words,
+        }
     }
 
-    /// The trial-at-a-time twin of [`run`](McProgram::run): identical
-    /// draws (same counter-based coordinates), identical structure
-    /// function, one trial per iteration. Exists to differential-test the
-    /// bit-sliced executors — all must agree bit-for-bit.
-    pub fn run_scalar(&self, samples: usize, seed: u64) -> MonteCarloResult {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            return MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
+    /// The one block loop: writes the probability overlay into the
+    /// scratch's draw vector, then claims `chunk`-sized spans of the
+    /// run's wide blocks from the shared `cursor` until it is exhausted.
+    /// For each block it
+    ///
+    /// 1. resamples the posterior slots' thresholds, in posterior mode;
+    /// 2. copies every slot whose `(stream, threshold)` key matches the
+    ///    table, in table mode;
+    /// 3. packs the remaining slots;
+    /// 4. folds the block's successes into the returned accumulator.
+    ///
+    /// A block's contribution depends only on `(spec, block)`, so any set
+    /// of callers sharing one cursor partitions the block range exactly
+    /// once, and their merged accumulators equal a single-threaded run's.
+    fn block_loop(
+        &self,
+        spec: &RunSpec,
+        cursor: &AtomicU64,
+        chunk: u64,
+        scratch: &mut McScratch,
+    ) -> BlockAccum {
+        let (samples, seed) = spec.sampling.grid();
+        let blocks = wide_block_count(samples);
+        let chunk = chunk.max(1);
+        let pack = pack_slots_fn();
+        let McScratch {
+            draws,
+            words,
+            fresh,
+        } = scratch;
+        draws.clear();
+        draws.extend_from_slice(&self.draws);
+        if let Some(probs) = spec.probs {
+            for (draw, &comp) in draws.iter_mut().zip(&self.slot_comp) {
+                draw.threshold = threshold_for(probs[comp as usize]);
+            }
         }
-        let mut successes = 0u64;
-        for trial in 0..samples as u64 {
-            let service_up = self.pairs.iter().all(|&(pair_lo, pair_hi)| {
-                self.paths[pair_lo as usize..pair_hi as usize]
-                    .iter()
-                    .any(|&(lo, hi)| {
-                        self.path_slots[lo as usize..hi as usize]
-                            .iter()
-                            .all(|&slot| self.draws[slot as usize].up(seed, trial))
-                    })
-            });
-            successes += u64::from(service_up);
+        words.resize(draws.len() * WIDE_WORDS, 0);
+        fresh.clear();
+        match spec.sampling {
+            Sampling::Table(table) => fresh.extend(
+                (0..draws.len())
+                    .filter(|&slot| table.keys[slot] != draws[slot].key())
+                    .map(|slot| slot as u32),
+            ),
+            _ => fresh.extend(0..draws.len() as u32),
         }
-        result_from(successes, samples)
+        let reused_per_block = ((draws.len() - fresh.len()) * WIDE_WORDS) as u64;
+        let mut accum = BlockAccum::default();
+        loop {
+            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= blocks {
+                break;
+            }
+            for block in lo..(lo + chunk).min(blocks) {
+                match spec.sampling {
+                    Sampling::Posterior { sampler, .. } => sampler.resample(seed, block, draws),
+                    Sampling::Table(table) => table.copy_block(block, draws, words),
+                    Sampling::Point { .. } => {}
+                }
+                let base_trial = block * WIDE_TRIALS as u64;
+                pack_with(pack, draws, fresh, seed, base_trial, words);
+                let ok = self.masked_successes(words, base_trial, samples);
+                accum.record(ok, base_trial as usize + WIDE_TRIALS <= samples);
+                accum.reused_words += reused_per_block;
+            }
+        }
+        accum
     }
 }
 
 /// Number of 512-trial wide blocks a `samples`-trial run covers — the
-/// unit of [`McProgram::run_partial`] work-stealing.
+/// unit of the block loop's work-stealing.
 fn wide_block_count(samples: usize) -> u64 {
     samples.div_ceil(WIDE_TRIALS) as u64
 }
@@ -1374,11 +1043,6 @@ fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// Borrow-friendly accessor (keeps `table_run`'s call shape tidy).
-fn seed_of(table: &DrawTable) -> u64 {
-    table.seed
-}
-
 fn result_from(successes: u64, samples: usize) -> MonteCarloResult {
     let estimate = successes as f64 / samples as f64;
     MonteCarloResult {
@@ -1391,6 +1055,7 @@ fn result_from(successes: u64, samples: usize) -> MonteCarloResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::estimate;
     use crate::sdp::union_probability;
 
     fn compile(p: &[f64], systems: &[Vec<Vec<usize>>]) -> McProgram {
@@ -1399,6 +1064,11 @@ mod tests {
 
     fn compile_unfolded(p: &[f64], systems: &[Vec<Vec<usize>>]) -> McProgram {
         McProgram::compile_unfolded(p, systems.iter().map(Vec::as_slice))
+    }
+
+    /// A single-threaded run of `program` on a fresh scratch.
+    fn execute(program: &McProgram, probs: Option<&[f64]>, sampling: Sampling) -> RunOutcome {
+        program.execute(&RunSpec { probs, sampling }, &mut McScratch::default())
     }
 
     #[test]
@@ -1415,21 +1085,17 @@ mod tests {
 
     #[test]
     fn wide_equals_narrow_and_scalar_twins_exactly() {
+        // The reference is the trial-at-a-time sampler over the raw path
+        // sets: same draws, same structure function, one trial at a time.
         let p = [0.9, 0.8, 0.7];
         let systems = vec![vec![vec![0, 1], vec![0, 2]]];
         let program = compile(&p, &systems);
         for samples in [1, 63, 64, 65, 511, 512, 513, 1000, 4099] {
             for seed in [0, 7, 2013] {
-                let wide = program.run(samples, 3, seed);
                 assert_eq!(
-                    wide,
-                    program.run_narrow(samples, 2, seed),
-                    "narrow twin diverged at samples={samples} seed={seed}"
-                );
-                assert_eq!(
-                    wide,
-                    program.run_scalar(samples, seed),
-                    "scalar twin diverged at samples={samples} seed={seed}"
+                    program.run(samples, 3, seed),
+                    estimate(&p, &systems, samples, 2, seed),
+                    "reference sampler diverged at samples={samples} seed={seed}"
                 );
             }
         }
@@ -1491,7 +1157,8 @@ mod tests {
             (dead.estimate, dead.std_error, dead.samples),
             (0.0, 0.0, 1000)
         );
-        let up = compile(&p, &[]).run_scalar(1000, 1);
+        let up = compile(&p, &[]).run(1000, 1, 1);
+        assert_eq!(up, estimate(&p, &[], 1000, 1, 1));
         assert_eq!(up.estimate, 1.0);
     }
 
@@ -1500,8 +1167,9 @@ mod tests {
         // The unfolded program keeps degenerate components as 0 / MAX
         // sentinel slots; the estimates must match the folded constants.
         let p = [0.5, 1.0, 0.0];
-        let folded = compile(&p, &[vec![vec![0, 1], vec![2]]]);
-        let unfolded = compile_unfolded(&p, &[vec![vec![0, 1], vec![2]]]);
+        let systems = vec![vec![vec![0, 1], vec![2]]];
+        let folded = compile(&p, &systems);
+        let unfolded = compile_unfolded(&p, &systems);
         assert_eq!(unfolded.component_count(), 3, "no slot folded away");
         for seed in [1, 9] {
             assert_eq!(
@@ -1510,8 +1178,8 @@ mod tests {
             );
             assert_eq!(
                 unfolded.run(4096, 3, seed),
-                unfolded.run_scalar(4096, seed),
-                "unfolded wide/scalar twins must agree"
+                estimate(&p, &systems, 4096, 1, seed),
+                "unfolded kernel and reference sampler must agree"
             );
         }
         // A dead path (p=0 member) contributes nothing either way.
@@ -1525,10 +1193,12 @@ mod tests {
         let systems = vec![vec![vec![0, 1], vec![0, 2]]];
         let base = compile_unfolded(&p, &systems);
         // Kill component 1, degrade component 2.
-        let perturbed = base.with_thresholds(&[0.9, 0.0, 0.35]);
-        let direct = compile_unfolded(&[0.9, 0.0, 0.35], &systems);
+        let probs = [0.9, 0.0, 0.35];
+        let direct = compile_unfolded(&probs, &systems);
         for seed in [2, 2013] {
-            assert_eq!(perturbed.run(8192, 2, seed), direct.run(8192, 2, seed));
+            let samples = 8192;
+            let overlaid = execute(&base, Some(&probs), Sampling::Point { samples, seed });
+            assert_eq!(overlaid.result, direct.run(samples, 2, seed));
         }
         // The base program is untouched.
         assert_eq!(base, compile_unfolded(&p, &systems));
@@ -1542,20 +1212,23 @@ mod tests {
         // 5000 samples straddles several wide blocks with a ragged tail.
         let table = base.draw_table(5000, 77);
         assert_eq!(table.word_count(), base.table_words(5000));
-        let mut scratch = base.scratch();
 
         // Unperturbed: everything reused, result identical to `run`.
-        let (same, reused) = base.run_with_table(&table, &mut scratch);
-        assert_eq!(same, base.run(5000, 1, 77));
-        assert_eq!(reused, base.table_words(5000) as u64);
+        let same = execute(&base, None, Sampling::Table(&table));
+        assert_eq!(same.result, base.run(5000, 1, 77));
+        assert_eq!(same.reused_words, base.table_words(5000) as u64);
 
         // Perturbed: only untouched slots reused, result identical to a
-        // fresh run of the rewritten program under the same seed.
-        let rewritten = base.with_thresholds(&[0.9, 0.0, 0.35, 0.6]);
-        let (perturbed, reused) = rewritten.run_with_table(&table, &mut scratch);
-        assert_eq!(perturbed, rewritten.run(5000, 1, 77));
+        // fresh run of the overlaid program under the same seed.
+        let probs = [0.9, 0.0, 0.35, 0.6];
+        let perturbed = execute(&base, Some(&probs), Sampling::Table(&table));
+        let fresh = Sampling::Point {
+            samples: 5000,
+            seed: 77,
+        };
+        assert_eq!(perturbed.result, execute(&base, Some(&probs), fresh).result);
         // Slots 0 and 3 kept their thresholds: half the table reused.
-        assert_eq!(reused, (base.table_words(5000) / 2) as u64);
+        assert_eq!(perturbed.reused_words, (base.table_words(5000) / 2) as u64);
     }
 
     #[test]
@@ -1564,30 +1237,40 @@ mod tests {
         let systems = vec![vec![vec![0, 1], vec![0, 2]], vec![vec![3, 0]]];
         let base = compile_unfolded(&p, &systems);
         let probs = [0.9, 0.0, 0.35, 0.6];
-        let rewritten = base.with_thresholds(&probs);
-        let mut scratch = base.scratch();
+        // The same structure compiled straight from the perturbed vector.
+        let rewritten = compile_unfolded(&probs, &systems);
+        let mut scratch = McScratch::default();
 
-        // No-table path: same bits as clone-then-run, scratch reusable.
+        // No-table path: same bits as the rewritten program, scratch
+        // reusable across runs.
         for (samples, seed) in [(5000, 77), (512, 3), (8191, 2013)] {
+            let spec = RunSpec {
+                probs: Some(&probs),
+                sampling: Sampling::Point { samples, seed },
+            };
             assert_eq!(
-                base.run_thresholds(&probs, samples, seed, &mut scratch),
+                base.execute(&spec, &mut scratch).result,
                 rewritten.run(samples, 1, seed),
-                "run_thresholds diverged at samples={samples} seed={seed}"
+                "overlay run diverged at samples={samples} seed={seed}"
             );
         }
 
         // Table path: same bits AND the same reused-word count.
         let table = base.draw_table(5000, 77);
-        let mut clone_scratch = base.scratch();
-        let expected = rewritten.run_with_table(&table, &mut clone_scratch);
-        assert_eq!(
-            base.run_with_table_thresholds(&table, &probs, &mut scratch),
-            expected
-        );
+        let expected = execute(&rewritten, None, Sampling::Table(&table));
+        let spec = RunSpec {
+            probs: Some(&probs),
+            sampling: Sampling::Table(&table),
+        };
+        assert_eq!(base.execute(&spec, &mut scratch), expected);
         // An identity overlay reuses the whole table.
-        let (same, reused) = base.run_with_table_thresholds(&table, &p, &mut scratch);
-        assert_eq!(same, base.run(5000, 1, 77));
-        assert_eq!(reused, base.table_words(5000) as u64);
+        let spec = RunSpec {
+            probs: Some(&p),
+            sampling: Sampling::Table(&table),
+        };
+        let same = base.execute(&spec, &mut scratch);
+        assert_eq!(same.result, base.run(5000, 1, 77));
+        assert_eq!(same.reused_words, base.table_words(5000) as u64);
         // The base program is untouched by any of it.
         assert_eq!(base, compile_unfolded(&p, &systems));
     }
@@ -1598,20 +1281,41 @@ mod tests {
         let systems = vec![vec![vec![0, 1], vec![0, 2]]];
         let program = compile(&p, &systems);
         // workers > blocks (600 samples = 2 wide blocks), workers == 1,
-        // and ragged tails must all agree with the twins.
+        // and ragged tails must all agree with the reference sampler.
         for (samples, workers) in [(600, 8), (600, 1), (513, 64), (4099, 7)] {
-            let wide = program.run(samples, workers, 11);
             assert_eq!(
-                wide,
-                program.run_narrow(samples, workers, 11),
-                "narrow diverged at samples={samples} workers={workers}"
-            );
-            assert_eq!(
-                wide,
-                program.run_scalar(samples, 11),
-                "scalar diverged at samples={samples} workers={workers}"
+                program.run(samples, workers, 11),
+                estimate(&p, &systems, samples, workers, 11),
+                "reference sampler diverged at samples={samples} workers={workers}"
             );
         }
+    }
+
+    /// Drains one shared cursor with `claimants` concurrent block loops
+    /// claiming `chunk` blocks at a time — a pool fan-out — and merges
+    /// their accumulators.
+    fn drain_shared_cursor(
+        program: &McProgram,
+        spec: &RunSpec,
+        chunk: u64,
+        claimants: usize,
+    ) -> BlockAccum {
+        let cursor = AtomicU64::new(0);
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..claimants)
+                .map(|_| {
+                    scope.spawn(|_| {
+                        program.block_loop(spec, &cursor, chunk, &mut McScratch::default())
+                    })
+                })
+                .collect();
+            let mut merged = BlockAccum::default();
+            for handle in handles {
+                merged.merge(&handle.join().unwrap());
+            }
+            merged
+        })
+        .expect("crossbeam scope")
     }
 
     #[test]
@@ -1621,24 +1325,16 @@ mod tests {
         let program = compile(&p, &systems);
         let samples = 10_001;
         let reference = program.run(samples, 1, 42);
-        // A pool fan-out: concurrent claimants drain one shared cursor
-        // with different chunk sizes; the summed successes must reduce to
-        // the exact single-threaded result.
+        let spec = RunSpec {
+            probs: None,
+            sampling: Sampling::Point { samples, seed: 42 },
+        };
+        // Concurrent claimants drain one shared cursor with different
+        // chunk sizes; the summed successes must reduce to the exact
+        // single-threaded result.
         for (chunk, claimants) in [(1, 4), (3, 2), (64, 5)] {
-            let cursor = AtomicU64::new(0);
-            let total: u64 = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..claimants)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut scratch = program.scratch();
-                            program.run_partial(samples, 42, &cursor, chunk, &mut scratch)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            })
-            .expect("crossbeam scope");
-            assert_eq!(result_from(total, samples), reference);
+            let merged = drain_shared_cursor(&program, &spec, chunk, claimants);
+            assert_eq!(result_from(merged.successes, samples), reference);
         }
     }
 
@@ -1689,11 +1385,11 @@ mod tests {
         }
     }
 
-    fn diffuse_sampler(program: &McProgram, comps: usize) -> PosteriorSampler {
+    /// Loose posteriors (n = 4 pseudo-sojourns) around MTBF 3000h /
+    /// MTTR 24h: availability draws visibly spread around ~0.992.
+    fn diffuse_posterior() -> PosteriorComponent {
         use crate::params::GammaPosterior;
-        // Loose posteriors (n = 4 pseudo-sojourns) around MTBF 3000h /
-        // MTTR 24h: availability draws visibly spread around ~0.992.
-        let post = PosteriorComponent {
+        PosteriorComponent {
             fail: GammaPosterior {
                 alpha: 5.0,
                 beta: 5.0 * 3000.0,
@@ -1703,8 +1399,11 @@ mod tests {
                 beta: 5.0 * 24.0,
             },
             redundant: 0,
-        };
-        program.posterior_sampler(&vec![Some(post); comps])
+        }
+    }
+
+    fn diffuse_sampler(program: &McProgram, comps: usize) -> PosteriorSampler {
+        program.posterior_sampler(&vec![Some(diffuse_posterior()); comps])
     }
 
     #[test]
@@ -1724,31 +1423,16 @@ mod tests {
         }
         // Pool-style partitions: arbitrary chunk sizes and claimant
         // counts must merge to the exact same accumulator.
+        let spec = RunSpec {
+            probs: None,
+            sampling: Sampling::Posterior {
+                samples,
+                seed: 42,
+                sampler: &sampler,
+            },
+        };
         for (chunk, claimants) in [(1, 4), (3, 2), (64, 5)] {
-            let cursor = AtomicU64::new(0);
-            let partials: Vec<PosteriorAccum> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..claimants)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut scratch = program.scratch();
-                            program.run_posterior_partial(
-                                samples,
-                                42,
-                                &cursor,
-                                chunk,
-                                &mut scratch,
-                                &sampler,
-                            )
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .expect("crossbeam scope");
-            let mut merged = PosteriorAccum::default();
-            for part in &partials {
-                merged.merge(part);
-            }
+            let merged = drain_shared_cursor(&program, &spec, chunk, claimants);
             assert_eq!(
                 (merged.result(samples), merged.interval95(samples)),
                 reference,
@@ -1778,42 +1462,46 @@ mod tests {
 
     #[test]
     fn posterior_thresholds_pins_perturbed_components() {
-        use crate::params::GammaPosterior;
         let p = [0.992, 0.992, 0.992];
         let systems = vec![vec![vec![0, 1], vec![0, 2]]];
         let program = compile_unfolded(&p, &systems);
-        let post = PosteriorComponent {
-            fail: GammaPosterior {
-                alpha: 5.0,
-                beta: 5.0 * 3000.0,
-            },
-            repair: GammaPosterior {
-                alpha: 5.0,
-                beta: 5.0 * 24.0,
-            },
-            redundant: 0,
-        };
-        let mut scratch = program.scratch();
+        let post = diffuse_posterior();
+        let mut scratch = McScratch::default();
         // Kill component 1: the perturbation overrides its observation,
         // so the caller blanks its posterior before building the
         // sampler; the priced scenario must fall below the unperturbed
         // posterior estimate.
         let probs = [0.992, 0.0, 0.992];
         let sampler = program.posterior_sampler(&[Some(post), None, Some(post)]);
-        let (perturbed, interval) =
-            program.run_posterior_thresholds(&probs, 50_000, 11, &sampler, &mut scratch);
+        let posterior = |sampler| RunSpec {
+            probs: Some(&probs),
+            sampling: Sampling::Posterior {
+                samples: 50_000,
+                seed: 11,
+                sampler,
+            },
+        };
+        let perturbed = program.execute(&posterior(&sampler), &mut scratch);
+        let interval = perturbed
+            .interval
+            .expect("posterior runs carry an interval");
+        let perturbed = perturbed.result;
         let full = program.posterior_sampler(&[Some(post); 3]);
         let (baseline, _) = program.run_posterior(50_000, 1, 11, &full);
         assert!(perturbed.estimate < baseline.estimate);
         assert!(interval.0 <= perturbed.estimate && perturbed.estimate <= interval.1);
-        // With an empty sampler the threshold run matches run_thresholds
-        // bit for bit.
+        // With an empty sampler the posterior run matches the point run
+        // under the same overlay bit for bit.
         let empty = program.posterior_sampler(&[None, None, None]);
-        let (plain, _) = program.run_posterior_thresholds(&probs, 50_000, 11, &empty, &mut scratch);
-        assert_eq!(
-            plain,
-            program.run_thresholds(&probs, 50_000, 11, &mut scratch)
-        );
+        let plain = program.execute(&posterior(&empty), &mut scratch).result;
+        let point = RunSpec {
+            probs: Some(&probs),
+            sampling: Sampling::Point {
+                samples: 50_000,
+                seed: 11,
+            },
+        };
+        assert_eq!(plain, program.execute(&point, &mut scratch).result);
     }
 
     #[test]
@@ -1821,10 +1509,5 @@ mod tests {
         assert_eq!(derive_seed(10, 0), 10);
         assert_ne!(derive_seed(10, 1), derive_seed(10, 2));
         assert_eq!(derive_seed(10, 1), 10u64.wrapping_add(GAMMA));
-    }
-
-    #[test]
-    fn kernel_name_is_reported() {
-        assert!(["avx512", "avx2", "portable"].contains(&wide_kernel_name()));
     }
 }

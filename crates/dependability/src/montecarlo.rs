@@ -1,10 +1,8 @@
-//! Parallel Monte-Carlo estimation of service availability.
+//! The reference Monte-Carlo sampler of service availability.
 //!
-//! Cross-validates the analytic engines (BDD, SDP) and scales to systems
-//! whose structure functions are too large for them. Sampling: every
-//! component is up independently with its availability; the service is up
-//! when **every** mapping pair has at least one fully-up path (all atomic
-//! services of a composite service execute — paper Sec. V-E).
+//! Sampling: every component is up independently with its availability;
+//! the service is up when **every** mapping pair has at least one
+//! fully-up path (all atomic services execute — paper Sec. V-E).
 //!
 //! Draws are counter-based and shared with the compiled kernel in
 //! [`crate::mcprog`]: the draw for `(trial, component)` is the SplitMix64
@@ -16,9 +14,14 @@
 //! systems produces. Workers split the trial range contiguously over a
 //! crossbeam scope, each reusing one bitset of component states.
 //!
-//! This is the reference trial-at-a-time sampler. The production path is
-//! the compiled bit-sliced kernel in [`crate::mcprog`], which evaluates
-//! 64 trials per `u64` word (512 per wide block) over the same draws.
+//! [`estimate`] walks the raw path sets one trial at a time, with no
+//! compilation and no constant folding, which makes it the oracle the
+//! tests compare the compiled kernel against. Every production caller —
+//! [`ServiceAvailabilityModel::monte_carlo`](crate::transform::ServiceAvailabilityModel::monte_carlo),
+//! the CLI, the server and campaigns — runs the compiled bit-sliced
+//! kernel in [`crate::mcprog`], which evaluates 64 trials per `u64` word
+//! (512 per wide block) over the same draws. [`MonteCarloResult`] is the
+//! result type of both.
 
 use crate::mcprog::{mix, threshold_for, GAMMA, STREAM};
 
@@ -166,17 +169,6 @@ pub fn estimate(
     }
 }
 
-/// Single-system convenience (one mapping pair).
-pub fn estimate_single(
-    availability: &[f64],
-    path_sets: &[Vec<usize>],
-    samples: usize,
-    workers: usize,
-    seed: u64,
-) -> MonteCarloResult {
-    estimate(availability, &[path_sets.to_vec()], samples, workers, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,9 +178,9 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed_and_workers() {
         let p = [0.9, 0.8, 0.7];
-        let sets = vec![vec![0, 1], vec![0, 2]];
-        let a = estimate_single(&p, &sets, 10_000, 2, 42);
-        let b = estimate_single(&p, &sets, 10_000, 2, 42);
+        let systems = vec![vec![vec![0, 1], vec![0, 2]]];
+        let a = estimate(&p, &systems, 10_000, 2, 42);
+        let b = estimate(&p, &systems, 10_000, 2, 42);
         assert_eq!(a, b);
     }
 
@@ -223,7 +215,7 @@ mod tests {
         let p = [0.9, 0.8, 0.7];
         let sets = vec![vec![0, 1], vec![0, 2]];
         let exact = union_probability(&sets, &p);
-        let mc = estimate_single(&p, &sets, 200_000, 4, 7);
+        let mc = estimate(&p, &[sets], 200_000, 4, 7);
         assert!(
             mc.covers(exact),
             "CI {:?} misses {exact}",
@@ -273,16 +265,16 @@ mod tests {
         let p = [0.9];
         // Exactly the requested count — contiguous ranges, no rounding up
         // to a worker multiple.
-        let mc = estimate_single(&p, &[vec![0]], 1001, 4, 3);
+        let mc = estimate(&p, &[vec![vec![0]]], 1001, 4, 3);
         assert_eq!(mc.samples, 1001);
-        let mc = estimate_single(&p, &[vec![0]], 7, 64, 3);
+        let mc = estimate(&p, &[vec![vec![0]]], 7, 64, 3);
         assert_eq!(mc.samples, 7);
     }
 
     #[test]
     fn perfect_components_give_certainty() {
         let p = [1.0, 1.0];
-        let mc = estimate_single(&p, &[vec![0, 1]], 5_000, 2, 9);
+        let mc = estimate(&p, &[vec![vec![0, 1]]], 5_000, 2, 9);
         assert_eq!(mc.estimate, 1.0);
         // Wilson at p̂ = 1: the upper bound is exactly 1, the lower bound
         // 1/(1 + z²/n) — close to 1 but not a degenerate point interval.
@@ -297,7 +289,7 @@ mod tests {
     #[test]
     fn degenerate_zero_estimate_has_open_interval() {
         let p = [0.0];
-        let mc = estimate_single(&p, &[vec![0]], 5_000, 1, 4);
+        let mc = estimate(&p, &[vec![vec![0]]], 5_000, 1, 4);
         assert_eq!(mc.estimate, 0.0);
         assert_eq!(mc.std_error, 0.0);
         let (lo, hi) = mc.confidence_95();

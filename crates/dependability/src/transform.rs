@@ -22,12 +22,13 @@
 //! * [`ServiceAvailabilityModel::pair_rbd`] — the companion paper's
 //!   parallel-of-series RBD, available when no component is shared between
 //!   the paths of the pair (tree-like networks),
-//! * [`ServiceAvailabilityModel::monte_carlo`] — parallel simulation.
+//! * [`ServiceAvailabilityModel::monte_carlo`] — parallel simulation on
+//!   the compiled bit-sliced kernel.
 
 use crate::availability::ComponentAvailability;
 use crate::bdd::Bdd;
 use crate::mcprog::McProgram;
-use crate::montecarlo::{estimate, MonteCarloResult};
+use crate::montecarlo::MonteCarloResult;
 use crate::rbd::Block;
 use crate::sdp::union_probability;
 use std::collections::HashMap;
@@ -264,20 +265,15 @@ impl ServiceAvailabilityModel {
         crate::cutsets::fault_tree_from_cut_sets(&self.pair_cut_sets(pair_index))
     }
 
-    /// Parallel Monte-Carlo estimate of the service availability
-    /// (trial-at-a-time reference sampler). Draws the same counter-based
-    /// `(seed, trial, component)` stream as the compiled kernel, so the
-    /// estimate is bit-identical for any `workers` value.
+    /// Parallel Monte-Carlo estimate of the service availability on the
+    /// compiled bit-sliced kernel: 64 trials per word, counter-based
+    /// draws, so the estimate is bit-identical for a fixed
+    /// `(seed, samples)` regardless of `workers` (and to the reference
+    /// sampler [`crate::montecarlo::estimate`]). Callers sampling the same
+    /// model repeatedly should hold on to
+    /// [`ServiceAvailabilityModel::compile_mc`] instead.
     pub fn monte_carlo(&self, samples: usize, workers: usize, seed: u64) -> MonteCarloResult {
-        let systems: Vec<Vec<Vec<usize>>> =
-            self.systems.iter().map(|s| s.path_sets.clone()).collect();
-        estimate(
-            &self.availability_vector(),
-            &systems,
-            samples,
-            workers,
-            seed,
-        )
+        self.compile_mc().run(samples, workers, seed)
     }
 
     /// Compiles the model's structure function into a bit-sliced word
@@ -291,27 +287,15 @@ impl ServiceAvailabilityModel {
 
     /// Compiles the structure function **without constant folding**: the
     /// program keeps a slot for every pathed component, so scenario
-    /// probability vectors can be swapped in via
-    /// [`McProgram::with_thresholds`] while draw words stay shareable —
-    /// the compile used by common-random-number campaign pricing.
+    /// probability vectors can be swapped in via a
+    /// [`crate::mcprog::RunSpec::probs`] overlay while draw words stay
+    /// shareable — the compile used by common-random-number campaign
+    /// pricing.
     pub fn compile_mc_unfolded(&self) -> McProgram {
         McProgram::compile_unfolded(
             &self.availability_vector(),
             self.systems.iter().map(|s| s.path_sets.as_slice()),
         )
-    }
-
-    /// Bit-sliced parallel Monte-Carlo estimate: 64 trials per word,
-    /// counter-based draws — bit-identical for a fixed `(seed, samples)`
-    /// regardless of `workers`. Callers sampling the same model repeatedly
-    /// should hold on to [`ServiceAvailabilityModel::compile_mc`] instead.
-    pub fn monte_carlo_bitsliced(
-        &self,
-        samples: usize,
-        workers: usize,
-        seed: u64,
-    ) -> MonteCarloResult {
-        self.compile_mc().run(samples, workers, seed)
     }
 
     /// Looks up a component index by name.
@@ -445,8 +429,13 @@ mod tests {
         );
         // The compiled program and the convenience wrapper agree, and the
         // estimate does not depend on the worker count.
-        assert_eq!(mc, model.monte_carlo_bitsliced(200_000, 1, 5));
-        assert_eq!(mc, program.run_scalar(200_000, 5));
+        assert_eq!(mc, model.monte_carlo(200_000, 1, 5));
+        let systems: Vec<Vec<Vec<usize>>> =
+            model.systems.iter().map(|s| s.path_sets.clone()).collect();
+        assert_eq!(
+            mc,
+            crate::montecarlo::estimate(&model.availability_vector(), &systems, 200_000, 1, 5)
+        );
     }
 
     #[test]

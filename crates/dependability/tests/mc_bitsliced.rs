@@ -1,14 +1,16 @@
 //! Cross-validation of the compiled bit-sliced Monte-Carlo kernel
 //! ([`dependability::McProgram`]) on full pipeline-built models:
 //!
-//! * property: on random generated campuses the bit-sliced run agrees
-//!   **exactly** (bit for bit) with its trial-at-a-time scalar twin, and
-//!   the estimate is invariant under the worker count,
+//! * property: on random generated campuses the bit-sliced run of the
+//!   constant-folded program agrees **exactly** (bit for bit) with the
+//!   trial-at-a-time reference sampler `montecarlo::estimate` over the
+//!   raw path sets, and the estimate is invariant under the worker count,
 //! * statistics: over all 45 USI printing perspectives the 95% CI of a
 //!   200 000-sample run covers the BDD-exact availability for (almost)
 //!   every perspective — the E-series entry in EXPERIMENTS.md records
 //!   the deterministic outcome for the committed seed.
 
+use dependability::montecarlo::{estimate, MonteCarloResult};
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
 use netgen::campus::{campus_scenario, CampusParams};
 use netgen::usi::{all_printing_perspectives, printing_service, usi_infrastructure};
@@ -23,6 +25,24 @@ fn campus_model(params: CampusParams) -> ServiceAvailabilityModel {
         UpsimPipeline::new(infra, service, mapping).expect("campus models are consistent");
     let run = pipeline.run().expect("campus pipeline runs");
     ServiceAvailabilityModel::from_run(pipeline.infrastructure(), &run, AnalysisOptions::default())
+}
+
+/// The reference sampler over the model's raw (unfolded, uncompiled)
+/// path sets.
+fn reference(
+    model: &ServiceAvailabilityModel,
+    samples: usize,
+    workers: usize,
+    seed: u64,
+) -> MonteCarloResult {
+    let systems: Vec<Vec<Vec<usize>>> = model.systems.iter().map(|s| s.path_sets.clone()).collect();
+    estimate(
+        &model.availability_vector(),
+        &systems,
+        samples,
+        workers,
+        seed,
+    )
 }
 
 /// Small random campus shapes (kept modest so 64 cases stay fast).
@@ -55,9 +75,9 @@ proptest! {
     /// The wide (512-trial-block) kernel is an exact reformulation of
     /// per-trial sampling: same draws, same structure function, same
     /// count — for any sample count (including ragged tails) and any
-    /// worker split. Checked against both twins: the narrow
-    /// one-word-at-a-time executor (the pre-wide kernel) and the
-    /// trial-at-a-time scalar executor.
+    /// worker split. Checked against the trial-at-a-time reference
+    /// sampler over the raw path sets, so constant folding is checked
+    /// too.
     #[test]
     fn bitsliced_equals_scalar_twin_on_random_campuses(
         params in params_strategy(),
@@ -65,10 +85,10 @@ proptest! {
         workers in 1usize..=8,
         seed in any::<u64>(),
     ) {
-        let program = campus_model(params).compile_mc();
+        let model = campus_model(params);
+        let program = model.compile_mc();
         let wide = program.run(samples, workers, seed);
-        prop_assert_eq!(wide, program.run_narrow(samples, workers, seed));
-        prop_assert_eq!(wide, program.run_scalar(samples, seed));
+        prop_assert_eq!(wide, reference(&model, samples, workers, seed));
         // Worker-count invariance (the counter-based RNG contract).
         prop_assert_eq!(wide, program.run(samples, 1, seed));
     }
@@ -102,8 +122,8 @@ proptest! {
     /// grid (one block plus a lane, one trial short of a block boundary,
     /// a single trial) and worker counts far beyond the block count, so
     /// most steal claims come back empty. The wide run must still agree
-    /// bit for bit with the narrow and scalar twins, and with itself at
-    /// one worker.
+    /// bit for bit with the reference sampler over the raw path sets,
+    /// and with itself at one worker.
     #[test]
     fn adversarial_splits_are_partition_invariant(
         params in params_strategy(),
@@ -117,10 +137,10 @@ proptest! {
         workers in prop_oneof![Just(1usize), 2usize..=64],
         seed in any::<u64>(),
     ) {
-        let program = campus_model(params).compile_mc();
+        let model = campus_model(params);
+        let program = model.compile_mc();
         let wide = program.run(samples, workers, seed);
-        prop_assert_eq!(wide, program.run_narrow(samples, workers, seed));
-        prop_assert_eq!(wide, program.run_scalar(samples, seed));
+        prop_assert_eq!(wide, reference(&model, samples, workers, seed));
         prop_assert_eq!(wide, program.run(samples, 1, seed));
     }
 }
@@ -176,7 +196,7 @@ fn usi_perspectives_ci_covers_bdd_exact() {
             AnalysisOptions::default(),
         );
         let exact = model.availability_bdd();
-        let mc = model.monte_carlo_bitsliced(200_000, 0, 2013);
+        let mc = model.monte_carlo(200_000, 0, 2013);
         covered += usize::from(mc.covers(exact));
         let sigma = (exact * (1.0 - exact) / 200_000.0).sqrt();
         assert!(

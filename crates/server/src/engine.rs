@@ -303,10 +303,10 @@ pub enum WireRequest {
         provider: String,
         samples: usize,
         seed: u64,
-        /// `MC ... interval`: also report a 95% interval — the posterior
-        /// predictive interval (block-resampled thresholds) when the
-        /// perspective has observation-refined components, the Wilson
-        /// sampling interval otherwise.
+        /// `MC ... interval`: also report a 95% interval — the confidence
+        /// interval for the posterior-mean availability (block-resampled
+        /// thresholds) when the perspective has observation-refined
+        /// components, the Wilson sampling interval otherwise.
         interval: bool,
     },
     Update(UpdateCommand),
@@ -1006,7 +1006,8 @@ impl Engine {
                             // Point estimate unless an interval was asked
                             // for; with refined parameters the interval
                             // run block-resamples thresholds from the
-                            // posterior (predictive interval), otherwise
+                            // posterior (interval for the posterior
+                            // mean), otherwise
                             // it is the Wilson interval around the same
                             // point estimate — zero observations degrade
                             // to exactly the point run.

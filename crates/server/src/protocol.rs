@@ -59,9 +59,10 @@ pub enum Request {
     },
     /// Monte-Carlo estimate from the perspective's compiled bit-sliced
     /// program (`seed` defaults to 2013 when omitted). With `interval`,
-    /// the response also carries a 95% interval — posterior predictive
-    /// (block-resampled thresholds) when the perspective has
-    /// observation-refined parameters, Wilson sampling interval otherwise.
+    /// the response also carries a 95% interval — the confidence interval
+    /// for the posterior-mean availability (block-resampled thresholds)
+    /// when the perspective has observation-refined parameters, Wilson
+    /// sampling interval otherwise.
     MonteCarlo {
         client: String,
         provider: String,
@@ -400,7 +401,8 @@ pub fn render_batch(results: &[Result<Arc<CachedPerspective>, EngineError>]) -> 
 
 /// `OK mc ...` — a Monte-Carlo estimate next to the exact availability of
 /// the entry it ran against. `interval` is the requested 95% interval
-/// (`MC ... interval` only): posterior predictive when the perspective has
+/// (`MC ... interval` only): the confidence interval for the
+/// posterior-mean availability when the perspective has
 /// observation-refined parameters, Wilson otherwise — the `sampling=`
 /// token says which one the kernel ran.
 pub fn render_mc(
