@@ -41,10 +41,12 @@
 //! posterior-resampled) — executed by one private block loop that claims
 //! spans of wide blocks from a shared cursor. Three entry points reach
 //! it: [`McProgram::run`] (point sampling) and [`McProgram::run_posterior`]
-//! (posterior resampling) fan it over worker threads, and
+//! (posterior resampling) fan it over scoped threads, and
 //! [`McProgram::execute`] runs any spec single-threaded on a caller-held
 //! [`McScratch`] — the campaign path, which parallelizes across scenarios
-//! instead.
+//! instead. A caller with threads of its own (the server's worker pool)
+//! drives the same loop through [`McProgram::share`] and
+//! [`McProgram::claim`].
 //!
 //! # Draw-word reuse (common random numbers)
 //!
@@ -63,13 +65,22 @@
 //!
 //! # Parallel execution
 //!
-//! [`McProgram::run`] and [`McProgram::run_posterior`] execute inline
-//! when one worker (or one block) suffices; otherwise their scoped
-//! workers drain a shared atomic block cursor in small claims, so a
-//! straggler rebalances instead of serializing the tail. Successes (and
-//! the block moments behind the posterior interval) are integer sums
-//! over blocks, so every partition of the blocks gives a bit-identical
-//! result.
+//! One claim/merge protocol runs every parallel run. [`McProgram::share`]
+//! builds a run's [`BlockShare`] — block cursor, steal chunk, merged
+//! accumulator and the count of blocks not yet folded in — and every
+//! claimant calls [`McProgram::claim`] on it with a scratch of its own:
+//! it drains the cursor in small claims, so a straggler rebalances
+//! instead of serializing the tail, then folds its blocks into the
+//! shared accumulator. The claimant that folds in the last block gets
+//! the outcome; every other one gets `None`, and a claimant that starts
+//! after the cursor ran out does nothing. No claimant waits for another.
+//! [`McProgram::run`] and [`McProgram::run_posterior`] claim on the
+//! calling thread plus scoped threads (inline when one worker or one
+//! claim suffices); the server's `MC` verb claims on the worker that
+//! took the request plus helper jobs on idle pool workers. Successes
+//! (and the block moments behind the posterior interval) are integer
+//! sums over blocks, so every partition of the blocks gives a
+//! bit-identical result.
 //!
 //! Compilation constant-folds degenerate availabilities: a component with
 //! `p ≥ 1` is dropped from its paths (AND identity), a path containing a
@@ -79,6 +90,7 @@
 //! stochastic components are drawn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::montecarlo::MonteCarloResult;
 use crate::params::{unit_open, PosteriorComponent};
@@ -519,6 +531,8 @@ pub struct RunOutcome {
 /// from which [`BlockAccum::interval95`] forms the posterior interval.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct BlockAccum {
+    /// Wide blocks evaluated (full or ragged).
+    blocks: u64,
     /// Successes over every evaluated trial.
     successes: u64,
     /// Full (512-trial) blocks evaluated.
@@ -535,6 +549,7 @@ impl BlockAccum {
     /// Folds another partition's accumulator in (field-wise integer
     /// sums — order-independent).
     fn merge(&mut self, other: &BlockAccum) {
+        self.blocks += other.blocks;
         self.successes += other.successes;
         self.full_blocks += other.full_blocks;
         self.block_sum += other.block_sum;
@@ -543,6 +558,7 @@ impl BlockAccum {
     }
 
     fn record(&mut self, successes: u64, full: bool) {
+        self.blocks += 1;
         self.successes += successes;
         if full {
             self.full_blocks += 1;
@@ -580,6 +596,43 @@ impl BlockAccum {
             (estimate - 1.96 * se).max(0.0),
             (estimate + 1.96 * se).min(1.0),
         )
+    }
+}
+
+/// The shared state of one run whose wide blocks several claimants
+/// drain: the block cursor, the steal chunk, the merged accumulator and
+/// the count of blocks not yet folded into it. Built by
+/// [`McProgram::share`]; each claimant passes it to
+/// [`McProgram::claim`] with the same [`RunSpec`].
+#[derive(Debug)]
+pub struct BlockShare {
+    /// Next unclaimed wide block. It only partitions the blocks — the
+    /// claimants' results meet under the `folded` lock — so it is
+    /// accessed `Relaxed`.
+    cursor: AtomicU64,
+    /// Blocks taken per claim.
+    chunk: u64,
+    /// Wide blocks in the run (1 for a constant program: its one claim
+    /// samples nothing).
+    blocks: u64,
+    /// The blocks folded in so far, and how many are still out.
+    folded: Mutex<(BlockAccum, u64)>,
+}
+
+impl BlockShare {
+    fn new(blocks: u64, chunk: u64) -> BlockShare {
+        BlockShare {
+            cursor: AtomicU64::new(0),
+            chunk,
+            blocks,
+            folded: Mutex::new((BlockAccum::default(), blocks)),
+        }
+    }
+
+    /// How many claims the run hands out — more claimants than this find
+    /// the cursor exhausted and do nothing.
+    pub fn claims(&self) -> usize {
+        self.blocks.div_ceil(self.chunk) as usize
     }
 }
 
@@ -785,10 +838,11 @@ impl McProgram {
     }
 
     /// Bit-sliced parallel Monte-Carlo run: exactly `samples` trials over
-    /// 512-trial wide blocks. `workers == 1` (or a single block) runs
+    /// 512-trial wide blocks. `workers == 1` (or a single claim) runs
     /// inline on the calling thread — no spawn, no join. Larger counts
-    /// fan `workers` crossbeam threads (0 = available parallelism) over a
-    /// shared work-stealing block cursor. Deterministic: the successes of
+    /// claim blocks on the calling thread plus `workers − 1` crossbeam
+    /// threads (0 = available parallelism) over one [`BlockShare`].
+    /// Deterministic: the successes of
     /// a block depend only on `(seed, block)`, and summation over blocks
     /// is partition-invariant, so the estimate is bit-identical for any
     /// `workers` value — and bit-identical to
@@ -887,12 +941,10 @@ impl McProgram {
         table
     }
 
-    /// The one fan-out: runs `spec` inline on `scratch` when one worker
-    /// (or one block) suffices, otherwise on `workers` scoped threads
-    /// (0 = available parallelism), each with its own scratch, draining
-    /// one shared block cursor in small claims so a straggler rebalances
-    /// instead of serializing the tail.
-    fn fan_out(&self, spec: &RunSpec, workers: usize, scratch: &mut McScratch) -> RunOutcome {
+    /// Builds the shared state of one run of `spec` that up to
+    /// `claimants` callers will drain through [`claim`](McProgram::claim),
+    /// with the steal chunk sized for that many.
+    pub fn share(&self, spec: &RunSpec, claimants: usize) -> BlockShare {
         let (samples, _) = spec.sampling.grid();
         assert!(samples > 0, "need at least one sample");
         if let Sampling::Table(table) = spec.sampling {
@@ -904,9 +956,32 @@ impl McProgram {
                 table.keys.len()
             );
         }
+        if self.constant_estimate().is_some() {
+            return BlockShare::new(1, 1);
+        }
+        let blocks = wide_block_count(samples);
+        BlockShare::new(blocks, steal_chunk(blocks, claimants))
+    }
+
+    /// Claims blocks of `spec` from `share` (built by
+    /// [`share`](McProgram::share) for the same spec) until its cursor runs
+    /// out, then folds them into the shared accumulator. Returns the run's
+    /// outcome to exactly one caller — the one that folds in the last
+    /// block — and `None` to every other, including a caller that found
+    /// the cursor exhausted. Never waits for another claimant, so a caller
+    /// whose helpers never start simply claims every block itself. The
+    /// outcome is bit-identical however the blocks were split.
+    pub fn claim(
+        &self,
+        spec: &RunSpec,
+        share: &BlockShare,
+        scratch: &mut McScratch,
+    ) -> Option<RunOutcome> {
+        let (samples, _) = spec.sampling.grid();
         let posterior = matches!(spec.sampling, Sampling::Posterior { .. });
         if let Some(estimate) = self.constant_estimate() {
-            return RunOutcome {
+            let first = share.cursor.fetch_add(1, Ordering::Relaxed) == 0;
+            return first.then_some(RunOutcome {
                 result: MonteCarloResult {
                     estimate,
                     std_error: 0.0,
@@ -914,41 +989,51 @@ impl McProgram {
                 },
                 interval: posterior.then_some((estimate, estimate)),
                 reused_words: 0,
-            };
+            });
         }
-        let blocks = wide_block_count(samples);
-        let workers = resolve_workers(workers).min(blocks as usize).max(1);
-        let cursor = AtomicU64::new(0);
-        let accum = if workers == 1 {
-            self.block_loop(spec, &cursor, blocks, scratch)
-        } else {
-            let chunk = steal_chunk(blocks, workers);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            self.block_loop(spec, &cursor, chunk, &mut McScratch::default())
-                        })
-                    })
-                    .collect();
-                let mut accum = BlockAccum::default();
-                for handle in handles {
-                    accum.merge(&handle.join().expect("worker panicked"));
-                }
-                accum
-            })
-            .expect("crossbeam scope")
-        };
-        RunOutcome {
+        let part = self.block_loop(spec, share, scratch);
+        if part.blocks == 0 {
+            return None;
+        }
+        let mut folded = share.folded.lock().expect("block share poisoned");
+        let (accum, pending) = &mut *folded;
+        accum.merge(&part);
+        *pending -= part.blocks;
+        (*pending == 0).then(|| RunOutcome {
             result: accum.result(samples),
             interval: posterior.then(|| accum.interval95(samples)),
             reused_words: accum.reused_words,
-        }
+        })
+    }
+
+    /// Runs `spec` to completion: claims inline on `scratch` when one
+    /// worker (or one claim) suffices, otherwise on the calling thread
+    /// plus `workers − 1` scoped threads (0 = available parallelism), each
+    /// helper with its own scratch.
+    fn fan_out(&self, spec: &RunSpec, workers: usize, scratch: &mut McScratch) -> RunOutcome {
+        let workers = resolve_workers(workers);
+        let share = self.share(spec, workers);
+        let helpers = workers.min(share.claims()) - 1;
+        let outcome = if helpers == 0 {
+            self.claim(spec, &share, scratch)
+        } else {
+            crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = (0..helpers)
+                    .map(|_| scope.spawn(|_| self.claim(spec, &share, &mut McScratch::default())))
+                    .collect();
+                let mine = self.claim(spec, &share, scratch);
+                handles.into_iter().fold(mine, |outcome, handle| {
+                    outcome.or(handle.join().expect("worker panicked"))
+                })
+            })
+            .expect("crossbeam scope")
+        };
+        outcome.expect("the claimant that folds in the last block holds the outcome")
     }
 
     /// The one block loop: writes the probability overlay into the
-    /// scratch's draw vector, then claims `chunk`-sized spans of the
-    /// run's wide blocks from the shared `cursor` until it is exhausted.
+    /// scratch's draw vector, then claims steal-chunk-sized spans of the
+    /// run's wide blocks from the share's cursor until it is exhausted.
     /// For each block it
     ///
     /// 1. resamples the posterior slots' thresholds, in posterior mode;
@@ -960,16 +1045,15 @@ impl McProgram {
     /// A block's contribution depends only on `(spec, block)`, so any set
     /// of callers sharing one cursor partitions the block range exactly
     /// once, and their merged accumulators equal a single-threaded run's.
+    /// A caller that finds the cursor exhausted returns an accumulator of
+    /// zero blocks.
     fn block_loop(
         &self,
         spec: &RunSpec,
-        cursor: &AtomicU64,
-        chunk: u64,
+        share: &BlockShare,
         scratch: &mut McScratch,
     ) -> BlockAccum {
         let (samples, seed) = spec.sampling.grid();
-        let blocks = wide_block_count(samples);
-        let chunk = chunk.max(1);
         let pack = pack_slots_fn();
         let McScratch {
             draws,
@@ -996,11 +1080,11 @@ impl McProgram {
         let reused_per_block = ((draws.len() - fresh.len()) * WIDE_WORDS) as u64;
         let mut accum = BlockAccum::default();
         loop {
-            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= blocks {
+            let lo = share.cursor.fetch_add(share.chunk, Ordering::Relaxed);
+            if lo >= share.blocks {
                 break;
             }
-            for block in lo..(lo + chunk).min(blocks) {
+            for block in lo..(lo + share.chunk).min(share.blocks) {
                 match spec.sampling {
                     Sampling::Posterior { sampler, .. } => sampler.resample(seed, block, draws),
                     Sampling::Table(table) => table.copy_block(block, draws, words),
@@ -1291,31 +1375,29 @@ mod tests {
         }
     }
 
-    /// Drains one shared cursor with `claimants` concurrent block loops
-    /// claiming `chunk` blocks at a time — a pool fan-out — and merges
-    /// their accumulators.
+    /// Drains one run with `claimants` concurrent claimants taking
+    /// `chunk` blocks at a time — a pool fan-out — and returns the
+    /// outcome, which exactly one of them must hold.
     fn drain_shared_cursor(
         program: &McProgram,
         spec: &RunSpec,
         chunk: u64,
         claimants: usize,
-    ) -> BlockAccum {
-        let cursor = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
+    ) -> RunOutcome {
+        let (samples, _) = spec.sampling.grid();
+        let share = BlockShare::new(wide_block_count(samples), chunk);
+        let outcomes: Vec<RunOutcome> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..claimants)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        program.block_loop(spec, &cursor, chunk, &mut McScratch::default())
-                    })
-                })
+                .map(|_| scope.spawn(|_| program.claim(spec, &share, &mut McScratch::default())))
                 .collect();
-            let mut merged = BlockAccum::default();
-            for handle in handles {
-                merged.merge(&handle.join().unwrap());
-            }
-            merged
+            handles
+                .into_iter()
+                .filter_map(|handle| handle.join().unwrap())
+                .collect()
         })
-        .expect("crossbeam scope")
+        .expect("crossbeam scope");
+        assert_eq!(outcomes.len(), 1, "exactly one claimant holds the outcome");
+        outcomes[0]
     }
 
     #[test]
@@ -1333,9 +1415,50 @@ mod tests {
         // chunk sizes; the summed successes must reduce to the exact
         // single-threaded result.
         for (chunk, claimants) in [(1, 4), (3, 2), (64, 5)] {
-            let merged = drain_shared_cursor(&program, &spec, chunk, claimants);
-            assert_eq!(result_from(merged.successes, samples), reference);
+            let outcome = drain_shared_cursor(&program, &spec, chunk, claimants);
+            assert_eq!(outcome.result, reference);
         }
+    }
+
+    #[test]
+    fn late_claimants_do_nothing_and_the_outcome_is_handed_out_once() {
+        let p = [0.9, 0.8, 0.7, 0.95];
+        let systems = vec![vec![vec![0, 1], vec![0, 2]], vec![vec![3, 0]]];
+        let program = compile(&p, &systems);
+        let mut scratch = McScratch::default();
+        for samples in [1, 511, 513, 10_001, 200_000] {
+            let spec = RunSpec {
+                probs: None,
+                sampling: Sampling::Point { samples, seed: 5 },
+            };
+            let share = program.share(&spec, 2);
+            let blocks = wide_block_count(samples) as usize;
+            assert_eq!(
+                share.claims(),
+                blocks.div_ceil(steal_chunk(blocks as u64, 2) as usize)
+            );
+            // One claimant drains every block; one that starts after the
+            // cursor ran out gets nothing, not a second copy.
+            let outcome = program.claim(&spec, &share, &mut scratch);
+            assert_eq!(outcome.map(|o| o.result), Some(program.run(samples, 1, 5)));
+            assert_eq!(program.claim(&spec, &share, &mut scratch), None);
+        }
+        // A constant program is one claim that samples nothing.
+        let dead = compile(&p, &[vec![]]);
+        let spec = RunSpec {
+            probs: None,
+            sampling: Sampling::Point {
+                samples: 100_000,
+                seed: 5,
+            },
+        };
+        let share = dead.share(&spec, 8);
+        assert_eq!(share.claims(), 1);
+        let outcome = dead
+            .claim(&spec, &share, &mut scratch)
+            .expect("first claim");
+        assert_eq!(outcome.result, dead.run(100_000, 4, 5));
+        assert_eq!(dead.claim(&spec, &share, &mut scratch), None);
     }
 
     #[test]
@@ -1432,9 +1555,12 @@ mod tests {
             },
         };
         for (chunk, claimants) in [(1, 4), (3, 2), (64, 5)] {
-            let merged = drain_shared_cursor(&program, &spec, chunk, claimants);
+            let outcome = drain_shared_cursor(&program, &spec, chunk, claimants);
             assert_eq!(
-                (merged.result(samples), merged.interval95(samples)),
+                (
+                    outcome.result,
+                    outcome.interval.expect("posterior interval")
+                ),
                 reference,
                 "partition chunk={chunk} claimants={claimants} diverged"
             );

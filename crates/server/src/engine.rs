@@ -3,8 +3,9 @@
 //! Request path: every verb enters through [`Engine::execute_wire`]. It
 //! resolves the shard, answers cache hits and immediate errors on the
 //! calling thread, and hands everything that evaluates, mutates or
-//! samples to the worker pool as one job; a campaign gets a thread of
-//! its own, which fans its scenarios over the same pool. The answer goes
+//! samples to the worker pool as one job; an `MC` job shares its trial
+//! blocks with helper jobs on idle workers, and a campaign gets a thread
+//! of its own, which fans its scenarios over the same pool. The answer goes
 //! to a completion callback. The TCP front-end's callback writes the
 //! reply; the blocking methods (`query`, `batch`, `monte_carlo`,
 //! `update`, `save_state`, `campaign` and their `_on` forms) pass a
@@ -39,6 +40,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, SendTimeoutError, Sender};
+use dependability::mcprog::{BlockShare, McScratch, PosteriorSampler, RunSpec, Sampling};
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
 use upsim_campaign::{
     aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, BaselinePerspective,
@@ -59,6 +61,10 @@ use crate::snapshot::{pingpong_mapper, ModelSnapshot, PerspectiveMapper};
 /// Name of the implicit shard an [`Engine::new`] engine registers — the
 /// back-compat single-model mode (`USE default` also resolves to it).
 pub const DEFAULT_MODEL: &str = "default";
+
+/// Most trials one `MC` request may ask for; a larger request is answered
+/// [`EngineError::McSampleLimit`] without running.
+pub const MAX_MC_SAMPLES: usize = 1 << 30;
 
 /// Whether `name` is usable as a model name: nonempty, at most 64 bytes,
 /// only ASCII alphanumerics plus `-`, `_`, `.`, and not a path alias
@@ -103,6 +109,10 @@ pub enum EngineError {
     /// rejected before any state changes, so interval censoring never
     /// silently corrupts.
     NonMonotoneObservation(String),
+    /// An `MC` asked for more than [`MAX_MC_SAMPLES`] trials. It is
+    /// refused before it reaches the pool, where a sharded run would tie
+    /// up every worker.
+    McSampleLimit(usize),
     /// The engine is shut down (or a worker disappeared mid-request).
     Shutdown,
 }
@@ -119,6 +129,10 @@ impl std::fmt::Display for EngineError {
             EngineError::Campaign(msg) => write!(f, "campaign error: {msg}"),
             EngineError::Persist(msg) => write!(f, "persistence error: {msg}"),
             EngineError::NonMonotoneObservation(msg) => write!(f, "{msg}"),
+            EngineError::McSampleLimit(samples) => write!(
+                f,
+                "MC samples {samples} exceed the per-request limit of {MAX_MC_SAMPLES}"
+            ),
             EngineError::Shutdown => write!(f, "engine is shut down"),
         }
     }
@@ -262,12 +276,14 @@ type WarmPipelines = HashMap<String, (u64, UpsimPipeline)>;
 
 enum Job {
     /// One unit of pool work: a request's pool half (which reports
-    /// through the completion callback it captured) or a chunk of a
-    /// campaign's fan-out (which streams through the result sender it
-    /// captured, ignoring the warm pipelines). Dropping an unexecuted Run
-    /// (shutdown drain) drops that callback or sender, which its waiter
-    /// reads as `EngineError::Shutdown`. The shard tag is accounting only
-    /// (`worker_busy_ns` / `tasks_executed`).
+    /// through the completion callback it captured), a helper claiming
+    /// blocks of an `MC` run, or a chunk of a campaign's fan-out (which
+    /// streams through the result sender it captured, ignoring the warm
+    /// pipelines). Dropping an unexecuted Run (shutdown drain) drops that
+    /// callback or sender, which its waiter reads as
+    /// `EngineError::Shutdown`; an unexecuted helper claimed nothing, so
+    /// the worker that posted it finishes the run. The shard tag is
+    /// accounting only (`worker_busy_ns` / `tasks_executed`).
     Run {
         shard: Arc<Shard>,
         run: Box<dyn FnOnce(&mut WarmPipelines) + Send>,
@@ -379,6 +395,100 @@ impl BatchCollector {
                 done(Ok(WireResponse::Batch(results)));
             }
         }
+    }
+}
+
+/// One `MC` request's sampling run, shared by the worker that took the
+/// request and the helper jobs it posted. Every claimant drains the same
+/// [`BlockShare`]; the one that folds in the last block fires the
+/// completion callback, so no worker ever waits on another.
+struct McRun {
+    entry: Arc<CachedPerspective>,
+    cached: bool,
+    samples: usize,
+    seed: u64,
+    interval: bool,
+    /// `Some` for an `MC … interval` on an observed perspective: the
+    /// run block-resamples these slots from their posteriors.
+    sampler: Option<PosteriorSampler>,
+    share: BlockShare,
+    done: Mutex<Option<WireCallback>>,
+}
+
+impl McRun {
+    fn new(
+        entry: Arc<CachedPerspective>,
+        cached: bool,
+        samples: usize,
+        seed: u64,
+        interval: bool,
+        workers: usize,
+        done: WireCallback,
+    ) -> McRun {
+        // Point estimate unless an interval was asked for; with refined
+        // parameters the interval run block-resamples thresholds from the
+        // posterior (interval for the posterior mean), otherwise it is
+        // the Wilson interval around the point estimate — zero
+        // observations degrade to exactly the point run.
+        let sampler = (interval && entry.observed > 0)
+            .then(|| entry.mc_program.posterior_sampler(&entry.posterior));
+        let share = entry
+            .mc_program
+            .share(&mc_spec(samples, seed, sampler.as_ref()), workers);
+        McRun {
+            entry,
+            cached,
+            samples,
+            seed,
+            interval,
+            sampler,
+            share,
+            done: Mutex::new(Some(done)),
+        }
+    }
+
+    /// Claims blocks until the cursor runs out; the claimant that folds
+    /// in the last block answers the request.
+    fn claim(&self) {
+        let spec = mc_spec(self.samples, self.seed, self.sampler.as_ref());
+        let Some(outcome) =
+            self.entry
+                .mc_program
+                .claim(&spec, &self.share, &mut McScratch::default())
+        else {
+            return;
+        };
+        let interval = self.interval.then(|| {
+            outcome
+                .interval
+                .unwrap_or_else(|| outcome.result.confidence_95())
+        });
+        let done = self.done.lock().expect("mc callback poisoned").take();
+        if let Some(done) = done {
+            done(Ok(WireResponse::MonteCarlo {
+                result: outcome.result,
+                entry: Arc::clone(&self.entry),
+                cached: self.cached,
+                interval,
+            }));
+        }
+    }
+}
+
+/// The run an `MC` request samples: point, or posterior-resampled when a
+/// sampler is given.
+fn mc_spec(samples: usize, seed: u64, sampler: Option<&PosteriorSampler>) -> RunSpec<'_> {
+    let sampling = match sampler {
+        Some(sampler) => Sampling::Posterior {
+            samples,
+            seed,
+            sampler,
+        },
+        None => Sampling::Point { samples, seed },
+    };
+    RunSpec {
+        probs: None,
+        sampling,
     }
 }
 
@@ -814,9 +924,11 @@ impl Engine {
     /// The program is compiled once per `(epoch, perspective)` inside the
     /// evaluation; repeated `MC` requests — e.g. with growing sample
     /// counts or different seeds — replay it without touching the
-    /// pipeline. The trials run on one worker, and the counter-based
-    /// kernel makes the estimate a pure function of `(samples, seed)`, so
-    /// the reply does not depend on the pool size.
+    /// pipeline. The trials run on the worker that took the request plus
+    /// whichever workers are idle, and the counter-based kernel makes the
+    /// estimate a pure function of `(samples, seed)`, so the reply does
+    /// not depend on the pool size. More than [`MAX_MC_SAMPLES`] trials
+    /// are refused with [`EngineError::McSampleLimit`].
     pub fn monte_carlo(
         &self,
         client: &str,
@@ -980,11 +1092,20 @@ impl Engine {
                 seed,
                 interval,
             } => {
-                // The whole request runs on one worker: probe + (maybe)
-                // evaluation + the sampling loop. The counter-based kernel
-                // is bit-identical for any thread split, so the estimate
-                // does not depend on running single-threaded.
+                if samples > MAX_MC_SAMPLES {
+                    EngineMetrics::bump(&shard.metrics.errors);
+                    return done(Err(EngineError::McSampleLimit(samples)));
+                }
+                // One worker probes (and maybe evaluates) the perspective,
+                // then shares the sampling run with up to `workers − 1`
+                // helper jobs. A zero-timeout send means a full queue
+                // leaves the run to this worker, and a helper that starts
+                // after the blocks ran out does nothing. The
+                // counter-based kernel is bit-identical for any split of
+                // the blocks, so the reply does not depend on how many
+                // workers joined in.
                 let tag = Arc::clone(&shard);
+                let (jobs, workers) = (self.job_tx.clone(), self.workers);
                 self.enqueue(
                     &tag,
                     Box::new(move |warm| {
@@ -1000,34 +1121,26 @@ impl Engine {
                                 }
                             },
                         };
-                        done(looked_up.map(|(entry, cached)| {
-                            EngineMetrics::bump(&shard.metrics.mc_queries);
-                            EngineMetrics::add(&shard.metrics.mc_trials_total, samples as u64);
-                            // Point estimate unless an interval was asked
-                            // for; with refined parameters the interval
-                            // run block-resamples thresholds from the
-                            // posterior (interval for the posterior
-                            // mean), otherwise
-                            // it is the Wilson interval around the same
-                            // point estimate — zero observations degrade
-                            // to exactly the point run.
-                            let (result, ci) = if interval && entry.observed > 0 {
-                                let sampler = entry.mc_program.posterior_sampler(&entry.posterior);
-                                let (result, ci) =
-                                    entry.mc_program.run_posterior(samples, 1, seed, &sampler);
-                                (result, Some(ci))
-                            } else {
-                                let result = entry.mc_program.run(samples, 1, seed);
-                                let ci = interval.then(|| result.confidence_95());
-                                (result, ci)
+                        let (entry, cached) = match looked_up {
+                            Ok(found) => found,
+                            Err(err) => return done(Err(err)),
+                        };
+                        EngineMetrics::bump(&shard.metrics.mc_queries);
+                        EngineMetrics::add(&shard.metrics.mc_trials_total, samples as u64);
+                        let run = Arc::new(McRun::new(
+                            entry, cached, samples, seed, interval, workers, done,
+                        ));
+                        for _ in 1..workers.min(run.share.claims()) {
+                            let helper = Arc::clone(&run);
+                            let job = Job::Run {
+                                shard: Arc::clone(&shard),
+                                run: Box::new(move |_| helper.claim()),
                             };
-                            WireResponse::MonteCarlo {
-                                result,
-                                entry,
-                                cached,
-                                interval: ci,
+                            if jobs.send_timeout(job, std::time::Duration::ZERO).is_err() {
+                                break;
                             }
-                        }));
+                        }
+                        run.claim();
                     }),
                 );
             }
@@ -1897,6 +2010,46 @@ mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("worker must exit after a drained Stop is re-sent");
+    }
+
+    /// An `MC` whose helpers cannot start, because every other worker is
+    /// held by a gated job, still answers from the one worker it has,
+    /// bit-identically; the helpers run later and find nothing to claim.
+    #[test]
+    fn mc_answers_while_every_other_worker_is_held() {
+        let engine = usi_engine(3);
+        let shard = Arc::clone(&engine.shared.shards[0]);
+        let (started_tx, started_rx) = channel::unbounded();
+        let (gate_tx, gate_rx) = channel::unbounded::<()>();
+        for _ in 0..2 {
+            let (started, gate) = (started_tx.clone(), gate_rx.clone());
+            let sent = engine.job_tx.send(Job::Run {
+                shard: Arc::clone(&shard),
+                run: Box::new(move |_| {
+                    let _ = started.send(());
+                    // Returns once every gate sender is dropped.
+                    let _ = gate.recv();
+                }),
+            });
+            assert!(sent.is_ok(), "queue accepts the gated job");
+        }
+        for _ in 0..2 {
+            started_rx.recv().expect("gated job holds a worker");
+        }
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        let caller = engine.clone();
+        std::thread::spawn(move || {
+            let _ = reply_tx.send(caller.monte_carlo("t1", "p2", 200_000, 7));
+        });
+        let (result, entry, _) = reply_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("MC answers while its helpers cannot start")
+            .expect("valid perspective");
+        assert_eq!(result, entry.mc_program.run(200_000, 1, 7));
+        drop(gate_tx);
+        engine.shutdown();
+        // Two gated jobs, the MC and its two helpers.
+        assert_eq!(engine.stats().tasks_executed, 5);
     }
 
     /// `MC` runs the perspective's compiled program: the estimate's CI

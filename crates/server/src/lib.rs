@@ -69,7 +69,7 @@ pub mod snapshot;
 pub use cache::{CachedPerspective, PerspectiveCache, PerspectiveKey, DEFAULT_CACHE_CAPACITY};
 pub use engine::{
     valid_model_name, Engine, EngineConfig, EngineError, ModelInfo, ModelSpec, UpdateCommand,
-    UpdateSummary, WireCallback, WireRequest, WireResponse, DEFAULT_MODEL,
+    UpdateSummary, WireCallback, WireRequest, WireResponse, DEFAULT_MODEL, MAX_MC_SAMPLES,
 };
 pub use metrics::{EngineMetrics, MetricsSnapshot, ServerMetrics, ShardRollup};
 pub use persist::{Journal, JournalEntry, PersistError, RestoreReport, SaveSummary};

@@ -1,7 +1,7 @@
 //! One request path: the engine's blocking methods are thin waits on
 //! `Engine::execute_wire`, so they count, queue and refuse requests
 //! exactly as the TCP front-end's requests do — and an update the path
-//! refuses never reaches the journal.
+//! refuses never reaches the journal, nor an oversized `MC` the pool.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,7 +12,7 @@ use std::time::Duration;
 use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
 use upsim_server::{
     serve, CampaignSpec, Engine, EngineConfig, EngineError, MetricsSnapshot, ModelSnapshot,
-    UpdateCommand,
+    UpdateCommand, MAX_MC_SAMPLES,
 };
 
 const CAMPAIGN: &str = "kill-each-component pairs:t1:p1,t6:p2";
@@ -276,4 +276,60 @@ fn duplicate_connect_is_rejected_before_journaling() {
     assert_eq!(field(&stats, "journal_len"), "2");
     server.stop();
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// An `MC` over the per-request trial cap is refused with its own `ERR`
+/// before anything reaches the pool: no task runs, `mc_queries` and
+/// `mc_trials` stay put, `errors` counts it, and the next `MC` on the
+/// same connection still answers. The blocking call refuses it too.
+#[test]
+fn mc_over_the_trial_cap_is_refused_before_the_pool() {
+    let over = MAX_MC_SAMPLES + 1;
+    let server = serve(usi_engine(), "127.0.0.1:0").expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr());
+    assert_eq!(
+        client.request(&format!("MC t1 p1 {over} 7")),
+        format!("ERR MC samples {over} exceed the per-request limit of 1073741824")
+    );
+    let stats = client.request("STATS");
+    for (key, value) in [
+        ("mc_queries", "0"),
+        ("mc_trials", "0"),
+        ("errors", "1"),
+        ("tasks_executed", "0"),
+    ] {
+        assert_eq!(field(&stats, key), value, "{key} in {stats}");
+    }
+    assert!(client.request("MC t1 p1 1000 7").starts_with("OK mc "));
+    server.stop();
+
+    let engine = usi_engine();
+    assert_eq!(
+        engine.monte_carlo("t1", "p1", over, 7).err(),
+        Some(EngineError::McSampleLimit(over))
+    );
+    engine.shutdown();
+    let stats = engine.stats();
+    assert_eq!((stats.mc_queries, stats.mc_trials_total), (0, 0));
+    assert_eq!((stats.errors, stats.tasks_executed), (1, 0));
+}
+
+/// On an idle 2-worker engine an `MC` of many claims runs as two pool
+/// tasks, the worker that took it plus one helper; an `MC` of one block
+/// has nothing to share and runs as one.
+#[test]
+fn mc_posts_a_helper_only_when_it_has_blocks_to_share() {
+    for (samples, tasks) in [(200_000, 2), (512, 1)] {
+        let engine = usi_engine();
+        engine
+            .monte_carlo("t1", "p1", samples, 7)
+            .expect("valid perspective");
+        // Joining the pool makes every task's accounting visible.
+        engine.shutdown();
+        assert_eq!(
+            engine.stats().tasks_executed,
+            tasks,
+            "{samples}-trial MC on 2 idle workers"
+        );
+    }
 }

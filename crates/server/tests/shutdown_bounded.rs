@@ -84,3 +84,39 @@ fn stop_unparks_accept_loop_on_unspecified_bind() {
         .recv_timeout(Duration::from_secs(5))
         .expect("accept loop must exit after stop() on a wildcard bind");
 }
+
+/// `MC` callers racing `shutdown()` all return, with a result or
+/// `Shutdown`, in bounded time — whether their run's helper jobs ran,
+/// were still queued when the workers stopped, or were drained unrun.
+#[test]
+fn concurrent_mc_calls_during_shutdown_all_return() {
+    const CLIENTS: [&str; 4] = ["t1", "t5", "t10", "t15"];
+
+    let engine = usi_engine(2);
+    let (done_tx, done_rx) = mpsc::channel();
+    for client in CLIENTS {
+        let engine = engine.clone();
+        let done_tx = done_tx.clone();
+        std::thread::spawn(move || {
+            // 20,000 trials are 40 blocks: every run posts a helper.
+            let mut seed = 0;
+            while !matches!(
+                engine.monte_carlo(client, "p1", 20_000, seed),
+                Err(EngineError::Shutdown)
+            ) {
+                seed += 1;
+            }
+            let _ = done_tx.send(client);
+        });
+    }
+    drop(done_tx);
+
+    std::thread::sleep(Duration::from_millis(20));
+    engine.shutdown();
+
+    for _ in CLIENTS {
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("every MC thread must observe Shutdown in bounded time");
+    }
+}

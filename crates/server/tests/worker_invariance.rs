@@ -2,13 +2,19 @@
 //! the chunked scatter scheduler, copy-on-write scenario overlays, and
 //! per-chunk reused evaluation scratch, the rendered JSON report must be
 //! byte-identical at 1, 2, 4, and 8 workers for any campaign the spec
-//! grammar can express — exact or Monte-Carlo, CRN on or off.
+//! grammar can express — exact or Monte-Carlo, CRN on or off. `MC`
+//! replies, whose trial blocks are shared with helper jobs on idle
+//! workers, must be byte-identical across the same pool sizes.
 
 use std::sync::Arc;
 
+use dependability::montecarlo::MonteCarloResult;
 use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
 use proptest::prelude::*;
-use upsim_server::{CampaignSpec, Engine, EngineConfig, ModelSnapshot};
+use upsim_server::protocol::render_mc;
+use upsim_server::{
+    CampaignSpec, Engine, EngineConfig, ModelSnapshot, UpdateCommand, WireRequest, WireResponse,
+};
 
 fn usi_engine(workers: usize) -> Engine {
     let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
@@ -138,4 +144,94 @@ fn progress_ticks_per_scenario_under_chunked_scatter() {
         std::thread::yield_now();
     }
     engine.shutdown();
+}
+
+/// One `MC` reply as the wire renders it, plus the result and interval
+/// behind it.
+fn mc_reply(
+    engine: &Engine,
+    samples: usize,
+    seed: u64,
+    interval: bool,
+) -> (String, MonteCarloResult, Option<(f64, f64)>) {
+    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+    let request = WireRequest::MonteCarlo {
+        client: "t1".into(),
+        provider: "p1".into(),
+        samples,
+        seed,
+        interval,
+    };
+    engine.execute_wire(
+        None,
+        request,
+        Box::new(move |result| {
+            let _ = reply_tx.send(result);
+        }),
+    );
+    match reply_rx.recv().expect("MC answers") {
+        Ok(WireResponse::MonteCarlo {
+            result,
+            entry,
+            cached,
+            interval,
+        }) => {
+            let source = if cached { "hit" } else { "miss" };
+            (
+                render_mc(&entry, &result, interval, source),
+                result,
+                interval,
+            )
+        }
+        Ok(_) => panic!("MC answered with another response"),
+        Err(err) => panic!("MC failed: {err}"),
+    }
+}
+
+/// Point and `interval` `MC` replies are the same bytes at 1, 2, 4 and 8
+/// workers, however many helper jobs shared the trial blocks, and equal
+/// the in-process kernel run on one thread. The perspective carries
+/// observed components, so `interval` runs posterior-resampled.
+#[test]
+fn mc_replies_are_byte_identical_across_worker_counts() {
+    // One trial, one short block, a block and a bit, fewer trials than
+    // one full 64-block steal chunk, and a run of many claims.
+    const SAMPLES: [usize; 5] = [1, 511, 513, 20_000, 200_000];
+    const SEED: u64 = 2013;
+    let mut reference: Option<Vec<String>> = None;
+    for workers in [1usize, 2, 4, 8] {
+        let engine = usi_engine(workers);
+        // Closed down-sojourns on the terminal and a core switch.
+        let events = vec![
+            ("t1".to_string(), false, 1000),
+            ("t1".to_string(), true, 1360),
+            ("c1".to_string(), false, 2000),
+            ("c1".to_string(), true, 2090),
+        ];
+        engine
+            .update(UpdateCommand::ObserveBatch { events })
+            .expect("observations apply");
+        let entry = engine.query("t1", "p1").expect("perspective evaluates");
+        assert!(entry.observed > 0, "t1 -> p1 carries observed components");
+        let sampler = entry.mc_program.posterior_sampler(&entry.posterior);
+        let mut lines = Vec::new();
+        for samples in SAMPLES {
+            let (line, result, interval) = mc_reply(&engine, samples, SEED, false);
+            assert_eq!(result, entry.mc_program.run(samples, 1, SEED));
+            assert_eq!(interval, None);
+            lines.push(line);
+            let (line, result, interval) = mc_reply(&engine, samples, SEED, true);
+            let (expected, band) = entry.mc_program.run_posterior(samples, 1, SEED, &sampler);
+            assert_eq!((result, interval), (expected, Some(band)));
+            assert!(line.ends_with("sampling=posterior"), "{line}");
+            lines.push(line);
+        }
+        match &reference {
+            None => reference = Some(lines),
+            Some(expected) => {
+                assert_eq!(expected, &lines, "MC replies diverged at {workers} workers")
+            }
+        }
+        engine.shutdown();
+    }
 }
