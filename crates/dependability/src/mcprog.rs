@@ -69,15 +69,18 @@
 //! builds a run's [`BlockShare`] — block cursor, steal chunk, merged
 //! accumulator and the count of blocks not yet folded in — and every
 //! claimant calls [`McProgram::claim`] on it with a scratch of its own:
-//! it drains the cursor in small claims, so a straggler rebalances
-//! instead of serializing the tail, then folds its blocks into the
-//! shared accumulator. The claimant that folds in the last block gets
-//! the outcome; every other one gets `None`, and a claimant that starts
-//! after the cursor ran out does nothing. No claimant waits for another.
-//! [`McProgram::run`] and [`McProgram::run_posterior`] claim on the
-//! calling thread plus scoped threads (inline when one worker or one
-//! claim suffices); the server's `MC` verb claims on the worker that
-//! took the request plus helper jobs on idle pool workers. Successes
+//! it takes the cursor's blocks in small claims, so a straggler
+//! rebalances instead of serializing the tail, for as long as its
+//! predicate lets it, then folds its blocks into the shared accumulator.
+//! The claimant that folds in the last block gets the outcome; every
+//! other one gets `None`, and a claimant that starts after the cursor ran
+//! out does nothing. No claimant waits for another, so a run completes as
+//! long as one claimant never stops. [`McProgram::run`] and
+//! [`McProgram::run_posterior`] claim on the calling thread plus scoped
+//! threads (inline when one worker or one claim suffices); the server's
+//! `MC` verb claims on the worker that took the request plus helper jobs
+//! on pool workers that had no job to run, which stop claiming once
+//! another job waits for a worker. Successes
 //! (and the block moments behind the posterior interval) are integer
 //! sums over blocks, so every partition of the blocks gives a
 //! bit-identical result.
@@ -965,22 +968,26 @@ impl McProgram {
 
     /// Claims blocks of `spec` from `share` (built by
     /// [`share`](McProgram::share) for the same spec) until its cursor runs
-    /// out, then folds them into the shared accumulator. Returns the run's
-    /// outcome to exactly one caller — the one that folds in the last
-    /// block — and `None` to every other, including a caller that found
-    /// the cursor exhausted. Never waits for another claimant, so a caller
-    /// whose helpers never start simply claims every block itself. The
-    /// outcome is bit-identical however the blocks were split.
+    /// out or `keep_claiming`, asked before every claim, says stop; then
+    /// folds them into the shared accumulator. Returns the run's outcome to
+    /// exactly one caller — the one that folds in the last block — and
+    /// `None` to every other, including a caller that found the cursor
+    /// exhausted. Never waits for another claimant, so a caller whose
+    /// helpers never start (or stop early) simply claims the remaining
+    /// blocks itself; at least one claimant must keep claiming until the
+    /// cursor runs out. The outcome is bit-identical however the blocks
+    /// were split.
     pub fn claim(
         &self,
         spec: &RunSpec,
         share: &BlockShare,
         scratch: &mut McScratch,
+        mut keep_claiming: impl FnMut() -> bool,
     ) -> Option<RunOutcome> {
         let (samples, _) = spec.sampling.grid();
         let posterior = matches!(spec.sampling, Sampling::Posterior { .. });
         if let Some(estimate) = self.constant_estimate() {
-            let first = share.cursor.fetch_add(1, Ordering::Relaxed) == 0;
+            let first = keep_claiming() && share.cursor.fetch_add(1, Ordering::Relaxed) == 0;
             return first.then_some(RunOutcome {
                 result: MonteCarloResult {
                     estimate,
@@ -991,7 +998,7 @@ impl McProgram {
                 reused_words: 0,
             });
         }
-        let part = self.block_loop(spec, share, scratch);
+        let part = self.block_loop(spec, share, scratch, &mut keep_claiming);
         if part.blocks == 0 {
             return None;
         }
@@ -1015,13 +1022,16 @@ impl McProgram {
         let share = self.share(spec, workers);
         let helpers = workers.min(share.claims()) - 1;
         let outcome = if helpers == 0 {
-            self.claim(spec, &share, scratch)
+            self.claim(spec, &share, scratch, || true)
         } else {
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..helpers)
-                    .map(|_| scope.spawn(|_| self.claim(spec, &share, &mut McScratch::default())))
+                    .map(|_| {
+                        scope
+                            .spawn(|_| self.claim(spec, &share, &mut McScratch::default(), || true))
+                    })
                     .collect();
-                let mine = self.claim(spec, &share, scratch);
+                let mine = self.claim(spec, &share, scratch, || true);
                 handles.into_iter().fold(mine, |outcome, handle| {
                     outcome.or(handle.join().expect("worker panicked"))
                 })
@@ -1033,8 +1043,8 @@ impl McProgram {
 
     /// The one block loop: writes the probability overlay into the
     /// scratch's draw vector, then claims steal-chunk-sized spans of the
-    /// run's wide blocks from the share's cursor until it is exhausted.
-    /// For each block it
+    /// run's wide blocks from the share's cursor until it is exhausted or
+    /// `keep_claiming` returns false. For each block it
     ///
     /// 1. resamples the posterior slots' thresholds, in posterior mode;
     /// 2. copies every slot whose `(stream, threshold)` key matches the
@@ -1052,6 +1062,7 @@ impl McProgram {
         spec: &RunSpec,
         share: &BlockShare,
         scratch: &mut McScratch,
+        keep_claiming: &mut impl FnMut() -> bool,
     ) -> BlockAccum {
         let (samples, seed) = spec.sampling.grid();
         let pack = pack_slots_fn();
@@ -1079,7 +1090,7 @@ impl McProgram {
         }
         let reused_per_block = ((draws.len() - fresh.len()) * WIDE_WORDS) as u64;
         let mut accum = BlockAccum::default();
-        loop {
+        while keep_claiming() {
             let lo = share.cursor.fetch_add(share.chunk, Ordering::Relaxed);
             if lo >= share.blocks {
                 break;
@@ -1388,7 +1399,9 @@ mod tests {
         let share = BlockShare::new(wide_block_count(samples), chunk);
         let outcomes: Vec<RunOutcome> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..claimants)
-                .map(|_| scope.spawn(|_| program.claim(spec, &share, &mut McScratch::default())))
+                .map(|_| {
+                    scope.spawn(|_| program.claim(spec, &share, &mut McScratch::default(), || true))
+                })
                 .collect();
             handles
                 .into_iter()
@@ -1439,9 +1452,9 @@ mod tests {
             );
             // One claimant drains every block; one that starts after the
             // cursor ran out gets nothing, not a second copy.
-            let outcome = program.claim(&spec, &share, &mut scratch);
+            let outcome = program.claim(&spec, &share, &mut scratch, || true);
             assert_eq!(outcome.map(|o| o.result), Some(program.run(samples, 1, 5)));
-            assert_eq!(program.claim(&spec, &share, &mut scratch), None);
+            assert_eq!(program.claim(&spec, &share, &mut scratch, || true), None);
         }
         // A constant program is one claim that samples nothing.
         let dead = compile(&p, &[vec![]]);
@@ -1454,11 +1467,56 @@ mod tests {
         };
         let share = dead.share(&spec, 8);
         assert_eq!(share.claims(), 1);
+        assert_eq!(dead.claim(&spec, &share, &mut scratch, || false), None);
         let outcome = dead
-            .claim(&spec, &share, &mut scratch)
+            .claim(&spec, &share, &mut scratch, || true)
             .expect("first claim");
         assert_eq!(outcome.result, dead.run(100_000, 4, 5));
-        assert_eq!(dead.claim(&spec, &share, &mut scratch), None);
+        assert_eq!(dead.claim(&spec, &share, &mut scratch, || true), None);
+    }
+
+    #[test]
+    fn a_claimant_that_stops_early_leaves_its_rest_to_the_others() {
+        let p = [0.9, 0.8, 0.7, 0.95];
+        let systems = vec![vec![vec![0, 1], vec![0, 2]], vec![vec![3, 0]]];
+        let program = compile(&p, &systems);
+        let sampler = program.posterior_sampler(&[None, None, Some(diffuse_posterior()), None]);
+        let mut scratch = McScratch::default();
+        for samples in [10_001, 200_000] {
+            for posterior in [false, true] {
+                let sampling = if posterior {
+                    Sampling::Posterior {
+                        samples,
+                        seed: 5,
+                        sampler: &sampler,
+                    }
+                } else {
+                    Sampling::Point { samples, seed: 5 }
+                };
+                let spec = RunSpec {
+                    probs: None,
+                    sampling,
+                };
+                let share = program.share(&spec, 2);
+                assert!(share.claims() > 3, "{samples} trials make several claims");
+                // A claimant told to stop before its first claim takes
+                // nothing.
+                assert_eq!(program.claim(&spec, &share, &mut scratch, || false), None);
+                // One that stops after three claims folds them in but
+                // cannot finish the run; the claimant that keeps going does.
+                let mut left = 3;
+                let early = program.claim(&spec, &share, &mut scratch, || {
+                    left -= 1;
+                    left >= 0
+                });
+                assert_eq!(early, None);
+                let outcome = program.claim(&spec, &share, &mut scratch, || true);
+                assert_eq!(
+                    outcome,
+                    Some(program.execute(&spec, &mut McScratch::default()))
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! resolves the shard, answers cache hits and immediate errors on the
 //! calling thread, and hands everything that evaluates, mutates or
 //! samples to the worker pool as one job; an `MC` job shares its trial
-//! blocks with helper jobs on idle workers, and a campaign gets a thread
-//! of its own, which fans its scenarios over the same pool. The answer goes
-//! to a completion callback. The TCP front-end's callback writes the
-//! reply; the blocking methods (`query`, `batch`, `monte_carlo`,
-//! `update`, `save_state`, `campaign` and their `_on` forms) pass a
-//! one-shot channel and wait on it. A request is therefore counted,
-//! queued and cancelled in one place, whichever caller sent it.
+//! blocks with helper jobs for workers that have no job to run, and a
+//! campaign gets a thread of its own, which fans its scenarios over the
+//! same pool. The answer goes to a completion callback. The TCP
+//! front-end's callback writes the reply; the blocking methods (`query`,
+//! `batch`, `monte_carlo`, `update`, `save_state`, `campaign` and their
+//! `_on` forms) pass a one-shot channel and wait on it. A request is
+//! therefore counted, queued and cancelled in one place, whichever caller
+//! sent it.
 //!
 //! Concurrency design, in one paragraph: each registered model lives in
 //! its own shard — an `RwLock<Arc<ModelSnapshot>>`; workers clone the
@@ -34,10 +35,10 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, SendTimeoutError, Sender};
 use dependability::mcprog::{BlockShare, McScratch, PosteriorSampler, RunSpec, Sampling};
@@ -277,13 +278,14 @@ type WarmPipelines = HashMap<String, (u64, UpsimPipeline)>;
 enum Job {
     /// One unit of pool work: a request's pool half (which reports
     /// through the completion callback it captured), a helper claiming
-    /// blocks of an `MC` run, or a chunk of a campaign's fan-out (which
-    /// streams through the result sender it captured, ignoring the warm
-    /// pipelines). Dropping an unexecuted Run (shutdown drain) drops that
-    /// callback or sender, which its waiter reads as
-    /// `EngineError::Shutdown`; an unexecuted helper claimed nothing, so
-    /// the worker that posted it finishes the run. The shard tag is
-    /// accounting only (`worker_busy_ns` / `tasks_executed`).
+    /// blocks of an `MC` run on a worker that had no job to run, or a
+    /// chunk of a campaign's fan-out (which streams through the result
+    /// sender it captured, ignoring the warm pipelines). Dropping an
+    /// unexecuted Run (shutdown drain) drops that callback or sender,
+    /// which its waiter reads as `EngineError::Shutdown`; an unexecuted
+    /// helper claimed nothing, so the worker that posted it finishes the
+    /// run. The shard tag is accounting only (`worker_busy_ns` /
+    /// `tasks_executed`).
     Run {
         shard: Arc<Shard>,
         run: Box<dyn FnOnce(&mut WarmPipelines) + Send>,
@@ -399,8 +401,8 @@ impl BatchCollector {
 }
 
 /// One `MC` request's sampling run, shared by the worker that took the
-/// request and the helper jobs it posted. Every claimant drains the same
-/// [`BlockShare`]; the one that folds in the last block fires the
+/// request and the helper jobs it posted. Every claimant claims from the
+/// same [`BlockShare`]; the one that folds in the last block fires the
 /// completion callback, so no worker ever waits on another.
 struct McRun {
     entry: Arc<CachedPerspective>,
@@ -447,15 +449,17 @@ impl McRun {
         }
     }
 
-    /// Claims blocks until the cursor runs out; the claimant that folds
-    /// in the last block answers the request.
-    fn claim(&self) {
+    /// Claims blocks until the cursor runs out or `keep_claiming` says
+    /// stop; the claimant that folds in the last block answers the
+    /// request.
+    fn claim(&self, keep_claiming: impl FnMut() -> bool) {
         let spec = mc_spec(self.samples, self.seed, self.sampler.as_ref());
-        let Some(outcome) =
-            self.entry
-                .mc_program
-                .claim(&spec, &self.share, &mut McScratch::default())
-        else {
+        let Some(outcome) = self.entry.mc_program.claim(
+            &spec,
+            &self.share,
+            &mut McScratch::default(),
+            keep_claiming,
+        ) else {
             return;
         };
         let interval = self.interval.then(|| {
@@ -609,6 +613,10 @@ struct Shared {
     /// single-model persistence layout, no per-model `STATS` fields.
     unnamed_default: bool,
     shutdown: AtomicBool,
+    /// Workers not running a job: parked on the queue, or about to take
+    /// from it. With the queue length it tells an `MC` run whether it
+    /// may borrow a worker (see `Engine::jobs_wait`).
+    idle_workers: AtomicUsize,
     /// Root state directory once persistence is enabled (the manifest and
     /// per-model subtrees live under it; the legacy layout *is* it).
     state_root: Mutex<Option<PathBuf>>,
@@ -687,13 +695,17 @@ impl Engine {
             by_name,
             unnamed_default,
             shutdown: AtomicBool::new(false),
+            idle_workers: AtomicUsize::new(workers),
             state_root: Mutex::new(None),
         });
         let (job_tx, job_rx) = channel::bounded::<Job>(config.queue_capacity.max(1));
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let rx = job_rx.clone();
-            handles.push(std::thread::spawn(move || worker_loop(rx)));
+            let shared = Arc::clone(&shared);
+            handles.push(std::thread::spawn(move || {
+                worker_loop(rx, &shared.idle_workers)
+            }));
         }
         Ok(Engine {
             shared,
@@ -707,6 +719,13 @@ impl Engine {
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
         self.workers
+    }
+
+    /// Whether the queue holds more jobs than there are free workers —
+    /// workers with no job to run — to take them. Both counts move under
+    /// other threads, so this is a hint, never a promise.
+    fn jobs_wait(&self) -> bool {
+        self.job_rx.len() > self.shared.idle_workers.load(Ordering::Relaxed)
     }
 
     /// Resolves a model name (`None` = the default shard).
@@ -925,10 +944,12 @@ impl Engine {
     /// evaluation; repeated `MC` requests — e.g. with growing sample
     /// counts or different seeds — replay it without touching the
     /// pipeline. The trials run on the worker that took the request plus
-    /// whichever workers are idle, and the counter-based kernel makes the
-    /// estimate a pure function of `(samples, seed)`, so the reply does
-    /// not depend on the pool size. More than [`MAX_MC_SAMPLES`] trials
-    /// are refused with [`EngineError::McSampleLimit`].
+    /// whichever workers had no job to run when it started (each gives its
+    /// worker back once another job waits), and the counter-based kernel
+    /// makes the estimate a pure function of `(samples, seed)`, so the
+    /// reply does not depend on the pool size or the load. More than
+    /// [`MAX_MC_SAMPLES`] trials are refused with
+    /// [`EngineError::McSampleLimit`].
     pub fn monte_carlo(
         &self,
         client: &str,
@@ -1097,15 +1118,14 @@ impl Engine {
                     return done(Err(EngineError::McSampleLimit(samples)));
                 }
                 // One worker probes (and maybe evaluates) the perspective,
-                // then shares the sampling run with up to `workers − 1`
-                // helper jobs. A zero-timeout send means a full queue
-                // leaves the run to this worker, and a helper that starts
-                // after the blocks ran out does nothing. The
-                // counter-based kernel is bit-identical for any split of
-                // the blocks, so the reply does not depend on how many
-                // workers joined in.
+                // then shares the sampling run with helper jobs for
+                // workers that have nothing else to do (`post_helpers`)
+                // and claims until the cursor runs out, so the run never
+                // depends on a helper. The counter-based kernel is
+                // bit-identical for any split of the blocks, so the reply
+                // does not depend on how many workers joined in.
                 let tag = Arc::clone(&shard);
-                let (jobs, workers) = (self.job_tx.clone(), self.workers);
+                let engine = self.clone();
                 self.enqueue(
                     &tag,
                     Box::new(move |warm| {
@@ -1128,19 +1148,16 @@ impl Engine {
                         EngineMetrics::bump(&shard.metrics.mc_queries);
                         EngineMetrics::add(&shard.metrics.mc_trials_total, samples as u64);
                         let run = Arc::new(McRun::new(
-                            entry, cached, samples, seed, interval, workers, done,
+                            entry,
+                            cached,
+                            samples,
+                            seed,
+                            interval,
+                            engine.workers,
+                            done,
                         ));
-                        for _ in 1..workers.min(run.share.claims()) {
-                            let helper = Arc::clone(&run);
-                            let job = Job::Run {
-                                shard: Arc::clone(&shard),
-                                run: Box::new(move |_| helper.claim()),
-                            };
-                            if jobs.send_timeout(job, std::time::Duration::ZERO).is_err() {
-                                break;
-                            }
-                        }
-                        run.claim();
+                        engine.post_helpers(&shard, &run);
+                        run.claim(|| true);
                     }),
                 );
             }
@@ -1176,6 +1193,32 @@ impl Engine {
                     let result = engine.fan_out_campaign(&shard, spec, &mut progress, &cancel);
                     done(result.map(|report| WireResponse::Campaign { report, json }));
                 });
+            }
+        }
+    }
+
+    /// Posts `run`'s helper jobs, at most one per other worker, while no
+    /// job waits for a worker (see `jobs_wait`) and every claimant keeps at
+    /// least two claims — a helper that can win only one claim costs more
+    /// to dispatch than it saves. Helpers thus go to free workers; only
+    /// the last one posted may wait in the queue, when every worker is
+    /// busy or one that has just replied has not yet counted itself free.
+    /// A helper claims only while no job waits for a worker, so a queued
+    /// request gets the worker back after one claim, and a helper that
+    /// starts after the blocks ran out does nothing. A zero-timeout send
+    /// means a full queue leaves the run to the caller.
+    fn post_helpers(&self, shard: &Arc<Shard>, run: &Arc<McRun>) {
+        for _ in 1..(run.share.claims() / 2).min(self.workers) {
+            if self.jobs_wait() {
+                return;
+            }
+            let (helper, pool) = (Arc::clone(run), self.clone());
+            let job = Job::Run {
+                shard: Arc::clone(shard),
+                run: Box::new(move |_| helper.claim(|| !pool.jobs_wait())),
+            };
+            if self.job_tx.send_timeout(job, Duration::ZERO).is_err() {
+                return;
             }
         }
     }
@@ -1429,10 +1472,7 @@ impl Engine {
                 if cancelled() {
                     return Err(EngineError::Campaign("campaign cancelled".into()));
                 }
-                match self
-                    .job_tx
-                    .send_timeout(job, std::time::Duration::from_millis(25))
-                {
+                match self.job_tx.send_timeout(job, Duration::from_millis(25)) {
                     Ok(()) => break,
                     Err(SendTimeoutError::Timeout(returned)) => job = returned,
                     Err(SendTimeoutError::Disconnected(_)) => return Err(EngineError::Shutdown),
@@ -1575,7 +1615,7 @@ impl Engine {
     }
 }
 
-fn worker_loop(rx: Receiver<Job>) {
+fn worker_loop(rx: Receiver<Job>, idle: &AtomicUsize) {
     // Warm pipelines, one per model this worker has evaluated: Step 5
     // (UML import + graph) stays cached across queries of the same
     // (model, epoch); only the mapping (Step 6) is swapped. Keying by
@@ -1583,11 +1623,16 @@ fn worker_loop(rx: Receiver<Job>) {
     // evicts another model's warm state from this worker.
     let mut warm: WarmPipelines = HashMap::new();
     while let Ok(job) = rx.recv() {
+        // `idle` counts this worker from pool start until it takes a job
+        // and again once the job returns — `MC` runs read it to decide
+        // whether to post or keep a helper (see `Engine::jobs_wait`).
+        idle.fetch_sub(1, Ordering::Relaxed);
         match job {
             Job::Stop => break,
             Job::Run { shard, run } => {
                 let started = Instant::now();
                 run(&mut warm);
+                idle.fetch_add(1, Ordering::Relaxed);
                 // Every executed job is accounted to its shard: busy wall
                 // time and a job count, so `STATS` can expose pool
                 // utilization per model.
@@ -1900,7 +1945,6 @@ fn evaluate_uncached(
 mod tests {
     use super::*;
     use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
-    use std::time::Duration;
 
     fn usi_engine(workers: usize) -> Engine {
         let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
@@ -2012,44 +2056,102 @@ mod tests {
             .expect("worker must exit after a drained Stop is re-sent");
     }
 
-    /// An `MC` whose helpers cannot start, because every other worker is
-    /// held by a gated job, still answers from the one worker it has,
-    /// bit-identically; the helpers run later and find nothing to claim.
+    /// An `MC` posts helpers for the workers that have no job to run,
+    /// plus at most one that waits in the queue for a busy worker, up to
+    /// one per other worker. With both other workers held by gated jobs
+    /// it answers from the one worker it has, and the reply is
+    /// bit-identical whatever it borrowed.
     #[test]
-    fn mc_answers_while_every_other_worker_is_held() {
-        let engine = usi_engine(3);
-        let shard = Arc::clone(&engine.shared.shards[0]);
-        let (started_tx, started_rx) = channel::unbounded();
-        let (gate_tx, gate_rx) = channel::unbounded::<()>();
-        for _ in 0..2 {
-            let (started, gate) = (started_tx.clone(), gate_rx.clone());
-            let sent = engine.job_tx.send(Job::Run {
-                shard: Arc::clone(&shard),
-                run: Box::new(move |_| {
-                    let _ = started.send(());
-                    // Returns once every gate sender is dropped.
-                    let _ = gate.recv();
-                }),
+    fn mc_borrows_only_workers_without_a_job() {
+        for (held, helpers) in [(0, 2), (1, 2), (2, 1)] {
+            let engine = usi_engine(3);
+            let shard = Arc::clone(&engine.shared.shards[0]);
+            let (started_tx, started_rx) = channel::unbounded();
+            let (gate_tx, gate_rx) = channel::unbounded::<()>();
+            for _ in 0..held {
+                let (started, gate) = (started_tx.clone(), gate_rx.clone());
+                let sent = engine.job_tx.send(Job::Run {
+                    shard: Arc::clone(&shard),
+                    run: Box::new(move |_| {
+                        let _ = started.send(());
+                        // Returns once every gate sender is dropped.
+                        let _ = gate.recv();
+                    }),
+                });
+                assert!(sent.is_ok(), "queue accepts the gated job");
+            }
+            for _ in 0..held {
+                started_rx.recv().expect("gated job holds a worker");
+            }
+            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+            let caller = engine.clone();
+            std::thread::spawn(move || {
+                let _ = reply_tx.send(caller.monte_carlo("t1", "p2", 200_000, 7));
             });
-            assert!(sent.is_ok(), "queue accepts the gated job");
+            let (result, entry, _) = reply_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("MC answers whatever it borrowed")
+                .expect("valid perspective");
+            assert_eq!(result, entry.mc_program.run(200_000, 1, 7));
+            drop(gate_tx);
+            engine.shutdown();
+            // The gated jobs, the MC and its helpers, which all ran:
+            // a helper left waiting runs as soon as a worker is free.
+            assert_eq!(
+                engine.stats().tasks_executed,
+                held + 1 + helpers,
+                "{held} of 3 workers held"
+            );
         }
-        for _ in 0..2 {
-            started_rx.recv().expect("gated job holds a worker");
+    }
+
+    /// A helper hands its worker back between claims: a `QUERY` miss sent
+    /// while a large `MC` and its helper hold both workers of a 2-worker
+    /// pool answers long before the `MC` does, and the `MC` still answers
+    /// bit-identically from the worker that took it.
+    #[test]
+    fn a_queued_query_overtakes_a_large_mc() {
+        const SAMPLES: usize = 1 << 22;
+        let engine = usi_engine(2);
+        let (mc_tx, mc_rx) = std::sync::mpsc::channel();
+        engine.execute_wire(
+            None,
+            WireRequest::MonteCarlo {
+                client: "t1".into(),
+                provider: "p2".into(),
+                samples: SAMPLES,
+                seed: 7,
+                interval: false,
+            },
+            Box::new(move |result| {
+                let _ = mc_tx.send(result);
+            }),
+        );
+        // Both workers are busy once the helper has started: the worker
+        // that took the MC posts it only while the other one is free.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while engine.shared.idle_workers.load(Ordering::Relaxed) > 0 {
+            assert!(Instant::now() < deadline, "the MC's helper starts");
+            std::thread::yield_now();
         }
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        let caller = engine.clone();
-        std::thread::spawn(move || {
-            let _ = reply_tx.send(caller.monte_carlo("t1", "p2", 200_000, 7));
-        });
-        let (result, entry, _) = reply_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("MC answers while its helpers cannot start")
-            .expect("valid perspective");
-        assert_eq!(result, entry.mc_program.run(200_000, 1, 7));
-        drop(gate_tx);
+        let sent = Instant::now();
+        engine.query("t5", "p1").expect("valid perspective");
+        let query_answered = sent.elapsed();
+        let reply = mc_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the MC answers");
+        let mc_answered = sent.elapsed();
+        // A helper that kept its worker would hold the query until the
+        // cursor ran out, and the two would answer about together.
+        assert!(
+            query_answered * 4 < mc_answered,
+            "query answered after {query_answered:?}, MC after {mc_answered:?}"
+        );
+        let Ok(WireResponse::MonteCarlo { result, entry, .. }) = reply else {
+            panic!("MC is answered with WireResponse::MonteCarlo");
+        };
+        assert_eq!(result, entry.mc_program.run(SAMPLES, 2, 7));
         engine.shutdown();
-        // Two gated jobs, the MC and its two helpers.
-        assert_eq!(engine.stats().tasks_executed, 5);
     }
 
     /// `MC` runs the perspective's compiled program: the estimate's CI

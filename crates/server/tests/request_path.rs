@@ -315,11 +315,13 @@ fn mc_over_the_trial_cap_is_refused_before_the_pool() {
 }
 
 /// On an idle 2-worker engine an `MC` of many claims runs as two pool
-/// tasks, the worker that took it plus one helper; an `MC` of one block
-/// has nothing to share and runs as one.
+/// tasks, the worker that took it plus one helper, and so does one of
+/// four single-block claims, two for each. An `MC` of three claims or
+/// fewer cannot give two claimants two claims each, and runs as one
+/// task.
 #[test]
 fn mc_posts_a_helper_only_when_it_has_blocks_to_share() {
-    for (samples, tasks) in [(200_000, 2), (512, 1)] {
+    for (samples, tasks) in [(200_000, 2), (2_048, 2), (1_536, 1), (512, 1)] {
         let engine = usi_engine();
         engine
             .monte_carlo("t1", "p1", samples, 7)

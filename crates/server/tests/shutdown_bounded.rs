@@ -98,7 +98,8 @@ fn concurrent_mc_calls_during_shutdown_all_return() {
         let engine = engine.clone();
         let done_tx = done_tx.clone();
         std::thread::spawn(move || {
-            // 20,000 trials are 40 blocks: every run posts a helper.
+            // 20,000 trials are 40 blocks: a run posts a helper
+            // whenever the other worker has no job to run.
             let mut seed = 0;
             while !matches!(
                 engine.monte_carlo(client, "p1", 20_000, seed),

@@ -5,13 +5,16 @@ metric, against the bounds in BENCHMARK.json.
 Run from anywhere:
 
     python3 scripts/bench_diff.py --workload <name> <parent.jsonl> <change.jsonl> \
-        [--claim <metric>]... [--benchmark <BENCHMARK.json>]
+        [--claim <metric>]...
 
 Each input file holds one perfbench result line (the last stdout line of
-`perfbench/run.py`) per run, and the i-th lines of the two files form a
-pair. For every end-to-end metric the script prints each side's median
-and quartiles, the change/parent ratio of medians, how many pairs the
-change won (ties count for neither side) and a verdict:
+`perfbench/run.py --workload <name>`) per run, and the i-th lines of the
+two files form a pair. A result line does not record its workload, so
+`--workload` names it for the report; it must be a workload of the
+repository's BENCHMARK.json, whose end-to-end metrics and bounds apply.
+For every end-to-end metric the script prints each side's median and
+quartiles, the change/parent ratio of medians, how many pairs the change
+won (ties count for neither side) and a verdict:
 
 - regressed:     the change's median is worse than the parent's by more
                  than the metric's bound;
@@ -36,6 +39,7 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 def quantile(values, q):
@@ -120,10 +124,9 @@ def main():
     parser.add_argument("parent", help="parent result lines, one per run")
     parser.add_argument("change", help="change result lines, in pair order")
     parser.add_argument("--claim", action="append", default=[], metavar="METRIC")
-    parser.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"))
     args = parser.parse_args()
 
-    with open(args.benchmark) as handle:
+    with open(BENCHMARK) as handle:
         benchmark = json.load(handle)
     workloads = [w["name"] for w in benchmark["workloads"]]
     if args.workload not in workloads:
