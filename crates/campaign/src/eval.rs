@@ -13,10 +13,15 @@
 //! * **parametric** (`kill`, `scale-mtbf`): the baseline path-set
 //!   structure is reused and only the probability vector moves — one BDD
 //!   re-pricing (or one bit-sliced MC run) per affected perspective,
-//! * **structural** (`cut`, `drop`): the pipeline re-runs Steps 5–7 on a
-//!   perturbed copy, exactly like a Sec. V-A3 dynamicity update — but
-//!   only for perspectives whose baseline UPSIM the perturbation touches
-//!   (the engine's targeted-invalidation predicate).
+//! * **structural** (`cut`, `drop`): Steps 7–8 re-run on a perturbed
+//!   copy, exactly like a Sec. V-A3 dynamicity update — but only for
+//!   perspectives whose baseline UPSIM the perturbation touches (the
+//!   engine's targeted-invalidation predicate).
+//!
+//! Baselines and structural re-runs both go through
+//! [`dependability::evaluate_perspective`], the evaluator the engine
+//! serves queries with, so a scenario and its baseline price the same
+//! model the same way.
 //!
 //! Perspectives untouched by a scenario keep their baseline availability
 //! bit-for-bit, which is what makes `kill-each-component` over hundreds
@@ -48,24 +53,28 @@ use std::sync::Arc;
 use dependability::mcprog::{derive_seed, DrawTable, RunSpec, Sampling};
 use dependability::perturb::{availability_with, scaled_availability};
 use dependability::{
-    overlay_model, AnalysisOptions, McProgram, McScratch, ParamEstimator, PosteriorComponent,
-    PosteriorSampler, ServiceAvailabilityModel,
+    evaluate_perspective, AnalysisOptions, McProgram, McScratch, ParamEstimator,
+    PosteriorComponent, PosteriorSampler, ServiceAvailabilityModel,
 };
-use upsim_core::discovery::DiscoveryOptions;
+use upsim_core::discovery::{DiscoveryOptions, DiscoveryWorkspace};
 use upsim_core::infrastructure::{DeviceKind, Infrastructure};
 use upsim_core::interned::InternedGraph;
-use upsim_core::pipeline::UpsimPipeline;
+use upsim_core::mapping::ServiceMapping;
 use upsim_core::service::CompositeService;
 
 use crate::scenario::{generate, Perturbation, Scenario};
 use crate::spec::CampaignSpec;
 
-/// Derives one perspective's service mapping from the composite service
-/// and a `(client, provider)` pair — structurally identical to the
-/// server's `PerspectiveMapper`, re-declared here so the campaign crate
-/// stays below the server in the dependency order.
-pub type Mapper =
-    Arc<dyn Fn(&CompositeService, &str, &str) -> upsim_core::mapping::ServiceMapping + Send + Sync>;
+/// Derives the service mapping of one perspective from the loaded service
+/// and a `(client, provider)` pair.
+///
+/// The paper keeps one network model and one service model fixed and
+/// varies only the mapping per user perspective (Sec. VI-H, E15); the
+/// mapper is that variation as a function. The server holds one per
+/// model: `upsim serve --case-study` installs a USI printing mapper, and
+/// `upsim_server::pingpong_mapper` is the generic default.
+pub type PerspectiveMapper =
+    Arc<dyn Fn(&CompositeService, &str, &str) -> ServiceMapping + Send + Sync>;
 
 /// Perspective scope as interned `(client, provider)` name pairs —
 /// every holder shares the `Arc<str>`s instead of re-cloning strings.
@@ -80,14 +89,12 @@ pub struct CampaignInput {
     /// The pinned base composite service.
     pub service: Arc<CompositeService>,
     /// Perspective mapper (shared with the owning shard).
-    pub mapper: Mapper,
+    pub mapper: PerspectiveMapper,
     /// Discovery options (shared with the owning shard).
     pub discovery: DiscoveryOptions,
     /// The base topology's interned graph view — shared with the shard,
     /// so baseline evaluation interns nothing.
     pub graph: Arc<InternedGraph>,
-    /// Availability-model options (the engine evaluates with defaults).
-    pub analysis: AnalysisOptions,
     /// Perspective scope, in deterministic model order. Names are
     /// interned once here; baselines and reports share the `Arc`s
     /// instead of re-cloning strings per pair.
@@ -112,7 +119,7 @@ impl CampaignInput {
     pub fn prepare(
         infrastructure: impl Into<Arc<Infrastructure>>,
         service: impl Into<Arc<CompositeService>>,
-        mapper: Mapper,
+        mapper: PerspectiveMapper,
         discovery: DiscoveryOptions,
         graph: Option<Arc<InternedGraph>>,
         params: Arc<ParamEstimator>,
@@ -129,7 +136,6 @@ impl CampaignInput {
             mapper,
             discovery,
             graph,
-            analysis: AnalysisOptions::default(),
             pairs,
             scenarios,
             spec,
@@ -277,49 +283,29 @@ impl Baseline {
     }
 }
 
-/// Evaluates a contiguous chunk of the perspective scope with one warm
-/// pipeline (Step 5 imports once, `set_mapping` between pairs).
+/// Evaluates a contiguous chunk of the perspective scope, reusing one
+/// Step 7 workspace across its pairs.
 pub fn evaluate_baseline_chunk(
     input: &CampaignInput,
     range: Range<usize>,
 ) -> Result<Vec<BaselinePerspective>, String> {
     let mut out = Vec::with_capacity(range.len());
-    let mut pipeline: Option<UpsimPipeline> = None;
+    let mut workspace = DiscoveryWorkspace::default();
     for ix in range {
         let (client, provider) = &input.pairs[ix];
         let mapping = (input.mapper)(&input.service, client, provider);
-        let p = match pipeline.as_mut() {
-            Some(p) => {
-                p.set_mapping(mapping).map_err(|e| e.to_string())?;
-                p
-            }
-            None => {
-                // Arc shares — the pipeline pins the same model copy the
-                // whole campaign runs against.
-                let mut fresh = UpsimPipeline::new(
-                    Arc::clone(&input.infrastructure),
-                    Arc::clone(&input.service),
-                    mapping,
-                )
-                .map_err(|e| e.to_string())?;
-                fresh.record_paths = false;
-                fresh.set_options(input.discovery);
-                fresh.set_shared_graph(Arc::clone(&input.graph));
-                pipeline.insert(fresh)
-            }
-        };
-        let run = p.run().map_err(|e| e.to_string())?;
-        let mut model =
-            ServiceAvailabilityModel::from_run(p.infrastructure(), &run, input.analysis);
-        // Refine authored parameters with the pinned observation evidence.
-        // An empty estimator touches nothing, and the posteriors only
-        // matter beyond their point estimates under the `posterior`
-        // clause.
-        let posteriors = if input.params.is_empty() {
-            Vec::new()
-        } else {
-            overlay_model(&mut model, &input.params, input.analysis.paper_formula)
-        };
+        let (run, model, posteriors) = evaluate_perspective(
+            &input.infrastructure,
+            &input.service,
+            &input.graph,
+            &mapping,
+            &input.params,
+            input.discovery,
+            &mut workspace,
+        )
+        .map_err(|e| e.to_string())?;
+        // The posteriors matter beyond their point estimates, which the
+        // model already carries, only under the `posterior` clause.
         let posteriors = if input.spec.posterior {
             posteriors
         } else {
@@ -401,10 +387,12 @@ pub struct ScenarioOutcome {
 
 /// Reusable per-worker evaluation state: scratch buffers shared by every
 /// scenario a worker prices, so an N-scenario chunk allocates MC scratch
-/// (words, overlay draws, worklists) once instead of once per scenario.
+/// (words, overlay draws, worklists) and Step 7 scratch once instead of
+/// once per scenario.
 #[derive(Default)]
 pub struct EvalCtx {
     scratch: McScratch,
+    workspace: DiscoveryWorkspace,
 }
 
 /// Evaluates scenario `index` against the shared baselines with
@@ -441,12 +429,9 @@ pub fn evaluate_scenario_with(
         }
     }
 
-    // Perturbed overlays and the warm pipeline over them, built lazily on
-    // the first perspective that needs a structural re-run. The overlay is
-    // copy-on-write: components of the base model a perturbation does not
-    // touch stay `Arc`-shared with the campaign input.
-    let mut rebuilt: Option<(Arc<Infrastructure>, Arc<CompositeService>)> = None;
-    let mut pipeline: Option<UpsimPipeline> = None;
+    // The perturbed overlay, built lazily on the first perspective that
+    // needs a structural re-run.
+    let mut rebuilt: Option<Perturbed> = None;
 
     let mut availabilities = Vec::with_capacity(baseline.perspectives.len());
     let mut intervals = input
@@ -477,36 +462,21 @@ pub fn evaluate_scenario_with(
             if rebuilt.is_none() {
                 rebuilt = Some(build_perturbed(input, &cuts, &drops)?);
             }
-            let (infra2, service2) = rebuilt.as_ref().expect("just built");
+            let (infra2, service2, graph2) = rebuilt.as_ref().expect("just built");
             let mut mapping = (input.mapper)(&input.service, &persp.client, &persp.provider);
             for atomic in &drops {
                 mapping.remove(atomic);
             }
-            let p = match pipeline.as_mut() {
-                Some(p) => {
-                    p.set_mapping(mapping).map_err(|e| e.to_string())?;
-                    p
-                }
-                None => {
-                    let mut fresh =
-                        UpsimPipeline::new(Arc::clone(infra2), Arc::clone(service2), mapping)
-                            .map_err(|e| e.to_string())?;
-                    fresh.record_paths = false;
-                    fresh.set_options(input.discovery);
-                    pipeline.insert(fresh)
-                }
-            };
-            let run = p.run().map_err(|e| e.to_string())?;
-            let mut model =
-                ServiceAvailabilityModel::from_run(p.infrastructure(), &run, input.analysis);
-            // The rebuilt model starts from authored parameters; re-apply
-            // the observation overlay so a structural scenario prices
-            // against the same refined estimates as its baseline.
-            let posteriors = if input.params.is_empty() {
-                Vec::new()
-            } else {
-                overlay_model(&mut model, &input.params, input.analysis.paper_formula)
-            };
+            let (_, model, posteriors) = evaluate_perspective(
+                infra2,
+                service2,
+                graph2,
+                &mapping,
+                &input.params,
+                input.discovery,
+                &mut ctx.workspace,
+            )
+            .map_err(|e| e.to_string())?;
             let classes = component_classes(&input.infrastructure, &model);
             price(
                 input,
@@ -526,13 +496,7 @@ pub fn evaluate_scenario_with(
             // thresholds are overlaid — no program clone, no fresh
             // scratch — and every untouched component's draw words come
             // straight from the shared table.
-            let probs = perturbed_probs(
-                &persp.model,
-                &persp.classes,
-                &kills,
-                &scales,
-                input.analysis.paper_formula,
-            );
+            let probs = perturbed_probs(&persp.model, &persp.classes, &kills, &scales);
             let settings = input.spec.mc.expect("mc settings present under CRN");
             mc_trials += settings.samples as u64;
             // A perturbation overrides an observation: perturbed
@@ -636,25 +600,34 @@ fn touches(persp: &BaselinePerspective, perturbations: &[Perturbation]) -> bool 
     })
 }
 
+/// A scenario's perturbed models and the graph view of its topology.
+type Perturbed = (
+    Arc<Infrastructure>,
+    Arc<CompositeService>,
+    Arc<InternedGraph>,
+);
+
 /// Applies the structural perturbations as a copy-on-write overlay of
 /// the base models: an untouched side is an `Arc` share of the campaign
 /// input (O(1)); only a side a perturbation actually edits is copied —
 /// and the infrastructure copy itself shares its class-side state
 /// (classes, kinds, profiles) with the base, so a cut pays for the
-/// object diagram, not the whole model.
+/// object diagram, not the whole model. A cut topology gets its own
+/// graph view; an uncut one shares the input's.
 fn build_perturbed(
     input: &CampaignInput,
     cuts: &[(&str, &str)],
     drops: &[&str],
-) -> Result<(Arc<Infrastructure>, Arc<CompositeService>), String> {
-    let infra = if cuts.is_empty() {
-        Arc::clone(&input.infrastructure)
+) -> Result<Perturbed, String> {
+    let (infra, graph) = if cuts.is_empty() {
+        (Arc::clone(&input.infrastructure), Arc::clone(&input.graph))
     } else {
         let mut infra = Infrastructure::clone(&input.infrastructure);
         for (a, b) in cuts {
             infra.disconnect(a, b).map_err(|e| e.to_string())?;
         }
-        Arc::new(infra)
+        let graph = Arc::new(infra.to_interned_graph());
+        (Arc::new(infra), graph)
     };
     let service = if drops.is_empty() {
         Arc::clone(&input.service)
@@ -670,7 +643,7 @@ fn build_perturbed(
                 .map_err(|e| e.to_string())?,
         )
     };
-    Ok((infra, service))
+    Ok((infra, service, graph))
 }
 
 /// Prices one (scenario, perspective) pair from a freshly built model:
@@ -678,12 +651,10 @@ fn build_perturbed(
 /// run the bit-sliced MC kernel — worker-count invariant either way.
 /// Used for structural re-runs and for `independent-seeds` campaigns;
 /// parametric CRN pricing goes through the shared draw table instead.
-/// The MC seed is the perspective's CRN stream under common random
-/// numbers, or derived from (base seed, scenario, perspective) under
-/// `independent-seeds`. Under `posterior` the kernel block-resamples the
-/// unperturbed components' thresholds from `posteriors` and the second
-/// element carries the 95% confidence interval for the posterior-mean
-/// availability.
+/// The MC seed follows [`scenario_seed`]. Under `posterior` the kernel
+/// block-resamples the unperturbed components' thresholds from
+/// `posteriors` and the second element carries the 95% confidence
+/// interval for the posterior-mean availability.
 #[allow(clippy::too_many_arguments)]
 fn price(
     input: &CampaignInput,
@@ -697,16 +668,15 @@ fn price(
     mc_trials: &mut u64,
     scratch: &mut McScratch,
 ) -> (f64, Option<(f64, f64)>) {
-    let probs = perturbed_probs(model, classes, kills, scales, input.analysis.paper_formula);
+    let probs = perturbed_probs(model, classes, kills, scales);
     match input.spec.mc {
         Some(mc) => {
-            let seed = if input.spec.crn {
-                derive_seed(mc.seed, perspective_ix as u64)
-            } else {
-                mc.seed
-                    .wrapping_add((scenario_ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .wrapping_add(perspective_ix as u64)
-            };
+            let seed = scenario_seed(
+                input,
+                derive_seed(mc.seed, perspective_ix as u64),
+                scenario_ix,
+                perspective_ix,
+            );
             *mc_trials += mc.samples as u64;
             if input.spec.posterior {
                 // Folding would bake posterior-bearing components into
@@ -738,13 +708,13 @@ fn price(
     }
 }
 
-/// The component probability vector under kills and MTBF scales.
+/// The component probability vector under kills and MTBF scales, priced
+/// with the formula [`evaluate_perspective`] builds every model with.
 fn perturbed_probs(
     model: &ServiceAvailabilityModel,
     classes: &[String],
     kills: &[&str],
     scales: &[(&str, f64)],
-    paper_formula: bool,
 ) -> Vec<f64> {
     model
         .components
@@ -761,7 +731,7 @@ fn perturbed_probs(
                 }
             }
             if factor != 1.0 {
-                scaled_availability(component, factor, paper_formula)
+                scaled_availability(component, factor, AnalysisOptions::default().paper_formula)
             } else {
                 component.availability
             }

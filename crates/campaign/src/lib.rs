@@ -34,7 +34,7 @@ pub mod spec;
 
 pub use eval::{
     evaluate_baseline_chunk, evaluate_scenario, evaluate_scenario_with, run_serial, Baseline,
-    BaselinePerspective, CampaignInput, EvalCtx, Mapper, ScenarioOutcome,
+    BaselinePerspective, CampaignInput, EvalCtx, PerspectiveMapper, ScenarioOutcome,
 };
 pub use report::{aggregate, nines, CampaignReport, ScenarioRow, UserImpact};
 pub use scenario::{Perturbation, Scenario};

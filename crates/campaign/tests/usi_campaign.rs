@@ -7,10 +7,12 @@ use std::sync::Arc;
 
 use dependability::perturb::kill_deltas;
 use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
-use upsim_campaign::{aggregate, run_serial, CampaignInput, CampaignSpec, Mapper, Perturbation};
+use upsim_campaign::{
+    aggregate, run_serial, CampaignInput, CampaignSpec, PerspectiveMapper, Perturbation,
+};
 use upsim_core::discovery::DiscoveryOptions;
 
-fn usi_mapper() -> Mapper {
+fn usi_mapper() -> PerspectiveMapper {
     Arc::new(|_, client, provider| perspective_mapping(client, provider))
 }
 

@@ -17,6 +17,11 @@
 //! steps. [`UpsimRun::timings`] reports per-step wall time with skipped
 //! (cached) steps marked, which experiment E10 uses to reproduce the
 //! dynamicity claims.
+//!
+//! Steps 7–8 are one function, [`discover_and_merge`], which
+//! [`UpsimPipeline::run`] calls after the imports. Callers that never read
+//! the model space call it directly on a prebuilt graph view; the
+//! server's perspective evaluator (`dependability::transform`) does.
 
 use crate::discovery::{
     discover_with_workspace, record_in_space, DiscoveredPaths, DiscoveryOptions, DiscoveryWorkspace,
@@ -44,29 +49,6 @@ pub struct StepTiming {
     pub cached: bool,
 }
 
-/// Which cached pipeline artifacts are currently valid.
-///
-/// This is the Sec. V-A3 bookkeeping made inspectable: resident engines
-/// (e.g. `upsim-server`) use it to key their own perspective caches and to
-/// decide how much re-computation an update actually triggered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheState {
-    /// Step 5 (UML model import) is cached.
-    pub models_imported: bool,
-    /// Step 6 (mapping import) is cached.
-    pub mapping_imported: bool,
-    /// The graph view used by Step 7 is cached.
-    pub graph_built: bool,
-}
-
-impl CacheState {
-    /// `true` when a subsequent [`UpsimPipeline::run`] would re-run every
-    /// step.
-    pub fn is_cold(&self) -> bool {
-        !self.models_imported && !self.mapping_imported && !self.graph_built
-    }
-}
-
 /// The result of one pipeline run.
 #[derive(Debug, Clone)]
 pub struct UpsimRun {
@@ -81,11 +63,6 @@ pub struct UpsimRun {
 }
 
 impl UpsimRun {
-    /// Total un-cached wall time of this run.
-    pub fn total_time(&self) -> Duration {
-        self.timings.iter().map(|t| t.duration).sum()
-    }
-
     /// The discovered paths of one atomic service.
     pub fn paths_of(&self, atomic_service: &str) -> Option<&DiscoveredPaths> {
         self.discovered
@@ -109,25 +86,13 @@ impl UpsimRun {
     pub fn name_table(&self) -> Option<&Arc<crate::interned::NameTable>> {
         self.discovered.first().map(|d| d.name_table())
     }
-
-    /// `true` when a removed link `(a, b)` may invalidate this run.
-    pub fn touches_link(&self, a: &str, b: &str) -> bool {
-        let mut has_a = false;
-        let mut has_b = false;
-        for device in self.touched_devices() {
-            has_a |= device == a;
-            has_b |= device == b;
-        }
-        has_a && has_b
-    }
 }
 
 /// The methodology pipeline. Owns the three input models, the model space,
 /// and the cached graph view.
 ///
-/// The infrastructure and service are held behind `Arc`s: a resident
-/// engine (or a campaign worker) hands the same pinned snapshot to many
-/// pipelines without deep-copying the model per pipeline, and
+/// The infrastructure and service are held behind `Arc`s: a caller that
+/// already shares a model hands it over without a deep copy, and
 /// [`UpsimPipeline::update_infrastructure`] copies-on-write only when an
 /// edit actually lands on a shared model.
 pub struct UpsimPipeline {
@@ -197,10 +162,8 @@ impl UpsimPipeline {
         self.options = options;
     }
 
-    /// Injects a pre-built interned graph view shared with other pipelines
-    /// over the same infrastructure epoch (resident engines build the view
-    /// once per epoch and hand the same `Arc` to every perspective's
-    /// pipeline, so a 45-perspective batch interns and prunes once).
+    /// Injects a pre-built interned graph view of the infrastructure, so a
+    /// caller that already holds one does not intern and prune it again.
     ///
     /// The caller must ensure the view matches [`Self::infrastructure`];
     /// any later [`Self::update_infrastructure`] drops it again.
@@ -214,19 +177,9 @@ impl UpsimPipeline {
         self.graph.as_ref()
     }
 
-    /// Which steps are currently cached (see [`CacheState`]).
-    pub fn cache_state(&self) -> CacheState {
-        CacheState {
-            models_imported: self.models_imported,
-            mapping_imported: self.mapping_imported,
-            graph_built: self.graph.is_some(),
-        }
-    }
-
     /// Dynamicity: replaces the whole mapping. Equivalent to
-    /// [`UpsimPipeline::update_mapping`] with a wholesale assignment; used
-    /// by engines that evaluate many perspectives against one imported
-    /// model (Step 5 stays cached, only Step 6 re-runs).
+    /// [`UpsimPipeline::update_mapping`] with a wholesale assignment
+    /// (Step 5 stays cached, only Step 6 re-runs).
     pub fn set_mapping(&mut self, mapping: ServiceMapping) -> UpsimResult<()> {
         self.update_mapping(|m| *m = mapping)
     }
@@ -305,54 +258,83 @@ impl UpsimPipeline {
             cached: cached6,
         });
 
-        // Step 7: path discovery per pair (interned graph view cached with
-        // Step 5 — or injected by a resident engine via `set_shared_graph`).
+        // Steps 7–8 on the interned graph view (cached with Step 5, or
+        // injected via `set_shared_graph`). Building the view and recording
+        // the paths in the space count as Step 7 time.
         let t = Instant::now();
-        if self.graph.is_none() {
-            self.graph = Some(Arc::new(self.infrastructure.to_interned_graph()));
-        }
-        let graph = Arc::clone(self.graph.as_ref().expect("just built"));
-        let mut discovered = Vec::new();
-        for pair in self.mapping.for_service(&self.service)? {
-            discovered.push(discover_with_workspace(
-                &graph,
-                pair,
-                self.options,
-                &mut self.workspace,
-            )?);
-        }
+        let graph = Arc::clone(
+            self.graph
+                .get_or_insert_with(|| Arc::new(self.infrastructure.to_interned_graph())),
+        );
+        let mut step7 = t.elapsed();
+        let mut run = discover_and_merge(
+            &self.infrastructure,
+            &self.service,
+            &self.mapping,
+            &graph,
+            self.options,
+            &mut self.workspace,
+        )?;
+        let t = Instant::now();
         if self.record_paths {
-            for d in &discovered {
+            for d in &run.discovered {
                 record_in_space(&mut self.space, d)?;
             }
         }
-        timings.push(StepTiming {
-            step: "7-path-discovery",
-            duration: t.elapsed(),
-            cached: false,
-        });
+        step7 += t.elapsed();
+        run.timings[0].duration += step7;
+        timings.append(&mut run.timings);
+        run.timings = timings;
+        Ok(run)
+    }
+}
 
-        // Step 8: merge into the UPSIM.
-        let t = Instant::now();
-        let upsim = generate_upsim(
-            &self.infrastructure,
-            &discovered,
-            format!("upsim-{}", self.service.name()),
-        );
-        timings.push(StepTiming {
+/// Steps 7–8 on a prebuilt graph view of `infrastructure`: discovers every
+/// path of each mapping pair, in service execution order, and merges them
+/// into the UPSIM. The run's timings hold these two steps only. The
+/// mapping must already be valid for `service` and `infrastructure`
+/// ([`ServiceMapping::validate`]); nothing here reads or builds a model
+/// space.
+pub fn discover_and_merge(
+    infrastructure: &Infrastructure,
+    service: &CompositeService,
+    mapping: &ServiceMapping,
+    graph: &InternedGraph,
+    options: DiscoveryOptions,
+    workspace: &mut DiscoveryWorkspace,
+) -> UpsimResult<UpsimRun> {
+    let t = Instant::now();
+    let discovered = mapping
+        .for_service(service)?
+        .into_iter()
+        .map(|pair| discover_with_workspace(graph, pair, options, workspace))
+        .collect::<UpsimResult<Vec<_>>>()?;
+    let step7 = t.elapsed();
+
+    let t = Instant::now();
+    let upsim = generate_upsim(
+        infrastructure,
+        &discovered,
+        format!("upsim-{}", service.name()),
+    );
+    let timings = vec![
+        StepTiming {
+            step: "7-path-discovery",
+            duration: step7,
+            cached: false,
+        },
+        StepTiming {
             step: "8-generate-upsim",
             duration: t.elapsed(),
             cached: false,
-        });
-
-        let ratio = reduction_ratio(&self.infrastructure, &upsim);
-        Ok(UpsimRun {
-            upsim,
-            discovered,
-            timings,
-            reduction_ratio: ratio,
-        })
-    }
+        },
+    ];
+    Ok(UpsimRun {
+        reduction_ratio: reduction_ratio(infrastructure, &upsim),
+        upsim,
+        discovered,
+        timings,
+    })
 }
 
 #[cfg(test)]
@@ -541,20 +523,17 @@ mod tests {
     fn cache_state_tracks_dynamicity() {
         let (i, s, m) = fixture();
         let mut p = UpsimPipeline::new(i, s, m.clone()).unwrap();
-        assert!(p.cache_state().is_cold());
-        p.run().unwrap();
-        assert_eq!(
-            p.cache_state(),
-            CacheState {
-                models_imported: true,
-                mapping_imported: true,
-                graph_built: true
-            }
-        );
+        let cached =
+            |run: UpsimRun| -> Vec<bool> { run.timings.iter().map(|t| t.cached).collect() };
+        // A fresh pipeline runs every step; a repeat serves both imports
+        // from cache and keeps the graph view.
+        assert_eq!(cached(p.run().unwrap()), [false; 4]);
+        assert_eq!(cached(p.run().unwrap()), [true, true, false, false]);
+        assert!(p.shared_graph().is_some());
         // Wholesale mapping replacement invalidates Step 6 only.
         p.set_mapping(m).unwrap();
-        let state = p.cache_state();
-        assert!(state.models_imported && !state.mapping_imported && state.graph_built);
+        assert!(p.shared_graph().is_some());
+        assert_eq!(cached(p.run().unwrap()), [true, false, false, false]);
         // Topology change invalidates everything.
         p.update_infrastructure(|infra| {
             infra.add_device("sw9", "Sw")?;
@@ -562,7 +541,8 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert!(p.cache_state().is_cold());
+        assert!(p.shared_graph().is_none());
+        assert_eq!(cached(p.run().unwrap()), [false; 4]);
     }
 
     #[test]
@@ -570,12 +550,7 @@ mod tests {
         let (i, s, m) = fixture();
         let mut p = UpsimPipeline::new(i, s, m).unwrap();
         let run = p.run().unwrap();
-        // UPSIM is {t1, sw, srv1}: the used link is touched, an unused one
-        // (sw, srv2) is not.
-        assert!(run.touches_link("t1", "sw"));
-        assert!(run.touches_link("sw", "srv1"));
-        assert!(!run.touches_link("sw", "srv2"));
-        assert!(!run.touches_link("t2", "sw"));
+        // UPSIM is {t1, sw, srv1}: srv2 and t2 are off every path.
         let touched: Vec<&str> = run.touched_devices().collect();
         assert_eq!(touched, vec!["t1", "sw", "srv1"]);
     }

@@ -69,4 +69,4 @@ pub use params::{
     ParamEstimator, ParamSource, PosteriorComponent,
 };
 pub use rbd::Block;
-pub use transform::{AnalysisOptions, ServiceAvailabilityModel};
+pub use transform::{evaluate_perspective, AnalysisOptions, ServiceAvailabilityModel};

@@ -24,18 +24,27 @@
 //!   the paths of the pair (tree-like networks),
 //! * [`ServiceAvailabilityModel::monte_carlo`] — parallel simulation on
 //!   the compiled bit-sliced kernel.
+//!
+//! [`evaluate_perspective`] is the one evaluator the server's engine and
+//! its campaigns run per perspective: Steps 7–8, this transformation and
+//! the observation overlay, with no model space.
 
 use crate::availability::ComponentAvailability;
 use crate::bdd::Bdd;
 use crate::mcprog::McProgram;
 use crate::montecarlo::MonteCarloResult;
+use crate::params::{overlay_model, ParamEstimator, PosteriorComponent};
 use crate::rbd::Block;
 use crate::sdp::union_probability;
 use std::collections::HashMap;
 use std::sync::Arc;
+use upsim_core::discovery::{DiscoveryOptions, DiscoveryWorkspace};
+use upsim_core::error::UpsimResult;
 use upsim_core::infrastructure::Infrastructure;
-use upsim_core::interned::NameTable;
-use upsim_core::pipeline::UpsimRun;
+use upsim_core::interned::{InternedGraph, NameTable};
+use upsim_core::mapping::ServiceMapping;
+use upsim_core::pipeline::{discover_and_merge, UpsimRun};
+use upsim_core::service::CompositeService;
 
 /// Options of the transformation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -304,11 +313,46 @@ impl ServiceAvailabilityModel {
     }
 }
 
+/// Evaluates one perspective without a model space: checks `mapping`
+/// against the models ([`ServiceMapping::validate`]), runs Steps 7–8 on
+/// `graph`, a prebuilt view of `infrastructure`
+/// ([`discover_and_merge`]), builds the availability model with
+/// [`AnalysisOptions::default`], and overlays the observation-fed
+/// parameters in `params` ([`overlay_model`]). Returns the run, the
+/// overlaid model and the per-component posteriors (`None` = authored).
+pub fn evaluate_perspective(
+    infrastructure: &Infrastructure,
+    service: &CompositeService,
+    graph: &InternedGraph,
+    mapping: &ServiceMapping,
+    params: &ParamEstimator,
+    discovery: DiscoveryOptions,
+    workspace: &mut DiscoveryWorkspace,
+) -> UpsimResult<(
+    UpsimRun,
+    ServiceAvailabilityModel,
+    Vec<Option<PosteriorComponent>>,
+)> {
+    mapping.validate(service, infrastructure)?;
+    let run = discover_and_merge(
+        infrastructure,
+        service,
+        mapping,
+        graph,
+        discovery,
+        workspace,
+    )?;
+    let options = AnalysisOptions::default();
+    let mut model = ServiceAvailabilityModel::from_run(infrastructure, &run, options);
+    let posteriors = overlay_model(&mut model, params, options.paper_formula);
+    Ok((run, model, posteriors))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use upsim_core::infrastructure::DeviceClassSpec;
-    use upsim_core::mapping::{ServiceMapping, ServiceMappingPair};
+    use upsim_core::mapping::ServiceMappingPair;
     use upsim_core::pipeline::UpsimPipeline;
     use upsim_core::service::CompositeService;
 

@@ -26,9 +26,10 @@
 //! Sharding design: the worker pool and job queue stay global (jobs carry
 //! an `Arc<Shard>` tag), while everything model-scoped — snapshot, epoch,
 //! perspective + negative caches, metrics, journal — is per shard. A
-//! worker keeps one warm pipeline *per model* it has touched, so a cold
-//! sweep on one model cannot evict another model's warm state from the
-//! pool. An engine built with [`Engine::new`] has exactly one unnamed
+//! worker holds no model state: a cache miss runs
+//! [`evaluate_perspective`] (Steps 7–8, no model space) on the snapshot's
+//! shared interned graph, with the worker's one Step 7 workspace as
+//! scratch. An engine built with [`Engine::new`] has exactly one unnamed
 //! default shard and behaves byte-identically to the pre-registry engine;
 //! [`Engine::with_models`] registers several named shards behind the same
 //! pool, addressed by the `USE <model>` protocol verb.
@@ -42,14 +43,13 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, SendTimeoutError, Sender};
 use dependability::mcprog::{BlockShare, McScratch, PosteriorSampler, RunSpec, Sampling};
-use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
+use dependability::transform::evaluate_perspective;
 use upsim_campaign::{
     aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, BaselinePerspective,
     CampaignInput, CampaignReport, CampaignSpec, EvalCtx,
 };
-use upsim_core::discovery::DiscoveryOptions;
+use upsim_core::discovery::{DiscoveryOptions, DiscoveryWorkspace};
 use upsim_core::error::UpsimError;
-use upsim_core::pipeline::UpsimPipeline;
 use upsim_core::service::CompositeService;
 
 use crate::cache::{
@@ -158,7 +158,7 @@ pub struct EngineConfig {
     /// least-recently-used entry is evicted when a new result would exceed
     /// it.
     pub cache_capacity: usize,
-    /// Step 7 options used by every worker pipeline.
+    /// Step 7 options of every perspective evaluation, campaigns included.
     pub discovery: DiscoveryOptions,
     /// Derives the per-perspective mapping for the default shard of
     /// [`Engine::new`] (defaults to [`pingpong_mapper`]). Engines built
@@ -271,16 +271,15 @@ pub struct UpdateSummary {
 /// pair through the result channel for every item it owns.
 type StreamTask<T> = Box<dyn FnOnce(&Sender<(usize, T)>) + Send>;
 
-/// A worker's warm-pipeline map: one `(epoch, pipeline)` per model name it
-/// has evaluated (see the note on [`worker_loop`]).
-type WarmPipelines = HashMap<String, (u64, UpsimPipeline)>;
+/// One unit of pool work, run with its worker's Step 7 scratch buffers.
+type PoolTask = Box<dyn FnOnce(&mut DiscoveryWorkspace) + Send>;
 
 enum Job {
     /// One unit of pool work: a request's pool half (which reports
     /// through the completion callback it captured), a helper claiming
     /// blocks of an `MC` run on a worker that had no job to run, or a
     /// chunk of a campaign's fan-out (which streams through the result
-    /// sender it captured, ignoring the warm pipelines). Dropping an
+    /// sender it captured, ignoring the workspace). Dropping an
     /// unexecuted Run (shutdown drain) drops that callback or sender,
     /// which its waiter reads as `EngineError::Shutdown`; an unexecuted
     /// helper claimed nothing, so the worker that posted it finishes the
@@ -288,7 +287,7 @@ enum Job {
     /// `tasks_executed`).
     Run {
         shard: Arc<Shard>,
-        run: Box<dyn FnOnce(&mut WarmPipelines) + Send>,
+        run: PoolTask,
     },
     Stop,
 }
@@ -942,8 +941,8 @@ impl Engine {
     ///
     /// The program is compiled once per `(epoch, perspective)` inside the
     /// evaluation; repeated `MC` requests — e.g. with growing sample
-    /// counts or different seeds — replay it without touching the
-    /// pipeline. The trials run on the worker that took the request plus
+    /// counts or different seeds — replay it without re-running Steps
+    /// 7–8. The trials run on the worker that took the request plus
     /// whichever workers had no job to run when it started (each gives its
     /// worker back once another job waits), and the counter-based kernel
     /// makes the estimate a pure function of `(samples, seed)`, so the
@@ -1034,7 +1033,7 @@ impl Engine {
     /// immediately, and the blocking methods wait on a channel it answers.
     /// Cache hits and immediate errors invoke `done` synchronously on the
     /// calling thread; campaigns run on a thread of their own; everything
-    /// else runs on a worker (with its warm pipelines) and invokes `done`
+    /// else runs on a worker (with its Step 7 workspace) and invokes `done`
     /// there.
     pub fn execute_wire(&self, model: Option<&str>, request: WireRequest, done: WireCallback) {
         let shard = match self.shard(model) {
@@ -1057,8 +1056,8 @@ impl Engine {
                         let tag = Arc::clone(&shard);
                         self.enqueue(
                             &tag,
-                            Box::new(move |warm| {
-                                let result = evaluate(&shard, warm, &client, &provider);
+                            Box::new(move |workspace| {
+                                let result = evaluate(&shard, workspace, &client, &provider);
                                 if result.is_err() {
                                     EngineMetrics::bump(&shard.metrics.errors);
                                 }
@@ -1094,8 +1093,9 @@ impl Engine {
                             let task_collector = Arc::clone(&collector);
                             self.enqueue(
                                 &shard,
-                                Box::new(move |warm| {
-                                    let result = evaluate(&task_shard, warm, &client, &provider);
+                                Box::new(move |workspace| {
+                                    let result =
+                                        evaluate(&task_shard, workspace, &client, &provider);
                                     if result.is_err() {
                                         EngineMetrics::bump(&task_shard.metrics.errors);
                                     }
@@ -1128,12 +1128,12 @@ impl Engine {
                 let engine = self.clone();
                 self.enqueue(
                     &tag,
-                    Box::new(move |warm| {
+                    Box::new(move |workspace| {
                         EngineMetrics::bump(&shard.metrics.queries);
                         let looked_up = match probe(&shard, &client, &provider) {
                             Err(err) => Err(err),
                             Ok(Some(entry)) => Ok((entry, true)),
-                            Ok(None) => match evaluate(&shard, warm, &client, &provider) {
+                            Ok(None) => match evaluate(&shard, workspace, &client, &provider) {
                                 Ok(entry) => Ok((entry, false)),
                                 Err(err) => {
                                     EngineMetrics::bump(&shard.metrics.errors);
@@ -1165,7 +1165,7 @@ impl Engine {
                 let tag = Arc::clone(&shard);
                 self.enqueue(
                     &tag,
-                    Box::new(move |_warm| {
+                    Box::new(move |_| {
                         done(apply_update(&shard, command).map(WireResponse::Update));
                     }),
                 );
@@ -1174,7 +1174,7 @@ impl Engine {
                 let tag = Arc::clone(&shard);
                 self.enqueue(
                     &tag,
-                    Box::new(move |_warm| {
+                    Box::new(move |_| {
                         done(save_shard(&shard).map(WireResponse::Save));
                     }),
                 );
@@ -1227,7 +1227,7 @@ impl Engine {
     /// after the send, the job may sit behind the Stop jobs with every
     /// worker already gone: drain it (and any neighbours) here, which
     /// drops its callback unfired — read as `EngineError::Shutdown`.
-    fn enqueue(&self, shard: &Arc<Shard>, run: Box<dyn FnOnce(&mut WarmPipelines) + Send>) {
+    fn enqueue(&self, shard: &Arc<Shard>, run: PoolTask) {
         let job = Job::Run {
             shard: Arc::clone(shard),
             run,
@@ -1247,10 +1247,10 @@ impl Engine {
 
     /// Applies a dynamicity command to one model: publishes a new snapshot
     /// generation and sweeps exactly the cache keys the change can affect
-    /// — on that shard alone; every other model's epoch, caches, and warm
-    /// pipelines are untouched. With persistence enabled the update is
-    /// journaled (fsynced) to the shard's journal before this returns — a
-    /// crash after an acknowledged `UPDATE` replays it.
+    /// — on that shard alone; every other model's epoch and caches are
+    /// untouched. With persistence enabled the update is journaled
+    /// (fsynced) to the shard's journal before this returns — a crash
+    /// after an acknowledged `UPDATE` replays it.
     pub fn update_on(
         &self,
         model: Option<&str>,
@@ -1332,10 +1332,10 @@ impl Engine {
             .map_err(EngineError::Campaign)?,
         );
 
-        // Phase 1: baselines, chunked so each task amortises one warm
-        // pipeline over a contiguous run of perspectives and streams its
+        // Phase 1: baselines, chunked so each task amortises one Step 7
+        // workspace over a contiguous run of perspectives and streams its
         // chunk back under the chunk's index. Baselines are always heavy
-        // (a pipeline run per perspective, plus the CRN pack when
+        // (an evaluation per perspective, plus the CRN pack when
         // sampling), so they take the fine-grained policy.
         let pairs = input.pairs.len();
         let chunk = adaptive_chunk(pairs, self.workers.max(1), true);
@@ -1616,12 +1616,9 @@ impl Engine {
 }
 
 fn worker_loop(rx: Receiver<Job>, idle: &AtomicUsize) {
-    // Warm pipelines, one per model this worker has evaluated: Step 5
-    // (UML import + graph) stays cached across queries of the same
-    // (model, epoch); only the mapping (Step 6) is swapped. Keying by
-    // model name means a cold sweep on one model (its epoch bumped) never
-    // evicts another model's warm state from this worker.
-    let mut warm: WarmPipelines = HashMap::new();
+    // Step 7's scratch buffers hold no model state, so one workspace
+    // serves every shard and epoch this worker evaluates.
+    let mut workspace = DiscoveryWorkspace::default();
     while let Ok(job) = rx.recv() {
         // `idle` counts this worker from pool start until it takes a job
         // and again once the job returns — `MC` runs read it to decide
@@ -1631,7 +1628,7 @@ fn worker_loop(rx: Receiver<Job>, idle: &AtomicUsize) {
             Job::Stop => break,
             Job::Run { shard, run } => {
                 let started = Instant::now();
-                run(&mut warm);
+                run(&mut workspace);
                 idle.fetch_add(1, Ordering::Relaxed);
                 // Every executed job is accounted to its shard: busy wall
                 // time and a job count, so `STATS` can expose pool
@@ -1811,7 +1808,7 @@ fn save_shard(shard: &Shard) -> Result<SaveSummary, EngineError> {
 
 fn evaluate(
     shard: &Shard,
-    warm: &mut HashMap<String, (u64, UpsimPipeline)>,
+    workspace: &mut DiscoveryWorkspace,
     client: &str,
     provider: &str,
 ) -> Result<Arc<CachedPerspective>, EngineError> {
@@ -1822,10 +1819,10 @@ fn evaluate(
     if let Some(hit) = shard.cache.get(&key) {
         return Ok(hit);
     }
-    let result = evaluate_uncached(shard, warm, &snapshot, key.clone(), client, provider);
+    let result = evaluate_uncached(shard, workspace, &snapshot, key.clone(), client, provider);
     if let Err(err) = &result {
         // Unknown devices and model errors are deterministic for this
-        // epoch — remember them so repeats skip the pipeline entirely.
+        // epoch — remember them so repeats skip the evaluation entirely.
         if matches!(err, EngineError::UnknownDevice(_) | EngineError::Model(_)) {
             shard.negative.insert(key, err.clone(), snapshot.epoch);
         }
@@ -1835,7 +1832,7 @@ fn evaluate(
 
 fn evaluate_uncached(
     shard: &Shard,
-    warm: &mut HashMap<String, (u64, UpsimPipeline)>,
+    workspace: &mut DiscoveryWorkspace,
     snapshot: &Arc<ModelSnapshot>,
     key: PerspectiveKey,
     client: &str,
@@ -1843,42 +1840,19 @@ fn evaluate_uncached(
 ) -> Result<Arc<CachedPerspective>, EngineError> {
     let start = Instant::now();
     let mapping = (shard.mapper)(&snapshot.service, client, provider);
-    let reusable = matches!(warm.get(&shard.name), Some((epoch, _)) if *epoch == snapshot.epoch);
-    if reusable {
-        let (_, pipeline) = warm.get_mut(&shard.name).expect("warm pipeline present");
-        pipeline.set_mapping(mapping)?;
-    } else {
-        let mut pipeline = UpsimPipeline::new(
-            snapshot.infrastructure.clone(),
-            snapshot.service.clone(),
-            mapping,
-        )?;
-        pipeline.record_paths = false;
-        pipeline.set_options(shard.discovery);
-        // All workers evaluating this epoch share one interned graph view
-        // (name table + block-cut tree): the snapshot builds it once and
-        // every warm pipeline borrows the same `Arc` instead of re-running
-        // Step 7's graph extraction per perspective.
-        pipeline.set_shared_graph(snapshot.interned_graph());
-        warm.insert(shard.name.clone(), (snapshot.epoch, pipeline));
-    }
-    let (_, pipeline) = warm.get_mut(&shard.name).expect("warm pipeline present");
-    let run = pipeline.run()?;
-    let mut model = ServiceAvailabilityModel::from_run(
-        pipeline.infrastructure(),
-        &run,
-        AnalysisOptions::default(),
-    );
-    // Overlay the observation-fed parameter layer: components with
-    // rate-carrying observations swap their authored MTBF/MTTR for the
-    // posterior means (tagged `ParamSource::Observed`); everything else
-    // stays byte-identical to the authored model, so with an empty
-    // estimator this whole block is a no-op.
-    let posterior = dependability::overlay_model(
-        &mut model,
+    // Steps 7–8 on the epoch's shared interned graph view, then the
+    // availability model with the observation-fed parameters overlaid:
+    // components with rate-carrying observations price at their posterior
+    // means, everything else exactly as authored.
+    let (run, model, posterior) = evaluate_perspective(
+        &snapshot.infrastructure,
+        &snapshot.service,
+        &snapshot.interned_graph(),
+        &mapping,
         &snapshot.params,
-        AnalysisOptions::default().paper_formula,
-    );
+        shard.discovery,
+        workspace,
+    )?;
     let observed = posterior.iter().filter(|p| p.is_some()).count();
     let availability = model.availability_bdd();
     // 95% credible bounds on the exact availability: the structure
@@ -1944,7 +1918,9 @@ fn evaluate_uncached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
     use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
+    use upsim_core::pipeline::UpsimPipeline;
 
     fn usi_engine(workers: usize) -> Engine {
         let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
@@ -2029,8 +2005,8 @@ mod tests {
         let shard = Arc::clone(&engine.shared.shards[0]);
         let sent = engine.job_tx.send(Job::Run {
             shard: Arc::clone(&shard),
-            run: Box::new(move |warm| {
-                let _ = busy_tx.send(evaluate(&shard, warm, "t1", "p1").is_ok());
+            run: Box::new(move |workspace| {
+                let _ = busy_tx.send(evaluate(&shard, workspace, "t1", "p1").is_ok());
             }),
         });
         assert!(sent.is_ok(), "queue accepts the busy eval");
@@ -2262,7 +2238,7 @@ mod tests {
     }
 
     /// E15 golden batch: all 45 (client, printer) perspectives through the
-    /// engine — shared interned graph, pruned discovery, warm pipelines —
+    /// engine — shared interned graph, pruned discovery, one evaluator —
     /// must reproduce the experiment's availabilities bit-for-bit at the
     /// reported precision (worst t1→p2, best t6→p1, mean over all 45).
     #[test]
@@ -2463,6 +2439,56 @@ mod tests {
         assert!(rendered.contains("model[usi]="));
         assert!(rendered.contains("model[campus]="));
         engine.shutdown();
+    }
+
+    /// The model-space importers map `.` to `_`, so `t.16` and `t_16`
+    /// (Step 5) or the atomic services `a.b` and `a_b` (Step 6) name one
+    /// entity twice, and a server that imported the models refused every
+    /// perspective of such a model. Queries build no model space, so
+    /// every perspective answers.
+    #[test]
+    fn names_that_clash_in_a_model_space_still_evaluate() {
+        let mut infrastructure = usi_infrastructure();
+        for client in ["t.16", "t_16"] {
+            infrastructure
+                .add_device(client, "Comp")
+                .expect("new client");
+            infrastructure.connect(client, "e4").expect("new link");
+        }
+        let snapshot = ModelSnapshot::new(infrastructure, printing_service()).expect("consistent");
+        let config = EngineConfig {
+            workers: 2,
+            mapper: Arc::new(|_, client, provider| perspective_mapping(client, provider)),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(snapshot, config);
+        for (client, provider, expected) in [
+            ("t_16", "p3", 0.991704285),
+            ("t.16", "p3", 0.991704285),
+            ("t1", "p2", 0.991699164),
+        ] {
+            let entry = engine.query(client, provider).expect("perspective answers");
+            assert!(
+                (entry.availability - expected).abs() < 1e-9,
+                "{client}->{provider}: {}",
+                entry.availability
+            );
+        }
+        engine.shutdown();
+
+        // Two steps whose names clash price like two that do not.
+        let availability = |steps: &[&str]| {
+            let service = CompositeService::sequential("clash", steps).expect("service");
+            let snapshot = ModelSnapshot::new(usi_infrastructure(), service).expect("consistent");
+            let engine = Engine::new(snapshot, EngineConfig::default());
+            let entry = engine.query("t1", "p2").expect("perspective answers");
+            engine.shutdown();
+            entry.availability
+        };
+        assert_eq!(
+            availability(&["a.b", "a_b"]).to_bits(),
+            availability(&["a-b", "a_b"]).to_bits()
+        );
     }
 
     /// A single-unnamed-model engine renders `STATS` without per-model

@@ -19,10 +19,12 @@
 //!   behavior); [`engine::Engine::with_models`] serves several named
 //!   models behind the same worker pool and TCP front-end, selected per
 //!   connection with the `USE <model>` verb.
-//! * a crossbeam worker pool — each worker holds its own warm
-//!   [`upsim_core::pipeline::UpsimPipeline`] (Step 5 imports cached,
-//!   mapping swapped per query) and pulls jobs from a bounded queue;
-//!   Step 7 inside a worker can use `ict_graph::parallel`.
+//! * a crossbeam worker pool — workers pull jobs from a bounded queue
+//!   and evaluate a cache miss with
+//!   [`dependability::transform::evaluate_perspective`]: Steps 7–8 on the
+//!   snapshot's shared interned graph, then the availability model, with
+//!   no model space (the paper's Steps 5–6 import one that the server
+//!   never reads). Step 7 inside a worker can use `ict_graph::parallel`.
 //! * [`protocol`] — a line-delimited request protocol (`QUERY`, `BATCH`,
 //!   `MC`, `UPDATE`, `STATS`, `USE`, `MODELS`, `SHUTDOWN`) with
 //!   single-line responses.

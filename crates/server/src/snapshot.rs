@@ -3,8 +3,8 @@
 //! The engine never mutates a published snapshot: an `UPDATE` builds a new
 //! [`ModelSnapshot`] with a bumped epoch and atomically swaps it in, so
 //! in-flight evaluations keep a consistent view of infrastructure +
-//! service and the epoch tells every worker when its warm pipeline is
-//! stale.
+//! service, and the epoch tells the cache which results a write has
+//! superseded.
 
 use dependability::ParamEstimator;
 use std::sync::{Arc, OnceLock};
@@ -16,15 +16,7 @@ use upsim_core::service::CompositeService;
 
 use crate::engine::UpdateCommand;
 
-/// Derives the service mapping of one perspective from the loaded service
-/// and a `(client, provider)` pair.
-///
-/// The paper keeps one network model and one service model fixed and
-/// varies only the mapping per user perspective (Sec. VI-H, E15); the
-/// mapper is that variation as a function. `upsim-cli serve` installs a
-/// USI printing mapper; [`pingpong_mapper`] is the generic default.
-pub type PerspectiveMapper =
-    Arc<dyn Fn(&CompositeService, &str, &str) -> ServiceMapping + Send + Sync>;
+pub use upsim_campaign::PerspectiveMapper;
 
 /// The generic Table-I-shaped mapper: consecutive atomic services
 /// ping-pong between the client and the provider (request/response
@@ -47,9 +39,9 @@ pub fn pingpong_mapper() -> PerspectiveMapper {
 /// One immutable generation of the engine's model state.
 ///
 /// Infrastructure and service are `Arc`-shared: pinning a snapshot for a
-/// campaign, building a cold pipeline, or deriving the next generation
-/// clones a pointer, not the model — [`ModelSnapshot::apply`] copies on
-/// write only when an edit actually lands.
+/// campaign or deriving the next generation clones a pointer, not the
+/// model — [`ModelSnapshot::apply`] copies on write only when an edit
+/// actually lands.
 #[derive(Debug)]
 pub struct ModelSnapshot {
     pub infrastructure: Arc<Infrastructure>,
