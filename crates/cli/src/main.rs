@@ -9,8 +9,9 @@
 //!   `--xmi <file>`),
 //! * `paths -i <infra.xml> --from <a> --to <b>` — all simple paths between
 //!   components (`--from`/`--to` accept comma-separated lists — every
-//!   pair is enumerated over one shared interned graph view;
-//!   `--parallel <threads>` for the parallel enumerator),
+//!   pair is enumerated over one shared interned graph view; paths print
+//!   in DFS order, or sorted with `--parallel <threads>`, which runs the
+//!   parallel enumerator),
 //! * `availability -i ... -s ... -m ...` — user-perceived steady-state
 //!   service availability (`--links`, `--paper-formula`, `--mc <samples>`),
 //! * `validate -i ... [-s ... -m ...]` — well-formedness checks,

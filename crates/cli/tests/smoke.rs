@@ -128,6 +128,59 @@ fn availability_mc_prices_with_the_kernel_and_rejects_zero_samples() {
 }
 
 #[test]
+fn paths_parallel_lists_the_sequential_paths() {
+    let dir = std::env::temp_dir().join(format!("upsim-cli-paths-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let export = upsim()
+        .arg("export-case-study")
+        .arg(&dir)
+        .output()
+        .expect("run upsim export-case-study");
+    assert_eq!(
+        export.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&export.stderr)
+    );
+    let paths = |extra: &[&str]| {
+        let out = upsim()
+            .arg("paths")
+            .arg("-i")
+            .arg(dir.join("usi-infrastructure.xml"))
+            .args(["--from", "t1", "--to", "printS"])
+            .args(extra)
+            .output()
+            .expect("run upsim paths");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+        let mut lines: Vec<String> = stdout.lines().map(str::to_string).collect();
+        let count = lines.pop().expect("a count line");
+        lines.sort();
+        (lines, count)
+    };
+
+    let (sequential, count) = paths(&[]);
+    let (parallel, parallel_count) = paths(&["--parallel", "2"]);
+    // The same multiset of paths and the same count, whatever the order.
+    assert_eq!(parallel, sequential);
+    assert_eq!(parallel_count, count);
+    assert_eq!(count, "6 path(s) between t1 and printS");
+    // The two paths the paper prints (Sec. VI-G, E5).
+    for printed in ["t1—e1—d1—c1—d4—printS", "t1—e1—d1—c1—c2—d4—printS"] {
+        assert!(
+            sequential.iter().any(|line| line == printed),
+            "{printed} missing from {sequential:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn restore_smoke_tolerates_torn_journal_tail() {
     let dir = std::env::temp_dir().join(format!("upsim-cli-restore-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

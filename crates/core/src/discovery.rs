@@ -7,12 +7,16 @@
 //! algorithm with a path tracking mechanism to avoid live-locks within
 //! cycles."*
 //!
-//! The DFS itself lives in `ict_graph::paths` (with a parallel variant in
-//! `ict_graph::parallel` — path discovery is the only super-polynomial step
-//! and parallelizes embarrassingly over prefixes). This module binds it to
-//! the methodology: resolve the pair against the infrastructure, enumerate,
-//! convert back to component names, and optionally record the paths in the
-//! model space (the paper's "reserved tree structure").
+//! The DFS itself lives in `ict_graph::paths`. This module binds it to the
+//! methodology: resolve the pair against the infrastructure, mask the
+//! search to the blocks between requester and provider
+//! (`ict_graph::prune`), enumerate on the caller's reused
+//! [`DiscoveryWorkspace`], keep the paths interned, and optionally record
+//! them in the model space (the paper's "reserved tree structure"). The
+//! paths come out in DFS order. [`DiscoveryOptions::parallel`] switches to
+//! `ict_graph::parallel`, which finds the same paths sorted; the server
+//! and the pipeline's callers run the sequential DFS, and
+//! `upsim paths --parallel` the parallel one.
 
 use crate::error::{UpsimError, UpsimResult};
 use crate::importers::PATHS_NS;
@@ -24,30 +28,16 @@ use ict_graph::paths::{for_each_simple_path, DiscoveryScratch, PathLimits};
 use std::sync::Arc;
 use vpm::ModelSpace;
 
-/// Options for Step 7.
-#[derive(Debug, Clone, Copy)]
+/// Options for Step 7. The default is the sequential DFS, unlimited.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DiscoveryOptions {
-    /// Use the parallel enumerator (crossbeam prefix fan-out).
+    /// Use the parallel enumerator (crossbeam prefix fan-out; lists the
+    /// same paths sorted instead of in DFS order).
     pub parallel: bool,
     /// Worker threads for the parallel enumerator (0 = all cores).
     pub threads: usize,
     /// Path limits (both enumerators).
     pub limits: PathLimits,
-    /// Block-cut-tree pruning: restrict the DFS to the blocks between
-    /// requester and provider (on by default — provably multiset-preserving,
-    /// see `ict_graph::prune`). Benchmarks switch it off for baselines.
-    pub prune: bool,
-}
-
-impl Default for DiscoveryOptions {
-    fn default() -> Self {
-        DiscoveryOptions {
-            parallel: false,
-            threads: 0,
-            limits: PathLimits::unlimited(),
-            prune: true,
-        }
-    }
 }
 
 /// Reusable per-worker buffers for repeated discovery calls: the DFS
@@ -199,23 +189,19 @@ pub fn discover_with_workspace(
     // Pruning: mask the DFS to the union of blocks on the block-cut-tree
     // path between source and target — exactly the nodes that can lie on
     // some simple path (so the enumeration is unchanged, just cheaper).
-    let mask: Option<&[bool]> = if options.prune {
-        let relevant = view
-            .tree()
-            .relevant_nodes(source, target, &mut workspace.mask);
-        if relevant == 0 {
-            // Different connected components: provably no path.
-            return Ok(DiscoveredPaths {
-                pair: pair.clone(),
-                names: Arc::clone(view.names()),
-                node_paths,
-                link_paths,
-            });
-        }
-        Some(&workspace.mask)
-    } else {
-        None
-    };
+    let relevant = view
+        .tree()
+        .relevant_nodes(source, target, &mut workspace.mask);
+    if relevant == 0 {
+        // Different connected components: provably no path.
+        return Ok(DiscoveredPaths {
+            pair: pair.clone(),
+            names: Arc::clone(view.names()),
+            node_paths,
+            link_paths,
+        });
+    }
+    let mask = Some(workspace.mask.as_slice());
 
     if options.parallel {
         let (raw, _) = parallel_simple_paths_pruned(
@@ -365,19 +351,37 @@ mod tests {
 
     #[test]
     fn pruning_on_and_off_agree() {
-        let infra = diamond();
-        let pruned = discover(&infra, &pair(), DiscoveryOptions::default()).unwrap();
-        let unpruned = discover(
-            &infra,
-            &pair(),
-            DiscoveryOptions {
-                prune: false,
-                ..Default::default()
+        // A pendant device hangs off `a`, so the mask removes a node; the
+        // pruned discovery must still list the unmasked kernel's paths, in
+        // the kernel's DFS order.
+        let mut infra = diamond();
+        infra.add_device("tail", "Sw").unwrap();
+        infra.connect("a", "tail").unwrap();
+        let view = infra.to_interned_graph();
+        let pruned = discover_on_graph(&view, &pair(), DiscoveryOptions::default()).unwrap();
+        let graph = view.graph();
+        let mut nodes_seen = Vec::new();
+        let mut links_seen = Vec::new();
+        for_each_simple_path(
+            graph,
+            view.node_of("t1").unwrap(),
+            view.node_of("srv").unwrap(),
+            PathLimits::unlimited(),
+            None,
+            &mut DiscoveryScratch::new(),
+            |nodes, edges| {
+                nodes_seen.push(nodes.iter().map(|n| n.index() as u32).collect::<Vec<_>>());
+                links_seen.push(
+                    edges
+                        .iter()
+                        .map(|&e| *graph.edge(e).unwrap())
+                        .collect::<Vec<_>>(),
+                );
             },
-        )
-        .unwrap();
-        assert_eq!(pruned.interned(), unpruned.interned());
-        assert_eq!(pruned.link_paths, unpruned.link_paths);
+        );
+        assert_eq!(pruned.interned(), nodes_seen.as_slice());
+        assert_eq!(pruned.link_paths, links_seen);
+        assert_eq!(pruned.len(), 2);
     }
 
     #[test]

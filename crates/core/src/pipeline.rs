@@ -157,7 +157,7 @@ impl UpsimPipeline {
         &self.space
     }
 
-    /// Sets the discovery options (parallelism, limits, pruning).
+    /// Sets the discovery options (parallelism, limits).
     pub fn set_options(&mut self, options: DiscoveryOptions) {
         self.options = options;
     }

@@ -103,6 +103,14 @@ impl ServiceAvailabilityModel {
     /// Builds the model from a pipeline run. Component availabilities come
     /// from the infrastructure's class attributes (Formula 1 + redundancy);
     /// every component on any discovered path becomes a variable.
+    ///
+    /// The model is a function of each pair's *set* of paths, not of the
+    /// order Step 7 listed them in: variables are numbered by first
+    /// occurrence over the pairs in service order and, within a pair, over
+    /// its paths sorted by interned node ids, then link indices (the
+    /// order `ict_graph::parallel` returns them in). The sequential and the
+    /// parallel enumerator therefore give the same model, and every
+    /// availability, bound and Monte-Carlo estimate priced on it.
     pub fn from_run(
         infrastructure: &Infrastructure,
         run: &UpsimRun,
@@ -148,8 +156,11 @@ impl ServiceAvailabilityModel {
                 id_cache.resize(table.len(), usize::MAX);
                 cache_table = Some(table);
             }
-            let mut path_sets = Vec::with_capacity(discovered.len());
-            for (nodes, links) in discovered.interned().iter().zip(&discovered.link_paths) {
+            let (node_paths, link_paths) = (discovered.interned(), &discovered.link_paths);
+            let mut order: Vec<usize> = (0..node_paths.len()).collect();
+            order.sort_unstable_by_key(|&i| (&node_paths[i], &link_paths[i]));
+            let mut path_sets = Vec::with_capacity(order.len());
+            for (nodes, links) in order.into_iter().map(|i| (&node_paths[i], &link_paths[i])) {
                 let mut set: Vec<usize> = nodes
                     .iter()
                     .map(|&id| {

@@ -9,11 +9,12 @@
 //!
 //! * [`Graph`] — an index-stable, directed or undirected multigraph with
 //!   arbitrary node/edge weights and O(1) removal tombstones,
-//! * [`paths`] — the paper's all-simple-paths DFS (iterator-based, with
-//!   depth/count caps), path counting, and minimal path sets,
+//! * [`paths`] — the paper's all-simple-paths DFS (one visitor-driven
+//!   loop with depth/count caps and an optional node mask), path counting,
+//!   and minimal path sets,
 //! * [`parallel`] — a crossbeam-based parallel enumeration of the same path
-//!   set (prefix splitting + per-worker sequential DFS), identical in
-//!   content to the sequential result,
+//!   set (prefix splitting, each worker running that DFS from its
+//!   prefixes), identical in content to the sequential result and sorted,
 //! * [`prune`] — biconnected components and the block-cut tree, used to
 //!   restrict path discovery to the blocks between a source and target
 //!   (exactly the nodes that can lie on some simple path),
@@ -26,7 +27,7 @@
 //! * [`metrics`], [`dot`] — graph statistics and Graphviz export.
 //!
 //! ```
-//! use ict_graph::{Graph, paths::simple_paths};
+//! use ict_graph::{Graph, paths::all_simple_paths};
 //!
 //! let mut g = Graph::new_undirected();
 //! let a = g.add_node("a");
@@ -35,7 +36,7 @@
 //! g.add_edge(a, b, ());
 //! g.add_edge(b, c, ());
 //! g.add_edge(a, c, ());
-//! let found: Vec<_> = simple_paths(&g, a, c, Default::default()).collect();
+//! let found = all_simple_paths(&g, a, c);
 //! assert_eq!(found.len(), 2); // a-c and a-b-c
 //! ```
 

@@ -10,23 +10,30 @@
 //!    prefixes exist (completed paths encountered on the way are collected
 //!    directly).
 //! 2. **Fan-out** (parallel): the open prefixes are distributed over a
-//!    crossbeam scope; every worker finishes its prefixes with the same
-//!    sequential DFS used by [`crate::paths::simple_paths`].
+//!    crossbeam scope; every worker completes its prefixes with the one DFS
+//!    of [`crate::paths`], seeded from each prefix.
 //!
-//! The result is the *same multiset of paths* as the sequential enumeration
-//! (ordering differs; both sides sort in the equivalence tests).
+//! The result is the *same multiset of paths* as the sequential enumeration,
+//! sorted: lexicographically by node sequence, then edge sequence. The
+//! sequential DFS lists them in DFS order instead.
 //!
 //! `limits.max_paths` bounds **work**, not just output: all workers share an
-//! atomic emitted-path counter and stop searching once it reaches the cap,
-//! so a capped run on a dense graph visits a small fraction of the frames an
-//! uncapped run would (see [`parallel_simple_paths_counted`], which reports
-//! the frame count). *Which* `min(cap, total)` paths survive is
-//! scheduling-dependent — the output is still sorted, but it is not
-//! necessarily a prefix of the full sorted enumeration.
+//! atomic emitted-path counter, and a worker stops at its next emitted path
+//! once the counter reaches the cap, so a capped run on a dense graph visits
+//! a small fraction of the frames an uncapped run would (see
+//! [`parallel_simple_paths_counted`], which reports the frame count).
+//! *Which* `min(cap, total)` paths survive is scheduling-dependent — the
+//! output is still sorted, but it is not necessarily a prefix of the full
+//! sorted enumeration.
+//!
+//! Nothing on the serving path calls this module: the server runs the
+//! sequential DFS on each worker. Its callers are `upsim paths --parallel`
+//! and the parallel-discovery experiments.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{EnumerationStats, Path, PathLimits};
+use crate::paths::{extend_simple_paths, DiscoveryScratch, EnumerationStats, Path, PathLimits};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tuning options for [`parallel_simple_paths`].
@@ -149,7 +156,6 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
             break;
         };
         let head = *prefix.nodes.last().expect("non-empty prefix");
-        let mut extended = false;
         for adj in graph.neighbors(head) {
             if adj.node == target {
                 if options
@@ -181,9 +187,7 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
             edges.push(adj.edge);
             open.push_back(Prefix { nodes, edges });
             stats.frames += 1;
-            extended = true;
         }
-        let _ = extended;
         if open.is_empty() {
             break;
         }
@@ -192,9 +196,9 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
     // Phase 2: parallel completion of the open prefixes. Each worker sorts
     // its own output so the (serial) final step is only a k-way merge —
     // a global sort would otherwise dominate and erase the speedup. The
-    // shared `emitted` counter is seeded with the phase-1 completions;
-    // workers stop searching once it reaches the cap, so the cap bounds
-    // work, not just output size.
+    // shared `emitted` counter is seeded with the phase-1 completions; a
+    // worker stops at its next emitted path once the counter reaches the
+    // cap, so the cap bounds work, not just output size.
     complete.sort();
     let emitted = AtomicUsize::new(complete.len());
     let prefixes: Vec<Prefix> = if complete.len() >= cap {
@@ -210,22 +214,32 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
             let mut handles = Vec::new();
             for batch in prefixes.chunks(chunk) {
                 handles.push(scope.spawn(move |_| {
+                    let mut scratch = DiscoveryScratch::new();
                     let mut local = Vec::new();
                     let mut frames = 0usize;
                     for p in batch {
                         if emitted.load(Ordering::Relaxed) >= cap {
                             break;
                         }
-                        complete_prefix(
+                        frames += extend_simple_paths(
                             graph,
-                            p,
+                            &p.nodes,
+                            &p.edges,
                             target,
-                            options.limits,
+                            options.limits.max_nodes,
                             mask,
-                            cap,
-                            emitted,
-                            &mut frames,
-                            &mut local,
+                            &mut scratch,
+                            |nodes, edges| {
+                                local.push(Path {
+                                    nodes: nodes.to_vec(),
+                                    edges: edges.to_vec(),
+                                });
+                                if emitted.fetch_add(1, Ordering::Relaxed) + 1 >= cap {
+                                    ControlFlow::Break(())
+                                } else {
+                                    ControlFlow::Continue(())
+                                }
+                            },
                         );
                     }
                     local.sort();
@@ -288,87 +302,6 @@ fn merge_sorted(mut chunks: Vec<Vec<Path>>) -> Vec<Path> {
         cursors[best] += 1;
     }
     out
-}
-
-/// Sequential DFS completing a single prefix (the paper's algorithm with the
-/// path-tracking set seeded from the prefix). Aborts as soon as the shared
-/// `emitted` counter reaches `cap`; `frames` accumulates stack pushes so
-/// callers can assert how much work the cap actually saved.
-#[allow(clippy::too_many_arguments)]
-fn complete_prefix<N, E>(
-    graph: &Graph<N, E>,
-    prefix: &Prefix,
-    target: NodeId,
-    limits: PathLimits,
-    mask: Option<&[bool]>,
-    cap: usize,
-    emitted: &AtomicUsize,
-    frames: &mut usize,
-    out: &mut Vec<Path>,
-) {
-    struct Frame {
-        neighbors: Vec<crate::graph::Adjacency>,
-        cursor: usize,
-    }
-    let mut on_path = vec![false; graph.node_capacity()];
-    for &n in &prefix.nodes {
-        on_path[n.index()] = true;
-    }
-    let mut nodes = prefix.nodes.clone();
-    let mut edges = prefix.edges.clone();
-    let head = *nodes.last().expect("non-empty prefix");
-    let mut stack = vec![Frame {
-        neighbors: graph.neighbors(head).collect(),
-        cursor: 0,
-    }];
-    *frames += 1;
-
-    while let Some(frame) = stack.last_mut() {
-        if emitted.load(Ordering::Relaxed) >= cap {
-            return; // another worker (or this one) satisfied the cap
-        }
-        if frame.cursor >= frame.neighbors.len() {
-            stack.pop();
-            if !stack.is_empty() {
-                let n = nodes.pop().expect("aligned");
-                on_path[n.index()] = false;
-                edges.pop();
-            }
-            continue;
-        }
-        let adj = frame.neighbors[frame.cursor];
-        frame.cursor += 1;
-        if adj.node == target {
-            if limits.max_nodes.is_none_or(|cap| nodes.len() < cap) {
-                let mut pn = nodes.clone();
-                pn.push(target);
-                let mut pe = edges.clone();
-                pe.push(adj.edge);
-                out.push(Path {
-                    nodes: pn,
-                    edges: pe,
-                });
-                emitted.fetch_add(1, Ordering::Relaxed);
-            }
-            continue;
-        }
-        if on_path[adj.node.index()]
-            || mask.is_some_and(|m| !m.get(adj.node.index()).copied().unwrap_or(false))
-        {
-            continue;
-        }
-        if limits.max_nodes.is_some_and(|cap| nodes.len() + 2 > cap) {
-            continue;
-        }
-        on_path[adj.node.index()] = true;
-        nodes.push(adj.node);
-        edges.push(adj.edge);
-        stack.push(Frame {
-            neighbors: graph.neighbors(adj.node).collect(),
-            cursor: 0,
-        });
-        *frames += 1;
-    }
 }
 
 #[cfg(test)]

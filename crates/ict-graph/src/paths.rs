@@ -2,16 +2,20 @@
 //!
 //! Paper Sec. V-D: *"We chose to implement a depth-first search (DFS)
 //! algorithm with a path tracking mechanism to avoid live-locks within
-//! cycles."* This module implements exactly that as a lazy iterator: the
-//! current path is tracked in an on-path bitset, so cycles are never
-//! re-entered, and every maximal extension reaching the target is emitted.
+//! cycles."* This module implements exactly that, once: the current path is
+//! tracked in an on-path bitset, so cycles are never re-entered, and every
+//! extension reaching the target is handed to a visitor in DFS order
+//! ([`for_each_simple_path`]). [`all_simple_paths`], [`count_simple_paths`],
+//! [`minimal_path_sets`], the pruned search in [`crate::prune`] and each
+//! worker of [`crate::parallel`] all run that one loop.
 //!
 //! The enumeration is **edge-distinct**: two parallel edges between the same
 //! device pair yield two distinct paths (they are distinct physical routes
 //! with independent failure behaviour, which matters for the downstream
 //! reliability analysis).
 
-use crate::graph::{Adjacency, EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId};
+use std::ops::ControlFlow;
 
 /// A simple path: `nodes.len() == edges.len() + 1`, no repeated nodes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,11 +94,6 @@ impl PathLimits {
     }
 }
 
-struct Frame {
-    neighbors: Vec<Adjacency>,
-    cursor: usize,
-}
-
 /// Reusable DFS state for [`for_each_simple_path`]: the on-path bitset, the
 /// per-depth cursor stack, and the current path buffers.
 ///
@@ -129,8 +128,15 @@ pub struct EnumerationStats {
 
 /// Visits every simple path from `source` to `target` without materializing
 /// it: the visitor receives borrowed node/edge slices valid only for the
-/// duration of the call. Enumeration order and limit semantics are identical
-/// to [`simple_paths`].
+/// duration of the call.
+///
+/// Paths arrive in DFS order: neighbours are tried in adjacency order, so
+/// a path is emitted before every path that leaves the common prefix by a
+/// later adjacency entry. `limits.max_nodes` drops longer paths without
+/// reordering the rest, and `limits.max_paths` stops the search after that
+/// many emissions. If `source == target` the single trivial path
+/// `[source]` is emitted (a requester co-located with its provider uses no
+/// network components beyond itself).
 ///
 /// `mask`, when present, restricts the search to nodes whose index maps to
 /// `true` — exactly as if every other node had been removed from the graph.
@@ -138,9 +144,7 @@ pub struct EnumerationStats {
 /// provably preserves the full path multiset while collapsing the DFS
 /// frontier to the source/target's block-cut-tree path.
 ///
-/// Unlike the iterator, this walks adjacency by cursor into
-/// [`Graph::adjacency_slice`] (no per-visited-node `Vec` collection) and
-/// reuses all bookkeeping buffers from `scratch`.
+/// All bookkeeping buffers come from `scratch`.
 pub fn for_each_simple_path<N, E>(
     graph: &Graph<N, E>,
     source: NodeId,
@@ -168,17 +172,63 @@ pub fn for_each_simple_path<N, E>(
         stats.emitted = 1;
         return stats;
     }
+    stats.frames = extend_simple_paths(
+        graph,
+        &[source],
+        &[],
+        target,
+        limits.max_nodes,
+        mask,
+        scratch,
+        |nodes, edges| {
+            emit(nodes, edges);
+            stats.emitted += 1;
+            if stats.emitted >= cap {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        },
+    );
+    stats
+}
+
+/// The DFS with path tracking (paper Sec. V-D), the one enumeration loop
+/// of this crate: extends the simple path `prefix_nodes` (joined by
+/// `prefix_edges`) to `target` in every possible way and hands each
+/// completed path to `emit`, in DFS order, until `emit` breaks. The prefix
+/// must be non-empty, must not contain `target`, and its nodes must pass
+/// `mask`. `max_nodes` bounds the completed path's node count. Returns the
+/// frames pushed, counting the prefix's head as one.
+///
+/// [`for_each_simple_path`] seeds it with the source alone;
+/// [`crate::parallel`] seeds it with each prefix of its fan-out.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn extend_simple_paths<N, E>(
+    graph: &Graph<N, E>,
+    prefix_nodes: &[NodeId],
+    prefix_edges: &[EdgeId],
+    target: NodeId,
+    max_nodes: Option<usize>,
+    mask: Option<&[bool]>,
+    scratch: &mut DiscoveryScratch,
+    mut emit: impl FnMut(&[NodeId], &[EdgeId]) -> ControlFlow<()>,
+) -> usize {
+    let allowed = |n: NodeId| mask.is_none_or(|m| m.get(n.index()).copied().unwrap_or(false));
     scratch.on_path.clear();
     scratch.on_path.resize(graph.node_capacity(), false);
-    scratch.cursors.clear();
+    for n in prefix_nodes {
+        scratch.on_path[n.index()] = true;
+    }
     scratch.path_nodes.clear();
+    scratch.path_nodes.extend_from_slice(prefix_nodes);
     scratch.path_edges.clear();
-    scratch.on_path[source.index()] = true;
-    scratch.path_nodes.push(source);
+    scratch.path_edges.extend_from_slice(prefix_edges);
+    scratch.cursors.clear();
     scratch.cursors.push(0);
-    stats.frames += 1;
+    let mut frames = 1;
     while let Some(depth) = scratch.cursors.len().checked_sub(1) {
-        let node = scratch.path_nodes[depth];
+        let node = *scratch.path_nodes.last().expect("one node per frame");
         let neighbors = graph.adjacency_slice(node);
         let cursor = scratch.cursors[depth];
         if cursor >= neighbors.len() {
@@ -193,17 +243,14 @@ pub fn for_each_simple_path<N, E>(
         let adj = neighbors[cursor];
 
         if adj.node == target {
-            let within = limits
-                .max_nodes
-                .is_none_or(|max| scratch.path_nodes.len() < max);
+            let within = max_nodes.is_none_or(|max| scratch.path_nodes.len() < max);
             if within {
                 scratch.path_nodes.push(target);
                 scratch.path_edges.push(adj.edge);
-                emit(&scratch.path_nodes, &scratch.path_edges);
+                let flow = emit(&scratch.path_nodes, &scratch.path_edges);
                 scratch.path_nodes.pop();
                 scratch.path_edges.pop();
-                stats.emitted += 1;
-                if stats.emitted >= cap {
+                if flow.is_break() {
                     break;
                 }
             }
@@ -213,9 +260,7 @@ pub fn for_each_simple_path<N, E>(
             continue; // path tracking: never re-enter the current path
         }
         // Only descend if a target hop could still fit under the cap.
-        let room = limits
-            .max_nodes
-            .is_none_or(|max| scratch.path_nodes.len() + 2 <= max);
+        let room = max_nodes.is_none_or(|max| scratch.path_nodes.len() + 2 <= max);
         if !room {
             continue;
         }
@@ -223,150 +268,58 @@ pub fn for_each_simple_path<N, E>(
         scratch.path_nodes.push(adj.node);
         scratch.path_edges.push(adj.edge);
         scratch.cursors.push(0);
-        stats.frames += 1;
+        frames += 1;
     }
     scratch.path_nodes.clear();
     scratch.path_edges.clear();
     scratch.cursors.clear();
-    stats
+    frames
 }
 
-/// Lazy iterator over all simple paths from `source` to `target`.
-pub struct SimplePaths<'g, N, E> {
-    graph: &'g Graph<N, E>,
-    target: NodeId,
-    limits: PathLimits,
-    stack: Vec<Frame>,
-    on_path: Vec<bool>,
-    path_nodes: Vec<NodeId>,
-    path_edges: Vec<EdgeId>,
-    emitted: usize,
-    trivial_pending: bool,
-    done: bool,
-}
-
-/// Enumerates all simple paths from `source` to `target`.
-///
-/// If `source == target` the single trivial path `[source]` is emitted
-/// (a requester co-located with its provider uses no network components
-/// beyond itself).
-pub fn simple_paths<'g, N, E>(
-    graph: &'g Graph<N, E>,
+/// Collects the paths [`for_each_simple_path`] visits, in its order, with
+/// a fresh scratch.
+pub(crate) fn collect_simple_paths<N, E>(
+    graph: &Graph<N, E>,
     source: NodeId,
     target: NodeId,
     limits: PathLimits,
-) -> SimplePaths<'g, N, E> {
-    let mut on_path = vec![false; graph.node_capacity()];
-    let trivial = source == target && graph.contains_node(source);
-    let mut stack = Vec::new();
-    let mut path_nodes = Vec::new();
-    if graph.contains_node(source) && graph.contains_node(target) && !trivial {
-        on_path[source.index()] = true;
-        path_nodes.push(source);
-        stack.push(Frame {
-            neighbors: graph.neighbors(source).collect(),
-            cursor: 0,
-        });
-    }
-    SimplePaths {
+    mask: Option<&[bool]>,
+) -> Vec<Path> {
+    let mut out = Vec::new();
+    for_each_simple_path(
         graph,
+        source,
         target,
         limits,
-        stack,
-        on_path,
-        path_nodes,
-        path_edges: Vec::new(),
-        emitted: 0,
-        trivial_pending: trivial,
-        done: false,
-    }
+        mask,
+        &mut DiscoveryScratch::new(),
+        |nodes, edges| {
+            out.push(Path {
+                nodes: nodes.to_vec(),
+                edges: edges.to_vec(),
+            })
+        },
+    );
+    out
 }
 
-impl<N, E> Iterator for SimplePaths<'_, N, E> {
-    type Item = Path;
-
-    fn next(&mut self) -> Option<Path> {
-        if self.done {
-            return None;
-        }
-        if let Some(cap) = self.limits.max_paths {
-            if self.emitted >= cap {
-                self.done = true;
-                return None;
-            }
-        }
-        if self.trivial_pending {
-            self.trivial_pending = false;
-            self.done = true;
-            self.emitted += 1;
-            let source = self.target;
-            return Some(Path {
-                nodes: vec![source],
-                edges: vec![],
-            });
-        }
-        loop {
-            let Some(frame) = self.stack.last_mut() else {
-                self.done = true;
-                return None;
-            };
-            if frame.cursor >= frame.neighbors.len() {
-                // Exhausted: backtrack.
-                self.stack.pop();
-                if let Some(n) = self.path_nodes.pop() {
-                    self.on_path[n.index()] = false;
-                }
-                self.path_edges.pop();
-                continue;
-            }
-            let adj = frame.neighbors[frame.cursor];
-            frame.cursor += 1;
-
-            if adj.node == self.target {
-                let within = self
-                    .limits
-                    .max_nodes
-                    .is_none_or(|cap| self.path_nodes.len() < cap);
-                if within {
-                    let mut nodes = self.path_nodes.clone();
-                    nodes.push(self.target);
-                    let mut edges = self.path_edges.clone();
-                    edges.push(adj.edge);
-                    self.emitted += 1;
-                    return Some(Path { nodes, edges });
-                }
-                continue;
-            }
-            if self.on_path[adj.node.index()] {
-                continue; // path tracking: never re-enter the current path
-            }
-            // Only descend if a target hop could still fit under the cap.
-            let room = self
-                .limits
-                .max_nodes
-                .is_none_or(|cap| self.path_nodes.len() + 2 <= cap);
-            if !room {
-                continue;
-            }
-            self.on_path[adj.node.index()] = true;
-            self.path_nodes.push(adj.node);
-            self.path_edges.push(adj.edge);
-            self.stack.push(Frame {
-                neighbors: self.graph.neighbors(adj.node).collect(),
-                cursor: 0,
-            });
-        }
-    }
-}
-
-/// Collects all simple paths into a vector (convenience wrapper).
+/// Collects all simple paths into a vector, in DFS order.
 pub fn all_simple_paths<N, E>(graph: &Graph<N, E>, source: NodeId, target: NodeId) -> Vec<Path> {
-    simple_paths(graph, source, target, PathLimits::unlimited()).collect()
+    collect_simple_paths(graph, source, target, PathLimits::unlimited(), None)
 }
 
 /// Counts simple paths without materializing them.
 pub fn count_simple_paths<N, E>(graph: &Graph<N, E>, source: NodeId, target: NodeId) -> usize {
-    simple_paths(graph, source, target, PathLimits::unlimited()).count()
+    for_each_simple_path(
+        graph,
+        source,
+        target,
+        PathLimits::unlimited(),
+        None,
+        &mut DiscoveryScratch::new(),
+        |_, _| {},
+    )
+    .emitted
 }
 
 /// Computes the **minimal path sets** over nodes: the node sets of all
@@ -515,16 +468,16 @@ mod tests {
     #[test]
     fn max_paths_limit_respected() {
         let (g, ids) = complete(6);
-        let limited: Vec<_> =
-            simple_paths(&g, ids[0], ids[1], PathLimits::default().with_max_paths(7)).collect();
+        let limits = PathLimits::default().with_max_paths(7);
+        let limited = collect_simple_paths(&g, ids[0], ids[1], limits, None);
         assert_eq!(limited.len(), 7);
     }
 
     #[test]
     fn max_nodes_limit_respected() {
         let (g, ids) = complete(5);
-        let limited: Vec<_> =
-            simple_paths(&g, ids[0], ids[1], PathLimits::default().with_max_nodes(3)).collect();
+        let limits = PathLimits::default().with_max_nodes(3);
+        let limited = collect_simple_paths(&g, ids[0], ids[1], limits, None);
         // direct (2 nodes) + one-intermediate paths (3 nodes): 1 + 3 = 4
         assert_eq!(limited.len(), 4);
         assert!(limited.iter().all(|p| p.nodes.len() <= 3));
@@ -599,24 +552,6 @@ mod tests {
             })
         });
         (out, stats)
-    }
-
-    #[test]
-    fn visitor_enumeration_matches_iterator_order_and_limits() {
-        let (g, ids) = complete(6);
-        let mut scratch = DiscoveryScratch::new();
-        for limits in [
-            PathLimits::unlimited(),
-            PathLimits::default().with_max_paths(7),
-            PathLimits::default().with_max_nodes(3),
-            PathLimits::default().with_max_nodes(4).with_max_paths(5),
-        ] {
-            let expected: Vec<_> = simple_paths(&g, ids[0], ids[5], limits).collect();
-            let (got, stats) = collect_visited(&g, ids[0], ids[5], limits, None, &mut scratch);
-            assert_eq!(got, expected, "limits {limits:?}");
-            assert_eq!(stats.emitted, expected.len());
-            assert!(stats.frames >= 1);
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{for_each_simple_path, DiscoveryScratch, EnumerationStats, Path, PathLimits};
+use crate::paths::{collect_simple_paths, Path, PathLimits};
 
 const UNASSIGNED: u32 = u32::MAX;
 /// `parent[b]` marker for BFS roots (blocks containing the source).
@@ -281,12 +281,13 @@ impl BlockCutTree {
 
 /// Enumerates all simple paths between `source` and `target` with
 /// block-cut-tree pruning: builds a [`BlockCutTree`], masks the search to
-/// the relevant blocks, and runs the allocation-lean DFS. The result is the
-/// same path multiset (in the same DFS order) as
-/// [`crate::paths::simple_paths`].
+/// the relevant blocks, and runs the DFS of [`crate::paths`]. The result is
+/// the same path list, in the same DFS order and under the same `limits`,
+/// as the unmasked [`crate::paths::for_each_simple_path`].
 ///
 /// For repeated queries over one graph, build the tree once and drive
-/// [`for_each_simple_path`] with a reused mask/scratch instead.
+/// [`crate::paths::for_each_simple_path`] with a reused mask/scratch
+/// instead.
 pub fn pruned_simple_paths<N, E>(
     graph: &Graph<N, E>,
     source: NodeId,
@@ -295,26 +296,10 @@ pub fn pruned_simple_paths<N, E>(
 ) -> Vec<Path> {
     let tree = BlockCutTree::new(graph);
     let mut mask = Vec::new();
-    let mut out = Vec::new();
     if tree.relevant_nodes(source, target, &mut mask) == 0 {
-        return out;
+        return Vec::new();
     }
-    let mut scratch = DiscoveryScratch::new();
-    let _: EnumerationStats = for_each_simple_path(
-        graph,
-        source,
-        target,
-        limits,
-        Some(&mask),
-        &mut scratch,
-        |nodes, edges| {
-            out.push(Path {
-                nodes: nodes.to_vec(),
-                edges: edges.to_vec(),
-            })
-        },
-    );
-    out
+    collect_simple_paths(graph, source, target, limits, Some(&mask))
 }
 
 #[cfg(test)]
@@ -451,7 +436,7 @@ mod tests {
     fn pruned_respects_caps_like_unpruned() {
         let (g, ids) = two_triangles_and_tail();
         let limits = PathLimits::default().with_max_paths(2).with_max_nodes(4);
-        let expected: Vec<_> = crate::paths::simple_paths(&g, ids[0], ids[4], limits).collect();
+        let expected = collect_simple_paths(&g, ids[0], ids[4], limits, None);
         let got = pruned_simple_paths(&g, ids[0], ids[4], limits);
         assert_eq!(got, expected);
     }

@@ -3,7 +3,9 @@
 //! against the parallel implementation on random graphs.
 
 use ict_graph::parallel::{parallel_simple_paths, ParallelOptions};
-use ict_graph::paths::{all_simple_paths, minimal_path_sets, Path, PathLimits};
+use ict_graph::paths::{
+    all_simple_paths, for_each_simple_path, minimal_path_sets, DiscoveryScratch, Path, PathLimits,
+};
 use ict_graph::prune::pruned_simple_paths;
 use ict_graph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -26,6 +28,8 @@ fn graph_strategy() -> impl Strategy<Value = (Graph<usize, ()>, Vec<NodeId>)> {
 }
 
 /// Brute-force simple-path enumeration by recursion over node sequences.
+/// It tries neighbours in adjacency order, as the DFS does, so it lists the
+/// paths in DFS order too.
 fn brute_force_paths(g: &Graph<usize, ()>, s: NodeId, t: NodeId) -> Vec<Path> {
     fn recurse(
         g: &Graph<usize, ()>,
@@ -64,6 +68,19 @@ fn brute_force_paths(g: &Graph<usize, ()>, s: NodeId, t: NodeId) -> Vec<Path> {
     out
 }
 
+/// The unmasked kernel's paths under `limits`, in emission order.
+fn kernel_paths(g: &Graph<usize, ()>, s: NodeId, t: NodeId, limits: PathLimits) -> Vec<Path> {
+    let mut out = Vec::new();
+    let mut scratch = DiscoveryScratch::new();
+    for_each_simple_path(g, s, t, limits, None, &mut scratch, |nodes, edges| {
+        out.push(Path {
+            nodes: nodes.to_vec(),
+            edges: edges.to_vec(),
+        })
+    });
+    out
+}
+
 /// A dense random multigraph: every vertex pair carries 0..=2 parallel
 /// edges, so most of the graph is one big biconnected component — the
 /// worst case for pruning (it must degrade to a no-op, not lose paths).
@@ -91,15 +108,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn enumeration_matches_brute_force((g, ids) in graph_strategy()) {
+    fn enumeration_matches_brute_force((g, ids) in graph_strategy(), si in 0usize..8, ti in 0usize..8) {
+        // Same paths in the same order: the kernel is an exact DFS.
+        let s = ids[si % ids.len()];
+        let t = ids[ti % ids.len()];
+        prop_assert_eq!(all_simple_paths(&g, s, t), brute_force_paths(&g, s, t));
+    }
+
+    #[test]
+    fn limits_filter_then_truncate_the_brute_force_order(
+        (g, ids) in graph_strategy(),
+        max_nodes in 1usize..9,
+        max_paths in 0usize..12,
+        which in 0u8..3,
+    ) {
+        // `max_nodes` drops longer paths without reordering the rest, and
+        // `max_paths` keeps the first paths of what is left.
         let s = ids[0];
         let t = ids[ids.len() - 1];
-        let mut found = all_simple_paths(&g, s, t);
-        let mut brute = brute_force_paths(&g, s, t);
-        found.sort();
-        brute.sort();
-        brute.dedup(); // brute force may revisit via parallel edges identically? (it cannot, edge ids differ)
-        prop_assert_eq!(found, brute);
+        let limits = PathLimits {
+            max_nodes: (which != 1).then_some(max_nodes),
+            max_paths: (which != 0).then_some(max_paths),
+        };
+        let want: Vec<Path> = brute_force_paths(&g, s, t)
+            .into_iter()
+            .filter(|p| limits.max_nodes.is_none_or(|max| p.nodes.len() <= max))
+            .take(limits.max_paths.unwrap_or(usize::MAX))
+            .collect();
+        prop_assert_eq!(kernel_paths(&g, s, t, limits), want, "limits {:?}", limits);
     }
 
     #[test]

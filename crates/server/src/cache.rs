@@ -4,7 +4,9 @@
 //! and bounded by a least-recently-used capacity so a long-lived engine
 //! facing an unbounded perspective population cannot grow without limit.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -36,6 +38,58 @@ impl PerspectiveKey {
     }
 }
 
+/// Device names packed into one buffer. A cached UPSIM holds dozens of
+/// short names, and a heap string each would cost more than the rest of
+/// its cache entry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NameList {
+    /// The names, concatenated.
+    bytes: String,
+    /// End offset of each name in `bytes`.
+    ends: Vec<u32>,
+}
+
+impl NameList {
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the list holds no name.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The names, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let name = &self.bytes[start..end as usize];
+            start = end as usize;
+            name
+        })
+    }
+
+    /// `true` when `name` is in the list.
+    pub fn contains(&self, name: &str) -> bool {
+        self.iter().any(|n| n == name)
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for NameList {
+    fn from_iter<I: IntoIterator<Item = S>>(names: I) -> Self {
+        let mut list = NameList::default();
+        for name in names {
+            list.bytes.push_str(name.as_ref());
+            list.ends
+                .push(u32::try_from(list.bytes.len()).expect("names fit in 4 GiB"));
+        }
+        list.bytes.shrink_to_fit();
+        list.ends.shrink_to_fit();
+        list
+    }
+}
+
 /// The materialized result of one perspective evaluation.
 #[derive(Debug, Clone)]
 pub struct CachedPerspective {
@@ -45,7 +99,7 @@ pub struct CachedPerspective {
     /// User-perceived steady-state service availability (exact, BDD).
     pub availability: f64,
     /// UPSIM node set, in generation order.
-    pub upsim_nodes: Vec<String>,
+    pub upsim_nodes: NameList,
     /// Discovered path count per atomic service, in execution order.
     pub path_counts: Vec<(String, usize)>,
     /// `|UPSIM| / |N|` over instances.
@@ -66,7 +120,8 @@ pub struct CachedPerspective {
     pub availability_ci: Option<(f64, f64)>,
     /// Per-component parameter posteriors, aligned with the availability
     /// model's component order (the `mc_program` compile input); `None`
-    /// entries are authored components. Feeds
+    /// entries, and components past the end, are authored. The engine
+    /// stores them only up to the last observed component. Feeds
     /// [`dependability::McProgram::posterior_sampler`] for block-resampled
     /// `MC ... interval` runs.
     pub posterior: Vec<Option<dependability::PosteriorComponent>>,
@@ -77,17 +132,12 @@ impl CachedPerspective {
     /// discovered path crossing the link visits both endpoints, so a
     /// perspective whose UPSIM misses either endpoint cannot be affected.
     pub fn touches_link(&self, a: &str, b: &str) -> bool {
-        let mut has_a = false;
-        let mut has_b = false;
-        for node in &self.upsim_nodes {
-            has_a |= node == a;
-            has_b |= node == b;
-        }
-        has_a && has_b
+        self.upsim_nodes.contains(a) && self.upsim_nodes.contains(b)
     }
 }
 
-/// One resident cache slot: the shared result plus its last-used stamp.
+/// One resident cache slot: the shared result, its last-used stamp and a
+/// filter over its UPSIM names.
 ///
 /// The stamp is a logical clock tick, not wall time — bumped from a shared
 /// counter on every hit, so eviction can find the least-recently-used
@@ -95,6 +145,38 @@ impl CachedPerspective {
 struct Slot {
     entry: Arc<CachedPerspective>,
     last_used: AtomicU64,
+    names: NameFilter,
+}
+
+/// A 512-bit Bloom filter over one entry's UPSIM names, two bits a name.
+/// An invalidation sweep skips, without reading the entry, every slot
+/// that lacks one of a name's bits; a full cache at 1,222 devices holds
+/// 70 names an entry, which sets about a quarter of the bits.
+#[derive(Clone, Copy, Default)]
+struct NameFilter([u64; 8]);
+
+impl NameFilter {
+    /// The two bit positions of `name`.
+    fn bits(name: &str) -> [usize; 2] {
+        let mut hasher = DefaultHasher::new();
+        name.hash(&mut hasher);
+        let hash = hasher.finish();
+        [hash as usize % 512, (hash >> 32) as usize % 512]
+    }
+
+    fn of(names: &NameList) -> Self {
+        let mut filter = NameFilter::default();
+        for bit in names.iter().flat_map(Self::bits) {
+            filter.0[bit / 64] |= 1 << (bit % 64);
+        }
+        filter
+    }
+
+    /// `false` when no name with these bits was added.
+    fn may_contain(&self, bits: [usize; 2]) -> bool {
+        bits.iter()
+            .all(|&bit| self.0[bit / 64] & (1 << (bit % 64)) != 0)
+    }
 }
 
 /// Concurrent map of perspective results with LRU capacity bounding.
@@ -171,6 +253,7 @@ impl PerspectiveCache {
     /// runs after (and sees the bumped epoch, rejecting the entry) — the
     /// stale result cannot survive in either interleaving.
     pub fn insert(&self, entry: Arc<CachedPerspective>, current_epoch: &AtomicU64) -> bool {
+        let names = NameFilter::of(&entry.upsim_nodes);
         let mut map = self.map.write().expect("cache poisoned");
         if entry.epoch != current_epoch.load(Ordering::SeqCst) {
             return false;
@@ -191,6 +274,7 @@ impl PerspectiveCache {
             Slot {
                 entry,
                 last_used: AtomicU64::new(stamp),
+                names,
             },
         );
         true
@@ -199,9 +283,14 @@ impl PerspectiveCache {
     /// Removes the perspectives a removed link `(a, b)` can affect; returns
     /// how many entries were dropped.
     pub fn invalidate_link(&self, a: &str, b: &str) -> usize {
+        let (bits_a, bits_b) = (NameFilter::bits(a), NameFilter::bits(b));
         let mut map = self.map.write().expect("cache poisoned");
         let before = map.len();
-        map.retain(|_, slot| !slot.entry.touches_link(a, b));
+        map.retain(|_, slot| {
+            !(slot.names.may_contain(bits_a)
+                && slot.names.may_contain(bits_b)
+                && slot.entry.touches_link(a, b))
+        });
         before - map.len()
     }
 
@@ -216,14 +305,13 @@ impl PerspectiveCache {
     /// components in one retain sweep; returns how many entries were
     /// dropped.
     pub fn invalidate_components(&self, names: &[&str]) -> usize {
+        let bits: Vec<[usize; 2]> = names.iter().map(|name| NameFilter::bits(name)).collect();
         let mut map = self.map.write().expect("cache poisoned");
         let before = map.len();
         map.retain(|_, slot| {
-            !slot
-                .entry
-                .upsim_nodes
-                .iter()
-                .any(|node| names.iter().any(|name| node == name))
+            !names.iter().zip(&bits).any(|(name, &bits)| {
+                slot.names.may_contain(bits) && slot.entry.upsim_nodes.contains(name)
+            })
         });
         before - map.len()
     }
@@ -319,7 +407,7 @@ mod tests {
             key: PerspectiveKey::new(client, provider, service),
             epoch: 0,
             availability: 0.99,
-            upsim_nodes: nodes.iter().map(|s| s.to_string()).collect(),
+            upsim_nodes: nodes.iter().collect(),
             path_counts: vec![],
             reduction_ratio: 0.5,
             eval_micros: 1,
@@ -328,6 +416,44 @@ mod tests {
             availability_ci: None,
             posterior: Vec::new(),
         })
+    }
+
+    #[test]
+    fn name_list_keeps_names_in_order() {
+        let list: NameList = ["t1", "", "sw", "t1x"].into_iter().collect();
+        assert_eq!(list.len(), 4);
+        assert_eq!(list.iter().collect::<Vec<_>>(), ["t1", "", "sw", "t1x"]);
+        assert!(list.contains("t1x") && list.contains(""));
+        assert!(!list.contains("t") && !list.contains("sw2"));
+        assert!(NameList::default().is_empty());
+    }
+
+    #[test]
+    fn filtered_sweeps_drop_exactly_the_entries_naming_the_component() {
+        // 400 entries of 70 names drawn from 300, so filters fill about as
+        // much as at 1,222 devices and some names are false positives.
+        let cache = PerspectiveCache::with_capacity(1000);
+        let epoch = AtomicU64::new(0);
+        let names: Vec<String> = (0..300).map(|i| format!("dev{i}")).collect();
+        let mut lists = Vec::new();
+        for e in 0..400usize {
+            let nodes: Vec<&str> = (0..70)
+                .map(|k| names[(e * 37 + k * k * 11) % 300].as_str())
+                .collect();
+            assert!(cache.insert(entry(&format!("c{e}"), "p", "s", &nodes), &epoch));
+            lists.push(nodes);
+        }
+        for probe in ["dev7", "dev123", "dev299", "absent"] {
+            let expected = lists.iter().filter(|nodes| nodes.contains(&probe)).count();
+            lists.retain(|nodes| !nodes.contains(&probe));
+            assert_eq!(cache.invalidate_component(probe), expected, "{probe}");
+            assert_eq!(cache.len(), lists.len());
+        }
+        let expected = lists
+            .iter()
+            .filter(|nodes| nodes.contains(&"dev1") && nodes.contains(&"dev2"))
+            .count();
+        assert_eq!(cache.invalidate_link("dev1", "dev2"), expected);
     }
 
     #[test]

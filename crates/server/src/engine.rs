@@ -159,6 +159,9 @@ pub struct EngineConfig {
     /// it.
     pub cache_capacity: usize,
     /// Step 7 options of every perspective evaluation, campaigns included.
+    /// The default is the sequential DFS on the worker's own workspace:
+    /// workers are already parallel across perspectives, so an evaluation
+    /// starts no threads of its own.
     pub discovery: DiscoveryOptions,
     /// Derives the per-perspective mapping for the default shard of
     /// [`Engine::new`] (defaults to [`pingpong_mapper`]). Engines built
@@ -169,18 +172,11 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        // Workers are already parallel across perspectives; keep Step 7's
-        // intra-query parallelism modest.
-        let discovery = DiscoveryOptions {
-            parallel: true,
-            threads: 2,
-            ..Default::default()
-        };
         EngineConfig {
             workers: 0,
             queue_capacity: 256,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            discovery,
+            discovery: DiscoveryOptions::default(),
             mapper: pingpong_mapper(),
         }
     }
@@ -1844,7 +1840,7 @@ fn evaluate_uncached(
     // availability model with the observation-fed parameters overlaid:
     // components with rate-carrying observations price at their posterior
     // means, everything else exactly as authored.
-    let (run, model, posterior) = evaluate_perspective(
+    let (run, model, mut posterior) = evaluate_perspective(
         &snapshot.infrastructure,
         &snapshot.service,
         &snapshot.interned_graph(),
@@ -1884,6 +1880,17 @@ fn evaluate_uncached(
     // hand: `MC` requests against this perspective replay the cached
     // program instead of re-deriving the structure function.
     let mc_program = Arc::new(model.compile_mc());
+    // `posterior_sampler` reads the posteriors by component index with
+    // `get`, so the entry keeps them only up to the last observed
+    // component: an unobserved perspective holds none, instead of one
+    // empty slot per component for as long as it stays cached.
+    posterior.truncate(
+        posterior
+            .iter()
+            .rposition(Option::is_some)
+            .map_or(0, |last| last + 1),
+    );
+    posterior.shrink_to_fit();
     let eval_micros = start.elapsed().as_micros() as u64;
     shard.metrics.record_timings(&run.timings);
     shard.metrics.eval_latency.record(eval_micros);
@@ -1891,7 +1898,7 @@ fn evaluate_uncached(
         key,
         epoch: snapshot.epoch,
         availability,
-        upsim_nodes: run.touched_devices().map(str::to_string).collect(),
+        upsim_nodes: run.touched_devices().collect(),
         path_counts: run
             .discovered
             .iter()

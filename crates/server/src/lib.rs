@@ -24,7 +24,8 @@
 //!   [`dependability::transform::evaluate_perspective`]: Steps 7–8 on the
 //!   snapshot's shared interned graph, then the availability model, with
 //!   no model space (the paper's Steps 5–6 import one that the server
-//!   never reads). Step 7 inside a worker can use `ict_graph::parallel`.
+//!   never reads). Step 7 is the sequential DFS of `ict_graph::paths` on
+//!   the worker's reused workspace, so an evaluation starts no threads.
 //! * [`protocol`] — a line-delimited request protocol (`QUERY`, `BATCH`,
 //!   `MC`, `UPDATE`, `STATS`, `USE`, `MODELS`, `SHUTDOWN`) with
 //!   single-line responses.

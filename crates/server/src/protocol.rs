@@ -776,7 +776,7 @@ mod tests {
             key: PerspectiveKey::new("t1", "p1", "printS"),
             epoch: 2,
             availability: 0.987654321,
-            upsim_nodes: vec!["t1".into(), "sw".into(), "p1".into()],
+            upsim_nodes: ["t1", "sw", "p1"].into_iter().collect(),
             path_counts: vec![("print".into(), 4)],
             reduction_ratio: 0.25,
             eval_micros: 1234,

@@ -74,7 +74,7 @@ fn batched_concurrent_evaluation_matches_sequential_pipeline() {
             "({client}, {printer}): batched {} != sequential {availability}",
             entry.availability
         );
-        let engine_nodes: BTreeSet<String> = entry.upsim_nodes.iter().cloned().collect();
+        let engine_nodes: BTreeSet<String> = entry.upsim_nodes.iter().map(str::to_string).collect();
         assert_eq!(
             engine_nodes, nodes,
             "({client}, {printer}): UPSIM node sets differ"
@@ -176,7 +176,7 @@ proptest! {
                         availability
                     );
                     let engine_nodes: BTreeSet<String> =
-                        entry.upsim_nodes.iter().cloned().collect();
+                        entry.upsim_nodes.iter().map(str::to_string).collect();
                     prop_assert_eq!(&engine_nodes, nodes);
                 }
                 (Err(_), Err(_)) => {} // both reject (e.g. partitioned model)

@@ -133,8 +133,8 @@ fn save_restore_resumes_exact_epoch_and_perspectives() {
             b.availability.to_bits(),
             "({client}, {provider}): availability drifted across restart"
         );
-        let nodes_a: BTreeSet<&String> = a.upsim_nodes.iter().collect();
-        let nodes_b: BTreeSet<&String> = b.upsim_nodes.iter().collect();
+        let nodes_a: BTreeSet<&str> = a.upsim_nodes.iter().collect();
+        let nodes_b: BTreeSet<&str> = b.upsim_nodes.iter().collect();
         assert_eq!(
             nodes_a, nodes_b,
             "({client}, {provider}): UPSIM node set drifted"

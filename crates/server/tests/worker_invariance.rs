@@ -213,6 +213,8 @@ fn mc_replies_are_byte_identical_across_worker_counts() {
             .expect("observations apply");
         let entry = engine.query("t1", "p1").expect("perspective evaluates");
         assert!(entry.observed > 0, "t1 -> p1 carries observed components");
+        // The entry keeps posteriors only up to its last observed component.
+        assert!(entry.posterior.last().is_some_and(Option::is_some));
         let sampler = entry.mc_program.posterior_sampler(&entry.posterior);
         let mut lines = Vec::new();
         for samples in SAMPLES {
