@@ -34,10 +34,10 @@
 //!   the exact availability) for confidence-interval estimates at
 //!   arbitrary sample counts without touching the pipeline.
 //! * the `CAMPAIGN` verb — mass what-if campaigns ([`upsim_campaign`]):
-//!   the engine pins a shard's snapshot, fans generated perturbation
+//!   the engine pins a shard's snapshot, prices generated perturbation
 //!   scenarios (kill each component, cut each link, substitute each
-//!   service step, MTBF sweeps, cross-products) across the same worker
-//!   pool via opaque task jobs, and streams `PROGRESS` milestones before
+//!   service step, MTBF sweeps, cross-products) in one pool job that
+//!   idle workers help claim, and streams `PROGRESS` milestones before
 //!   the ranked SPOF/worst-user report. The live shard is never touched —
 //!   no epoch bump, no cache traffic — and the report is byte-identical
 //!   across worker counts.

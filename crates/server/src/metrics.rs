@@ -193,13 +193,13 @@ pub struct EngineMetrics {
     pub observations_total: AtomicU64,
     pub errors: AtomicU64,
     /// Nanoseconds pool workers spent executing this shard's jobs
-    /// (evaluations, campaign chunks, wire requests) — busy time, not
+    /// (requests and their `MC` and campaign helpers) — busy time, not
     /// wall time, so `worker_busy_ns / (wall * workers)` is utilization.
     pub worker_busy_ns: AtomicU64,
     /// Pool jobs executed for this shard (every `Job` variant).
     pub tasks_executed: AtomicU64,
-    /// Chunked scatter submissions for this shard's campaigns: how many
-    /// pool tasks its baseline + scenario fan-outs were coalesced into
+    /// Pool jobs this shard's campaigns ran as: each prepared campaign's
+    /// own job plus the helpers that claimed its baselines and scenarios
     /// (vs. `scenarios_evaluated`, the per-item count).
     pub scatter_chunks: AtomicU64,
     pub eval_latency: LatencyHistogram,
@@ -371,7 +371,7 @@ pub struct MetricsSnapshot {
     pub worker_busy_ns: u64,
     /// Pool jobs executed (every `Job` variant, summed over shards).
     pub tasks_executed: u64,
-    /// Pool tasks campaign fan-outs were coalesced into (chunked scatter).
+    /// Pool jobs campaigns ran as: their own jobs plus their helpers.
     pub scatter_chunks: u64,
     pub evals: u64,
     pub eval_mean_micros: f64,

@@ -6,7 +6,7 @@
 //! [`crate::reactor::Poller`], parses complete requests out of
 //! per-connection read buffers, and hands the work to the engine via
 //! [`Engine::execute_wire`] — the crossbeam worker pool stays the only
-//! source of CPU parallelism. Workers (and campaign threads) deliver
+//! source of CPU parallelism, campaigns included. Workers deliver
 //! results to a completion sink; the reactor drains it and routes each
 //! response into its connection's write buffer. An idle connection costs
 //! a slab slot and a few buffers, so thousands of open monitoring

@@ -175,10 +175,10 @@ fn over_cap_connections_are_shed_with_server_busy() {
     server.join();
 }
 
-/// Bugfix 4: a campaign whose client disconnects is cancelled — the
-/// scatter loop stops fanning out and `scenarios_evaluated` stops short
-/// of the scenario total (pre-fix the whole list burned through the pool
-/// with nobody listening).
+/// Bugfix 4: a campaign whose client disconnects is cancelled — its
+/// claimants stop before their next scenario and `scenarios_evaluated`
+/// stops short of the scenario total (pre-fix the whole list burned
+/// through the pool with nobody listening).
 #[test]
 fn disconnected_campaign_client_cancels_the_fanout() {
     // One kill scenario per USI device, priced by an 8M-trial Monte-Carlo

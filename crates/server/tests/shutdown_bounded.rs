@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
-use upsim_server::{serve, Engine, EngineConfig, EngineError, ModelSnapshot};
+use upsim_server::{serve, CampaignSpec, Engine, EngineConfig, EngineError, ModelSnapshot};
 
 fn usi_engine(workers: usize) -> Engine {
     let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
@@ -119,5 +119,42 @@ fn concurrent_mc_calls_during_shutdown_all_return() {
         done_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("every MC thread must observe Shutdown in bounded time");
+    }
+}
+
+/// Campaign callers racing `shutdown()` all return, with a report or
+/// `Shutdown`, in bounded time: every claimant of a running campaign
+/// checks the flag before each baseline and scenario, and a campaign
+/// still queued is drained unrun.
+#[test]
+fn concurrent_campaign_calls_during_shutdown_all_return() {
+    const PAIRS: [&str; 4] = ["t1:p1", "t5:p2", "t10:p3", "t15:p1"];
+
+    let engine = usi_engine(2);
+    let (done_tx, done_rx) = mpsc::channel();
+    for pair in PAIRS {
+        let engine = engine.clone();
+        let done_tx = done_tx.clone();
+        std::thread::spawn(move || {
+            let spec = format!("kill-each-component pairs:{pair} mc:4096:7");
+            let stopped = loop {
+                let spec = CampaignSpec::parse(&spec).expect("spec parses");
+                if let Err(err) = engine.campaign(spec, |_, _| {}) {
+                    break err;
+                }
+            };
+            let _ = done_tx.send(stopped);
+        });
+    }
+    drop(done_tx);
+
+    std::thread::sleep(Duration::from_millis(20));
+    engine.shutdown();
+
+    for _ in PAIRS {
+        let stopped = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("every campaign caller must observe Shutdown in bounded time");
+        assert_eq!(stopped, EngineError::Shutdown);
     }
 }

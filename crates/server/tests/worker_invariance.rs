@@ -1,6 +1,7 @@
-//! Worker-count invariance of campaign reports, property-tested: under
-//! the chunked scatter scheduler, copy-on-write scenario overlays, and
-//! per-chunk reused evaluation scratch, the rendered JSON report must be
+//! Worker-count invariance of campaign reports, property-tested: with
+//! baselines and scenarios claimed by the campaign's worker and its
+//! helpers, copy-on-write scenario overlays, and per-claimant reused
+//! evaluation scratch, the rendered JSON report must be
 //! byte-identical at 1, 2, 4, and 8 workers for any campaign the spec
 //! grammar can express — exact or Monte-Carlo, CRN on or off. `MC`
 //! replies, whose trial blocks are shared with helper jobs on idle
@@ -97,10 +98,10 @@ proptest! {
     }
 }
 
-/// The per-scenario `progress` callback still ticks once per scenario
-/// (not per chunk) under chunked submission — the server's PROGRESS
-/// milestones depend on it — and the scatter-chunk counters show the
-/// coalescing actually happened.
+/// The per-scenario `progress` callback ticks once per scenario (not per
+/// claim), in order — the server's PROGRESS milestones depend on it — and
+/// `scatter_chunks` counts the few pool jobs the campaign ran as (its own
+/// job plus helpers), each executed and accounted busy time.
 #[test]
 fn progress_ticks_per_scenario_under_chunked_scatter() {
     let engine = usi_engine(4);
