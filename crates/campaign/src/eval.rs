@@ -283,86 +283,92 @@ impl Baseline {
     }
 }
 
-/// Evaluates a contiguous chunk of the perspective scope, reusing one
-/// Step 7 workspace across its pairs.
+/// Evaluates a contiguous chunk of the perspective scope on one [`EvalCtx`].
 pub fn evaluate_baseline_chunk(
     input: &CampaignInput,
     range: Range<usize>,
 ) -> Result<Vec<BaselinePerspective>, String> {
-    let mut out = Vec::with_capacity(range.len());
-    let mut workspace = DiscoveryWorkspace::default();
-    for ix in range {
-        let (client, provider) = &input.pairs[ix];
-        let mapping = (input.mapper)(&input.service, client, provider);
-        let (run, model, posteriors) = evaluate_perspective(
-            &input.infrastructure,
-            &input.service,
-            &input.graph,
-            &mapping,
-            &input.params,
-            input.discovery,
-            &mut workspace,
-        )
-        .map_err(|e| e.to_string())?;
-        // The posteriors matter beyond their point estimates, which the
-        // model already carries, only under the `posterior` clause.
-        let posteriors = if input.spec.posterior {
-            posteriors
-        } else {
-            Vec::new()
-        };
-        let upsim = run.touched_devices().map(str::to_string).collect();
-        let classes = component_classes(&input.infrastructure, &model);
-        // `posterior` campaigns always take the shared-stream MC path —
-        // block resampling rewrites thresholds between blocks, which a
-        // packed draw table cannot represent, so the table is skipped
-        // while the per-perspective seed (paired sampling) is kept.
-        let mc = match input.spec.mc {
-            Some(settings) if input.spec.crn || input.spec.posterior => {
-                let program = model.compile_mc_unfolded();
-                let seed = derive_seed(settings.seed, ix as u64);
-                let table = (!input.spec.posterior
-                    && program.table_words(settings.samples) <= MAX_TABLE_WORDS)
-                    .then(|| program.draw_table(settings.samples, seed));
-                Some(McBaseline {
-                    program,
-                    table,
-                    seed,
-                })
-            }
-            _ => None,
-        };
-        // Under CRN the baseline is priced from the same stream the
-        // scenarios will share; otherwise it is BDD-exact.
-        let (availability, interval) = match &mc {
-            Some(mcb) => {
-                let settings = input.spec.mc.expect("mc settings present");
-                let sampler = input
-                    .spec
-                    .posterior
-                    .then(|| mcb.program.posterior_sampler(&posteriors));
-                let spec = RunSpec {
-                    probs: None,
-                    sampling: mcb.sampling(settings.samples, mcb.seed, sampler.as_ref()),
-                };
-                let outcome = mcb.program.execute(&spec, &mut McScratch::default());
-                (outcome.result.estimate, outcome.interval)
-            }
-            None => (model.availability_bdd(), None),
-        };
-        out.push(BaselinePerspective {
-            client: Arc::clone(client),
-            provider: Arc::clone(provider),
-            availability,
-            upsim,
-            model,
-            classes,
-            mc,
-            posteriors,
-            interval,
-        });
-    }
-    Ok(out)
+    let mut ctx = EvalCtx::default();
+    range
+        .map(|ix| evaluate_baseline(input, ix, &mut ctx))
+        .collect()
+}
+
+/// Evaluates the baseline of scope pair `ix` on the caller's [`EvalCtx`].
+pub fn evaluate_baseline(
+    input: &CampaignInput,
+    ix: usize,
+    ctx: &mut EvalCtx,
+) -> Result<BaselinePerspective, String> {
+    let (client, provider) = &input.pairs[ix];
+    let mapping = (input.mapper)(&input.service, client, provider);
+    let (run, model, posteriors) = evaluate_perspective(
+        &input.infrastructure,
+        &input.service,
+        &input.graph,
+        &mapping,
+        &input.params,
+        input.discovery,
+        &mut ctx.workspace,
+    )
+    .map_err(|e| e.to_string())?;
+    // The posteriors matter beyond their point estimates, which the
+    // model already carries, only under the `posterior` clause.
+    let posteriors = if input.spec.posterior {
+        posteriors
+    } else {
+        Vec::new()
+    };
+    let upsim = run.touched_devices().map(str::to_string).collect();
+    let classes = component_classes(&input.infrastructure, &model);
+    // `posterior` campaigns always take the shared-stream MC path —
+    // block resampling rewrites thresholds between blocks, which a
+    // packed draw table cannot represent, so the table is skipped
+    // while the per-perspective seed (paired sampling) is kept.
+    let mc = match input.spec.mc {
+        Some(settings) if input.spec.crn || input.spec.posterior => {
+            let program = model.compile_mc_unfolded();
+            let seed = derive_seed(settings.seed, ix as u64);
+            let table = (!input.spec.posterior
+                && program.table_words(settings.samples) <= MAX_TABLE_WORDS)
+                .then(|| program.draw_table(settings.samples, seed));
+            Some(McBaseline {
+                program,
+                table,
+                seed,
+            })
+        }
+        _ => None,
+    };
+    // Under CRN the baseline is priced from the same stream the
+    // scenarios will share; otherwise it is BDD-exact.
+    let (availability, interval) = match &mc {
+        Some(mcb) => {
+            let settings = input.spec.mc.expect("mc settings present");
+            let sampler = input
+                .spec
+                .posterior
+                .then(|| mcb.program.posterior_sampler(&posteriors));
+            let spec = RunSpec {
+                probs: None,
+                sampling: mcb.sampling(settings.samples, mcb.seed, sampler.as_ref()),
+            };
+            let outcome = mcb.program.execute(&spec, &mut ctx.scratch);
+            (outcome.result.estimate, outcome.interval)
+        }
+        None => (model.availability_bdd(), None),
+    };
+    Ok(BaselinePerspective {
+        client: Arc::clone(client),
+        provider: Arc::clone(provider),
+        availability,
+        upsim,
+        model,
+        classes,
+        mc,
+        posteriors,
+        interval,
+    })
 }
 
 /// One evaluated scenario: per-perspective availabilities aligned with
@@ -386,13 +392,15 @@ pub struct ScenarioOutcome {
 }
 
 /// Reusable per-worker evaluation state: scratch buffers shared by every
-/// scenario a worker prices, so an N-scenario chunk allocates MC scratch
-/// (words, overlay draws, worklists) and Step 7 scratch once instead of
-/// once per scenario.
+/// evaluation a worker runs (a server worker holds one for all its jobs),
+/// so MC scratch (words, overlay draws, worklists) and Step 7 scratch are
+/// allocated once per worker instead of once per evaluation.
 #[derive(Default)]
 pub struct EvalCtx {
-    scratch: McScratch,
-    workspace: DiscoveryWorkspace,
+    /// Monte-Carlo kernel scratch.
+    pub scratch: McScratch,
+    /// Step 7 path-discovery scratch.
+    pub workspace: DiscoveryWorkspace,
 }
 
 /// Evaluates scenario `index` against the shared baselines with

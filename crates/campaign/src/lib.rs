@@ -33,8 +33,9 @@ pub mod scenario;
 pub mod spec;
 
 pub use eval::{
-    evaluate_baseline_chunk, evaluate_scenario, evaluate_scenario_with, run_serial, Baseline,
-    BaselinePerspective, CampaignInput, EvalCtx, PerspectiveMapper, ScenarioOutcome,
+    evaluate_baseline, evaluate_baseline_chunk, evaluate_scenario, evaluate_scenario_with,
+    run_serial, Baseline, BaselinePerspective, CampaignInput, EvalCtx, PerspectiveMapper,
+    ScenarioOutcome,
 };
 pub use report::{aggregate, nines, CampaignReport, ScenarioRow, UserImpact};
 pub use scenario::{Perturbation, Scenario};

@@ -70,17 +70,18 @@
 //! merged accumulator and the count of blocks not yet folded in — and every
 //! claimant calls [`McProgram::claim`] on it with a scratch of its own:
 //! it takes the cursor's blocks in small claims, so a straggler
-//! rebalances instead of serializing the tail, for as long as its
-//! predicate lets it, then folds its blocks into the shared accumulator.
+//! rebalances instead of serializing the tail, through a function that
+//! may stop it before any claim, then folds its blocks into the shared
+//! accumulator.
 //! The claimant that folds in the last block gets the outcome; every
 //! other one gets `None`, and a claimant that starts after the cursor ran
 //! out does nothing. No claimant waits for another, so a run completes as
 //! long as one claimant never stops. [`McProgram::run`] and
 //! [`McProgram::run_posterior`] claim on the calling thread plus scoped
 //! threads (inline when one worker or one claim suffices); the server's
-//! `MC` verb claims on the worker that took the request plus helper jobs
-//! on pool workers that had no job to run, which stop claiming once
-//! another job waits for a worker. Successes
+//! `MC` verb claims through its claim run's one stop rule, on the worker
+//! that took the request plus helper jobs on pool workers that had no job
+//! to run. Successes
 //! (and the block moments behind the posterior interval) are integer
 //! sums over blocks, so every partition of the blocks gives a
 //! bit-identical result.
@@ -605,9 +606,9 @@ impl BlockAccum {
 
 /// A claim cursor over the items `0..len` that several claimants drain
 /// concurrently, each claim a range of at most `chunk` items: an `MC`
-/// run's wide blocks, or a server campaign's baseline pairs and
-/// scenarios. It only partitions the items — claimants' results meet
-/// elsewhere — so it is accessed `Relaxed`.
+/// run's wide blocks, or one by one a server claim run's items, each a
+/// whole evaluation. It only partitions the items — claimants' results
+/// meet elsewhere — so it is accessed `Relaxed`.
 #[derive(Debug)]
 pub struct ClaimCursor {
     next: AtomicUsize,
@@ -616,9 +617,9 @@ pub struct ClaimCursor {
 }
 
 impl ClaimCursor {
-    /// A cursor over `len` items with the steal chunk for `claimants`.
-    pub fn new(len: usize, claimants: usize) -> ClaimCursor {
-        ClaimCursor::with_chunk(len, steal_chunk(len as u64, claimants) as usize)
+    /// A cursor over `len` items that hands out one item per claim.
+    pub fn new(len: usize) -> ClaimCursor {
+        ClaimCursor::with_chunk(len, 1)
     }
 
     fn with_chunk(len: usize, chunk: usize) -> ClaimCursor {
@@ -998,27 +999,28 @@ impl McProgram {
     }
 
     /// Claims blocks of `spec` from `share` (built by
-    /// [`share`](McProgram::share) for the same spec) until its cursor runs
-    /// out or `keep_claiming`, asked before every claim, says stop; then
-    /// folds them into the shared accumulator. Returns the run's outcome to
-    /// exactly one caller — the one that folds in the last block — and
-    /// `None` to every other, including a caller that found the cursor
-    /// exhausted. Never waits for another claimant, so a caller whose
-    /// helpers never start (or stop early) simply claims the remaining
-    /// blocks itself; at least one claimant must keep claiming until the
-    /// cursor runs out. The outcome is bit-identical however the blocks
-    /// were split.
+    /// [`share`](McProgram::share) for the same spec) with `next`, which
+    /// takes a range from the share's cursor or stops the claimant with
+    /// `None` ([`ClaimCursor::claim`] claims until the cursor runs out);
+    /// then folds them into the shared accumulator. Returns the run's
+    /// outcome to exactly one caller — the one that folds in the last
+    /// block — and `None` to every other, including a caller that found
+    /// the cursor exhausted. Never waits for another claimant, so a caller
+    /// whose helpers never start (or stop early) simply claims the
+    /// remaining blocks itself; at least one claimant must keep claiming
+    /// until the cursor runs out. The outcome is bit-identical however the
+    /// blocks were split.
     pub fn claim(
         &self,
         spec: &RunSpec,
         share: &BlockShare,
         scratch: &mut McScratch,
-        mut keep_claiming: impl FnMut() -> bool,
+        mut next: impl FnMut(&ClaimCursor) -> Option<Range<usize>>,
     ) -> Option<RunOutcome> {
         let (samples, _) = spec.sampling.grid();
         let posterior = matches!(spec.sampling, Sampling::Posterior { .. });
         if let Some(estimate) = self.constant_estimate() {
-            let first = keep_claiming() && share.cursor.claim().is_some();
+            let first = next(&share.cursor).is_some();
             return first.then_some(RunOutcome {
                 result: MonteCarloResult {
                     estimate,
@@ -1029,7 +1031,7 @@ impl McProgram {
                 reused_words: 0,
             });
         }
-        let part = self.block_loop(spec, share, scratch, &mut keep_claiming);
+        let part = self.block_loop(spec, share, scratch, &mut next);
         if part.blocks == 0 {
             return None;
         }
@@ -1053,16 +1055,17 @@ impl McProgram {
         let share = self.share(spec, workers);
         let helpers = workers.min(share.claims()) - 1;
         let outcome = if helpers == 0 {
-            self.claim(spec, &share, scratch, || true)
+            self.claim(spec, &share, scratch, ClaimCursor::claim)
         } else {
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..helpers)
                     .map(|_| {
-                        scope
-                            .spawn(|_| self.claim(spec, &share, &mut McScratch::default(), || true))
+                        scope.spawn(|_| {
+                            self.claim(spec, &share, &mut McScratch::default(), ClaimCursor::claim)
+                        })
                     })
                     .collect();
-                let mine = self.claim(spec, &share, scratch, || true);
+                let mine = self.claim(spec, &share, scratch, ClaimCursor::claim);
                 handles.into_iter().fold(mine, |outcome, handle| {
                     outcome.or(handle.join().expect("worker panicked"))
                 })
@@ -1074,8 +1077,8 @@ impl McProgram {
 
     /// The one block loop: writes the probability overlay into the
     /// scratch's draw vector, then claims steal-chunk-sized spans of the
-    /// run's wide blocks from the share's cursor until it is exhausted or
-    /// `keep_claiming` returns false. For each block it
+    /// run's wide blocks from the share's cursor with `next` until it
+    /// returns `None`. For each block it
     ///
     /// 1. resamples the posterior slots' thresholds, in posterior mode;
     /// 2. copies every slot whose `(stream, threshold)` key matches the
@@ -1093,7 +1096,7 @@ impl McProgram {
         spec: &RunSpec,
         share: &BlockShare,
         scratch: &mut McScratch,
-        keep_claiming: &mut impl FnMut() -> bool,
+        next: &mut impl FnMut(&ClaimCursor) -> Option<Range<usize>>,
     ) -> BlockAccum {
         let (samples, seed) = spec.sampling.grid();
         let pack = pack_slots_fn();
@@ -1121,10 +1124,7 @@ impl McProgram {
         }
         let reused_per_block = ((draws.len() - fresh.len()) * WIDE_WORDS) as u64;
         let mut accum = BlockAccum::default();
-        while keep_claiming() {
-            let Some(claimed) = share.cursor.claim() else {
-                break;
-            };
+        while let Some(claimed) = next(&share.cursor) {
             for block in claimed.map(|block| block as u64) {
                 match spec.sampling {
                     Sampling::Posterior { sampler, .. } => sampler.resample(seed, block, draws),
@@ -1148,12 +1148,12 @@ fn wide_block_count(samples: usize) -> u64 {
     samples.div_ceil(WIDE_TRIALS) as u64
 }
 
-/// Steal-chunk size for fanning `blocks` items over `workers` claimants
-/// — an `MC` run's wide blocks, or a campaign's baseline pairs and
-/// scenarios: roughly eight claims per worker so stragglers rebalance,
-/// clamped to `[1, 64]` so neither the claim rate nor the per-claim
-/// latency degenerates. Chunking only changes which worker sums which
-/// blocks — never the total — so any chunk size preserves bit-exactness.
+/// Steal-chunk size for fanning an `MC` run's `blocks` wide blocks over
+/// `workers` claimants: roughly eight claims per worker so stragglers
+/// rebalance, clamped to `[1, 64]` so neither the claim rate nor the
+/// per-claim latency degenerates. Chunking only changes which worker sums
+/// which blocks — never the total — so any chunk size preserves
+/// bit-exactness.
 fn steal_chunk(blocks: u64, workers: usize) -> u64 {
     (blocks / (workers.max(1) as u64 * 8)).clamp(1, 64)
 }
@@ -1431,7 +1431,9 @@ mod tests {
         let outcomes: Vec<RunOutcome> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..claimants)
                 .map(|_| {
-                    scope.spawn(|_| program.claim(spec, &share, &mut McScratch::default(), || true))
+                    scope.spawn(|_| {
+                        program.claim(spec, &share, &mut McScratch::default(), ClaimCursor::claim)
+                    })
                 })
                 .collect();
             handles
@@ -1483,9 +1485,12 @@ mod tests {
             );
             // One claimant drains every block; one that starts after the
             // cursor ran out gets nothing, not a second copy.
-            let outcome = program.claim(&spec, &share, &mut scratch, || true);
+            let outcome = program.claim(&spec, &share, &mut scratch, ClaimCursor::claim);
             assert_eq!(outcome.map(|o| o.result), Some(program.run(samples, 1, 5)));
-            assert_eq!(program.claim(&spec, &share, &mut scratch, || true), None);
+            assert_eq!(
+                program.claim(&spec, &share, &mut scratch, ClaimCursor::claim),
+                None
+            );
         }
         // A constant program is one claim that samples nothing.
         let dead = compile(&p, &[vec![]]);
@@ -1498,12 +1503,15 @@ mod tests {
         };
         let share = dead.share(&spec, 8);
         assert_eq!(share.claims(), 1);
-        assert_eq!(dead.claim(&spec, &share, &mut scratch, || false), None);
+        assert_eq!(dead.claim(&spec, &share, &mut scratch, |_| None), None);
         let outcome = dead
-            .claim(&spec, &share, &mut scratch, || true)
+            .claim(&spec, &share, &mut scratch, ClaimCursor::claim)
             .expect("first claim");
         assert_eq!(outcome.result, dead.run(100_000, 4, 5));
-        assert_eq!(dead.claim(&spec, &share, &mut scratch, || true), None);
+        assert_eq!(
+            dead.claim(&spec, &share, &mut scratch, ClaimCursor::claim),
+            None
+        );
     }
 
     #[test]
@@ -1532,16 +1540,16 @@ mod tests {
                 assert!(share.claims() > 3, "{samples} trials make several claims");
                 // A claimant told to stop before its first claim takes
                 // nothing.
-                assert_eq!(program.claim(&spec, &share, &mut scratch, || false), None);
+                assert_eq!(program.claim(&spec, &share, &mut scratch, |_| None), None);
                 // One that stops after three claims folds them in but
                 // cannot finish the run; the claimant that keeps going does.
                 let mut left = 3;
-                let early = program.claim(&spec, &share, &mut scratch, || {
+                let early = program.claim(&spec, &share, &mut scratch, |cursor| {
                     left -= 1;
-                    left >= 0
+                    (left >= 0).then(|| cursor.claim()).flatten()
                 });
                 assert_eq!(early, None);
-                let outcome = program.claim(&spec, &share, &mut scratch, || true);
+                let outcome = program.claim(&spec, &share, &mut scratch, ClaimCursor::claim);
                 assert_eq!(
                     outcome,
                     Some(program.execute(&spec, &mut McScratch::default()))

@@ -3,16 +3,16 @@
 //! Request path: every verb enters through [`Engine::execute_wire`]. It
 //! resolves the shard, answers cache hits and immediate errors on the
 //! calling thread, and hands everything that evaluates, mutates or
-//! samples to the worker pool as one job. An `MC` job shares its trial
-//! blocks, and a `CAMPAIGN` job its baselines and then its scenarios,
-//! with helper jobs for workers that have no job to run; whichever
-//! claimant finishes the last item answers, so no thread waits on the
-//! pool. The answer goes to a completion callback. The TCP
-//! front-end's callback writes the reply; the blocking methods (`query`,
-//! `batch`, `monte_carlo`, `update`, `save_state`, `campaign` and their
-//! `_on` forms) pass a one-shot channel and wait on it. A request is
-//! therefore counted, queued and cancelled in one place, whichever caller
-//! sent it.
+//! samples to the worker pool as one job. An `MC`, a `BATCH` with misses
+//! and a `CAMPAIGN` each run as one claim run: the worker that took the
+//! request claims its items (blocks; misses; baselines, then scenarios)
+//! beside helper jobs on free workers, and whichever claimant finishes the
+//! last item answers, so no thread waits on the pool. The answer goes to a
+//! completion callback. The TCP front-end's callback writes the reply; the
+//! blocking methods (`query`, `batch`, `monte_carlo`, `update`,
+//! `save_state`, `campaign` and their `_on` forms) pass a one-shot channel
+//! and wait on it. A request is therefore counted, queued and cancelled in
+//! one place, whichever caller sent it.
 //!
 //! Concurrency design, in one paragraph: each registered model lives in
 //! its own shard — an `RwLock<Arc<ModelSnapshot>>`; workers clone the
@@ -35,24 +35,24 @@
 //! [`Engine::with_models`] registers several named shards behind the same
 //! pool, addressed by the `USE <model>` protocol verb.
 
+mod pool;
+
 use std::collections::HashMap;
-use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, Sender};
-use dependability::mcprog::{
-    BlockShare, ClaimCursor, McScratch, PosteriorSampler, RunSpec, Sampling,
-};
+use dependability::mcprog::{BlockShare, ClaimCursor, PosteriorSampler, RunSpec, Sampling};
 use dependability::transform::evaluate_perspective;
+use pool::{ClaimRun, Job, Phase, Phases, Reply};
 use upsim_campaign::{
-    aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, BaselinePerspective,
+    aggregate, evaluate_baseline, evaluate_scenario_with, Baseline, BaselinePerspective,
     CampaignInput, CampaignReport, CampaignSpec, EvalCtx, ScenarioOutcome,
 };
-use upsim_core::discovery::{DiscoveryOptions, DiscoveryWorkspace};
+use upsim_core::discovery::DiscoveryOptions;
 use upsim_core::error::UpsimError;
 use upsim_core::service::CompositeService;
 
@@ -267,25 +267,6 @@ pub struct UpdateSummary {
     pub kind: &'static str,
 }
 
-/// One unit of pool work, run with its worker's Step 7 scratch buffers.
-type PoolTask = Box<dyn FnOnce(&mut DiscoveryWorkspace) + Send>;
-
-enum Job {
-    /// One unit of pool work: a request's pool half (which reports
-    /// through the completion callback it captured), or a helper claiming
-    /// items of an `MC` or campaign run on a worker that had no job to
-    /// run. Dropping an unexecuted Run (shutdown drain) drops that
-    /// callback, which its waiter reads as `EngineError::Shutdown`; an
-    /// unexecuted helper claimed nothing, so the run's other claimants
-    /// finish it. The shard tag is accounting only (`worker_busy_ns` /
-    /// `tasks_executed`).
-    Run {
-        shard: Arc<Shard>,
-        run: PoolTask,
-    },
-    Stop,
-}
-
 /// A request as [`Engine::execute_wire`] takes it. The TCP front-end
 /// builds one per parsed command, the blocking methods one per call. The
 /// engine answers cache hits synchronously and routes everything that
@@ -311,9 +292,10 @@ pub enum WireRequest {
     },
     Update(UpdateCommand),
     Save,
-    /// A what-if campaign. The worker that takes it claims its baselines
-    /// and then its scenarios, joined by helpers on idle workers, calling
-    /// `progress(done, total)` after each scenario; flipping `cancel`
+    /// A what-if campaign: a claim run whose phases are its baseline
+    /// pairs and then its scenarios, claimed by the worker that takes it
+    /// and by helpers on free workers. `progress(done, total)` is called
+    /// after each scenario, never after the answer; flipping `cancel`
     /// (e.g. when the requesting client disconnects) stops every claimant
     /// before its next item and answers `campaign cancelled`.
     Campaign {
@@ -354,157 +336,35 @@ pub enum WireResponse {
 /// around the state it captures (the TCP front-end does exactly that).
 pub type WireCallback = Box<dyn FnOnce(Result<WireResponse, EngineError>) + Send>;
 
-/// A request's completion callback, answered at most once: by whichever
-/// claimant of a shared run gets there first.
-struct Reply(Mutex<Option<WireCallback>>);
-
-impl Reply {
-    fn new(done: WireCallback) -> Reply {
-        Reply(Mutex::new(Some(done)))
-    }
-
-    /// Fires the callback, unless an earlier answer already has.
-    fn answer(&self, result: Result<WireResponse, EngineError>) {
-        let done = self.0.lock().expect("reply poisoned").take();
-        if let Some(done) = done {
-            done(result);
-        }
-    }
-}
-
-/// Called with the number of slots filled so far, once per fill.
-type Tick = Box<dyn FnMut(usize) + Send>;
-
-/// Index-keyed results of one request's items, filled in any order from
-/// any thread: a `BATCH`'s pairs, or a campaign's baselines or scenarios.
-struct Slots<T> {
-    /// `None` once the last slot has filled or the slots were closed,
-    /// which drops the tick.
-    open: Mutex<Option<Open<T>>>,
-}
-
-/// Open slots: the values so far, how many are filled, and the tick.
-type Open<T> = (Vec<Option<T>>, usize, Tick);
-
-impl<T> Slots<T> {
-    fn new(len: usize, tick: Tick) -> Slots<T> {
-        let values = (0..len).map(|_| None).collect();
-        Slots {
-            open: Mutex::new(Some((values, 0, tick))),
-        }
-    }
-
-    /// Stores `value` under `index` and ticks, both under the lock, so
-    /// ticks count up in order and none follows `close`. Returns every
-    /// value, in index order, to the caller that fills the last slot; once
-    /// closed, drops `value`.
-    fn fill(&self, index: usize, value: T) -> Option<Vec<T>> {
-        let mut open = self.open.lock().expect("slots poisoned");
-        let (values, filled, tick) = open.as_mut()?;
-        values[index] = Some(value);
-        *filled += 1;
-        tick(*filled);
-        if *filled < values.len() {
-            return None;
-        }
-        open.take()?.0.into_iter().collect()
-    }
-
-    /// Closes the slots unless the last one has filled: `true` for the one
-    /// caller that closed them.
-    fn close(&self) -> bool {
-        self.open.lock().expect("slots poisoned").take().is_some()
-    }
-}
-
-/// A `BATCH`'s per-pair results across the pool: the pair that fills the
-/// last slot answers, with no thread parked anywhere.
-struct BatchCollector {
-    slots: Slots<Result<Arc<CachedPerspective>, EngineError>>,
-    reply: Reply,
-}
-
-impl BatchCollector {
-    fn fill(&self, index: usize, result: Result<Arc<CachedPerspective>, EngineError>) {
-        if let Some(results) = self.slots.fill(index, result) {
-            self.reply.answer(Ok(WireResponse::Batch(results)));
-        }
-    }
-}
-
-/// One `MC` request's sampling run, shared by the worker that took the
-/// request and the helper jobs it posted. Every claimant claims from the
-/// same [`BlockShare`]; the one that folds in the last block fires the
-/// completion callback, so no worker ever waits on another.
-struct McRun {
+/// An `MC`'s one phase: its sampling run's blocks, which `McProgram::claim`
+/// takes through the run's stop rule and merges.
+struct McBlocks {
     entry: Arc<CachedPerspective>,
     cached: bool,
     samples: usize,
     seed: u64,
     interval: bool,
-    /// `Some` for an `MC … interval` on an observed perspective: the
-    /// run block-resamples these slots from their posteriors.
+    /// Resamples observed slots (an `MC … interval` on observed parameters).
     sampler: Option<PosteriorSampler>,
     share: BlockShare,
-    reply: Reply,
 }
 
-impl McRun {
-    fn new(
-        entry: Arc<CachedPerspective>,
-        cached: bool,
-        samples: usize,
-        seed: u64,
-        interval: bool,
-        workers: usize,
-        done: WireCallback,
-    ) -> McRun {
-        // Point estimate unless an interval was asked for; with refined
-        // parameters the interval run block-resamples thresholds from the
-        // posterior (interval for the posterior mean), otherwise it is
-        // the Wilson interval around the point estimate — zero
-        // observations degrade to exactly the point run.
-        let sampler = (interval && entry.observed > 0)
-            .then(|| entry.mc_program.posterior_sampler(&entry.posterior));
-        let share = entry
-            .mc_program
-            .share(&mc_spec(samples, seed, sampler.as_ref()), workers);
-        McRun {
-            entry,
-            cached,
-            samples,
-            seed,
-            interval,
-            sampler,
-            share,
-            reply: Reply::new(done),
+impl Phases for McBlocks {
+    fn claim(run: &Arc<ClaimRun<Self>>, ctx: &mut EvalCtx, anchor: bool) {
+        let mc = &run.phases;
+        let spec = mc_spec(mc.samples, mc.seed, mc.sampler.as_ref());
+        let next = |cursor: &ClaimCursor| run.next_range(cursor, anchor);
+        let program = &mc.entry.mc_program;
+        // The claimant that folds in the last block answers.
+        if let Some(outcome) = program.claim(&spec, &mc.share, &mut ctx.scratch, next) {
+            let wilson = outcome.result.confidence_95();
+            run.reply.answer(Ok(WireResponse::MonteCarlo {
+                result: outcome.result,
+                entry: Arc::clone(&mc.entry),
+                cached: mc.cached,
+                interval: mc.interval.then(|| outcome.interval.unwrap_or(wilson)),
+            }));
         }
-    }
-
-    /// Claims blocks until the cursor runs out or `keep_claiming` says
-    /// stop; the claimant that folds in the last block answers the
-    /// request.
-    fn claim(&self, keep_claiming: impl FnMut() -> bool) {
-        let spec = mc_spec(self.samples, self.seed, self.sampler.as_ref());
-        let Some(outcome) = self.entry.mc_program.claim(
-            &spec,
-            &self.share,
-            &mut McScratch::default(),
-            keep_claiming,
-        ) else {
-            return;
-        };
-        let interval = self.interval.then(|| {
-            outcome
-                .interval
-                .unwrap_or_else(|| outcome.result.confidence_95())
-        });
-        self.reply.answer(Ok(WireResponse::MonteCarlo {
-            result: outcome.result,
-            entry: Arc::clone(&self.entry),
-            cached: self.cached,
-            interval,
-        }));
     }
 }
 
@@ -525,164 +385,106 @@ fn mc_spec(samples: usize, seed: u64, sampler: Option<&PosteriorSampler>) -> Run
     }
 }
 
-/// One `CAMPAIGN`'s run, shared like an [`McRun`] by the worker that took
-/// the request and the helper jobs it posts. Claimants take ranges of
-/// baseline pairs, then of scenarios, from two cursors into index-keyed
-/// slots. Whoever fills the last baseline slot builds the baseline and
-/// claims scenarios until their cursor is empty, and whoever fills the
-/// last scenario slot answers, so no claimant waits for another and each
-/// phase has one claimant that stops only for cancellation or shutdown.
-struct CampaignRun {
-    shard: Arc<Shard>,
-    input: CampaignInput,
-    cancel: Arc<AtomicBool>,
-    pairs: ClaimCursor,
-    baselines: Slots<Result<BaselinePerspective, String>>,
-    baseline: OnceLock<Baseline>,
-    scenarios: ClaimCursor,
-    outcomes: Slots<Result<ScenarioOutcome, String>>,
-    /// Helpers that handed their worker to a queued request, each posted
-    /// again by the next claim that finds a worker free.
-    yielded: AtomicUsize,
-    reply: Reply,
+/// One pair's result in a `BATCH` reply.
+type PairResult = Result<Arc<CachedPerspective>, EngineError>;
+
+/// A `BATCH`'s one phase: the pairs its probe missed, in pair order.
+struct BatchMisses {
+    pairs: Vec<(String, String)>,
+    /// Each pair's probe, up to the first failure.
+    probed: Vec<Result<Option<Arc<CachedPerspective>>, EngineError>>,
+    misses: Vec<usize>,
+    phase: Phase<PairResult>,
 }
 
-impl CampaignRun {
-    /// Claims ranges of baseline pairs, checking the flags before each and
-    /// pricing each through one Step 7 workspace; the worker that took the
-    /// request is `first` and claims until the cursor is empty. A failed
-    /// range fails each of its pairs with its first failure's message, so
-    /// the lowest failed pair's message is reported whoever priced it. The
-    /// claimant that fills the last slot builds the baseline, lends the
-    /// scenarios idle workers and claims them until their cursor is empty.
-    fn claim(self: &Arc<Self>, pool: &Engine, first: bool) {
-        let baselines = 'claims: loop {
-            let Some(range) = self.next_claim(pool, &self.pairs, first) else {
-                return;
-            };
-            if self.stopped(pool) {
-                return;
-            }
-            let results: Vec<_> = match evaluate_baseline_chunk(&self.input, range.clone()) {
-                Ok(chunk) => chunk.into_iter().map(Ok).collect(),
-                Err(msg) => range.clone().map(|_| Err(msg.clone())).collect(),
-            };
-            for (ix, result) in range.zip(results) {
-                if let Some(baselines) = self.baselines.fill(ix, result) {
-                    break 'claims baselines;
+impl BatchMisses {
+    /// The reply: each pair's result in order, where the first failure
+    /// also stands for every later pair. Every miss before it ran.
+    fn reply(&self, evaluated: Vec<Option<PairResult>>) -> WireResponse {
+        let mut evaluated = evaluated.into_iter().flatten();
+        let mut results = Vec::with_capacity(self.pairs.len());
+        for probed in self.probed.iter().cloned() {
+            let result = probed.transpose().or_else(|| evaluated.next());
+            match result.expect("every miss before the first failure is evaluated") {
+                Ok(entry) => results.push(Ok(entry)),
+                Err(err) => {
+                    results.resize(self.pairs.len(), Err(err));
+                    break;
                 }
             }
-        };
-        let perspectives = match baselines.into_iter().collect::<Result<Vec<_>, _>>() {
-            Ok(perspectives) => perspectives,
-            Err(msg) => return self.stop(EngineError::Campaign(msg)),
-        };
-        // A baseline with MC state was priced by one run on its stream:
-        // under common random numbers, and in every `posterior` campaign.
-        let sampled = perspectives.iter().filter(|p| p.mc.is_some()).count() as u64;
-        let samples = self.input.spec.mc.map_or(0, |mc| mc.samples as u64);
-        EngineMetrics::add(&self.shard.metrics.mc_trials_total, samples * sampled);
-        let baseline = self.baseline.get_or_init(|| Baseline { perspectives });
-        pool.post_helpers(&self.shard, self, self.scenarios.claims(), Self::help);
-        self.claim_scenarios(pool, baseline, true);
+        }
+        WireResponse::Batch(results)
     }
+}
 
-    /// Claims scenarios through one reused `EvalCtx`, checking the flags
-    /// before each; until their cursor is empty if this claimant built the
-    /// baseline (`anchor`). The one that fills the last slot aggregates the
-    /// report and answers.
-    fn claim_scenarios(self: &Arc<Self>, pool: &Engine, baseline: &Baseline, anchor: bool) {
-        let metrics = &self.shard.metrics;
-        let mut ctx = EvalCtx::default();
-        let outcomes = 'claims: loop {
-            let Some(range) = self.next_claim(pool, &self.scenarios, anchor) else {
+impl Phases for BatchMisses {
+    fn claim(run: &Arc<ClaimRun<Self>>, ctx: &mut EvalCtx, anchor: bool) {
+        let batch = &run.phases;
+        let evaluated = run.claim_items(&batch.phase, anchor, |ix| {
+            let (client, provider) = &batch.pairs[batch.misses[ix]];
+            evaluate(&run.shard, ctx, client, provider)
+        });
+        if let Some(evaluated) = evaluated {
+            run.reply.answer(Ok(batch.reply(evaluated)));
+        }
+    }
+}
+
+/// A `CAMPAIGN`'s phases: its baseline pairs, then its scenarios against
+/// the baseline they build.
+struct CampaignPhases {
+    input: CampaignInput,
+    pairs: Phase<Result<BaselinePerspective, String>>,
+    baseline: OnceLock<Baseline>,
+    scenarios: Phase<Result<ScenarioOutcome, String>>,
+}
+
+impl Phases for CampaignPhases {
+    /// Counts the job as one the campaign ran as and joins the open phase.
+    /// Whoever stores the last baseline opens the scenarios as their
+    /// anchor; whoever stores the last scenario aggregates the report.
+    fn claim(run: &Arc<ClaimRun<Self>>, ctx: &mut EvalCtx, mut anchor: bool) {
+        let (campaign, metrics) = (&run.phases, &run.shard.metrics);
+        EngineMetrics::bump(&metrics.scatter_chunks);
+        if campaign.baseline.get().is_none() {
+            let price = |ix| evaluate_baseline(&campaign.input, ix, ctx);
+            let Some(results) = run.claim_items(&campaign.pairs, anchor, price) else {
                 return;
             };
-            for index in range {
-                if self.stopped(pool) {
-                    return;
-                }
-                let outcome = evaluate_scenario_with(&self.input, baseline, index, &mut ctx);
-                if let Ok(outcome) = &outcome {
-                    EngineMetrics::bump(&metrics.scenarios_evaluated);
-                    EngineMetrics::add(&metrics.mc_trials_total, outcome.mc_trials);
-                    EngineMetrics::add(&metrics.campaign_crn_reuse, outcome.crn_reused);
-                }
-                if let Some(outcomes) = self.outcomes.fill(index, outcome) {
-                    break 'claims outcomes;
-                }
+            let built = match results.into_iter().flatten().collect() {
+                Ok(perspectives) => Baseline { perspectives },
+                Err(msg) => return run.reply.answer(Err(EngineError::Campaign(msg))),
+            };
+            // A baseline with MC state was priced by one run on its
+            // stream: under common random numbers, and in every
+            // `posterior` campaign.
+            let sampled = built.perspectives.iter().filter(|p| p.mc.is_some());
+            let samples = campaign.input.spec.mc.map_or(0, |mc| mc.samples as u64);
+            EngineMetrics::add(&metrics.mc_trials_total, samples * sampled.count() as u64);
+            campaign.baseline.get_or_init(|| built);
+            run.open(campaign.scenarios.cursor.claims());
+            anchor = true;
+        }
+        let baseline = campaign.baseline.get().expect("the baseline phase is done");
+        let outcomes = run.claim_items(&campaign.scenarios, anchor, |ix| {
+            let outcome = evaluate_scenario_with(&campaign.input, baseline, ix, ctx);
+            run.reply.tick();
+            if let Ok(outcome) = &outcome {
+                EngineMetrics::bump(&metrics.scenarios_evaluated);
+                EngineMetrics::add(&metrics.mc_trials_total, outcome.mc_trials);
+                EngineMetrics::add(&metrics.campaign_crn_reuse, outcome.crn_reused);
             }
-        };
-        let report = outcomes
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map(|outcomes| aggregate(&self.input, baseline, &outcomes))
-            .map_err(EngineError::Campaign);
-        if report.is_ok() {
-            EngineMetrics::bump(&metrics.campaigns_run);
-        }
-        let json = self.input.spec.json;
-        self.reply
-            .answer(report.map(|report| WireResponse::Campaign { report, json }));
-    }
-
-    /// The next range this claimant takes from `cursor`. `None` once the
-    /// cursor is empty, or — unless `always` — once a job waits for a
-    /// worker: that helper hands its worker back, and the next claim that
-    /// finds a worker free posts it again, so the campaign regains the
-    /// worker once the queued request is served.
-    fn next_claim(
-        self: &Arc<Self>,
-        pool: &Engine,
-        cursor: &ClaimCursor,
-        always: bool,
-    ) -> Option<Range<usize>> {
-        if !always && pool.jobs_wait() {
-            self.yielded.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let range = cursor.claim()?;
-        let owed = |n: usize| n.checked_sub(1);
-        if pool.worker_free()
-            && self
-                .yielded
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, owed)
-                .is_ok()
-        {
-            pool.post_helper(&self.shard, self, Self::help);
-        }
-        Some(range)
-    }
-
-    /// Whether the engine is shutting down or the campaign was cancelled;
-    /// the first claimant to see either stops the run.
-    fn stopped(&self, pool: &Engine) -> bool {
-        let err = if pool.shared.shutdown.load(Ordering::SeqCst) {
-            EngineError::Shutdown
-        } else if self.cancel.load(Ordering::Relaxed) {
-            EngineError::Campaign("campaign cancelled".into())
-        } else {
-            return false;
-        };
-        self.stop(err);
-        true
-    }
-
-    /// Closes the scenario slots, so no progress tick follows, and answers
-    /// `err` unless the run has answered already.
-    fn stop(&self, err: EngineError) {
-        if self.outcomes.close() {
-            self.reply.answer(Err(err));
-        }
-    }
-
-    /// A helper job's body, counted as one of the pool jobs the campaign
-    /// ran as: it joins whichever phase is running.
-    fn help(self: &Arc<Self>, pool: &Engine) {
-        EngineMetrics::bump(&self.shard.metrics.scatter_chunks);
-        match self.baseline.get() {
-            Some(baseline) => self.claim_scenarios(pool, baseline, false),
-            None => self.claim(pool, false),
+            outcome
+        });
+        if let Some(outcomes) = outcomes {
+            let outcomes: Result<Vec<_>, _> = outcomes.into_iter().flatten().collect();
+            let report = outcomes.map(|outcomes| aggregate(&campaign.input, baseline, &outcomes));
+            if report.is_ok() {
+                EngineMetrics::bump(&metrics.campaigns_run);
+            }
+            let json = campaign.input.spec.json;
+            let reply = report.map(|report| WireResponse::Campaign { report, json });
+            run.reply.answer(reply.map_err(EngineError::Campaign));
         }
     }
 }
@@ -805,9 +607,8 @@ struct Shared {
     unnamed_default: bool,
     shutdown: AtomicBool,
     /// Workers not running a job: parked on the queue, or about to take
-    /// from it. With the queue length it tells an `MC` or campaign run
-    /// whether it may borrow a worker (see `Engine::jobs_wait` and
-    /// `Engine::worker_free`).
+    /// from it. With the queue length it tells a claim run whether it may
+    /// borrow a worker (see `Engine::spare_workers`).
     idle_workers: AtomicUsize,
     /// Root state directory once persistence is enabled (the manifest and
     /// per-model subtrees live under it; the legacy layout *is* it).
@@ -896,7 +697,7 @@ impl Engine {
             let rx = job_rx.clone();
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || {
-                worker_loop(rx, &shared.idle_workers)
+                pool::worker_loop(rx, &shared.idle_workers)
             }));
         }
         Ok(Engine {
@@ -911,19 +712,6 @@ impl Engine {
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
         self.workers
-    }
-
-    /// Whether the queue holds more jobs than there are free workers —
-    /// workers with no job to run — to take them. Both counts move under
-    /// other threads, so this is a hint, never a promise.
-    fn jobs_wait(&self) -> bool {
-        self.job_rx.len() > self.shared.idle_workers.load(Ordering::Relaxed)
-    }
-
-    /// Whether a free worker would take a job posted now at once: more
-    /// workers have no job to run than jobs wait. A hint, like `jobs_wait`.
-    fn worker_free(&self) -> bool {
-        self.job_rx.len() < self.shared.idle_workers.load(Ordering::Relaxed)
     }
 
     /// Resolves a model name (`None` = the default shard).
@@ -1107,8 +895,9 @@ impl Engine {
     }
 
     /// Evaluates a batch of perspectives concurrently across the pool,
-    /// returning results in input order (default shard). A failure of the
-    /// whole request (the engine shut down) fails every pair.
+    /// returning results in input order (default shard). A pair after the
+    /// first failure is not evaluated and carries that failure. A failure
+    /// of the whole request (the engine shut down) fails every pair.
     pub fn batch(
         &self,
         pairs: &[(String, String)],
@@ -1117,7 +906,10 @@ impl Engine {
             .unwrap_or_else(|err| vec![Err(err); pairs.len()])
     }
 
-    /// [`Engine::batch`] against a named model (`None` = default).
+    /// [`Engine::batch`] against a named model (`None` = default). The
+    /// misses before the first failure run as one pool job with helpers; a
+    /// pair after the first failure is not evaluated and carries that
+    /// failure.
     pub fn batch_on(
         &self,
         model: Option<&str>,
@@ -1142,12 +934,12 @@ impl Engine {
     /// evaluation; repeated `MC` requests — e.g. with growing sample
     /// counts or different seeds — replay it without re-running Steps
     /// 7–8. The trials run on the worker that took the request plus
-    /// whichever workers had no job to run when it started (each gives its
-    /// worker back once another job waits), and the counter-based kernel
-    /// makes the estimate a pure function of `(samples, seed)`, so the
-    /// reply does not depend on the pool size or the load. More than
-    /// [`MAX_MC_SAMPLES`] trials are refused with
-    /// [`EngineError::McSampleLimit`].
+    /// helpers on free workers, each handing its worker to a queued job
+    /// and posted again once a worker is free; the counter-based kernel
+    /// makes the estimate a pure function of `(samples, seed)` whatever
+    /// the pool size or load. A shutdown stops the run within one claim
+    /// ([`EngineError::Shutdown`]). More than [`MAX_MC_SAMPLES`] trials are
+    /// refused with [`EngineError::McSampleLimit`].
     pub fn monte_carlo(
         &self,
         client: &str,
@@ -1231,9 +1023,9 @@ impl Engine {
     /// front-end's reactor calls it and returns to its event loop
     /// immediately, and the blocking methods wait on a channel it answers.
     /// Cache hits and immediate errors invoke `done` synchronously on the
-    /// calling thread; everything else runs on a worker (with its Step 7
-    /// workspace), joined by helpers for an `MC` or a campaign, and
-    /// whichever of them finishes the request invokes `done`.
+    /// calling thread; everything else runs on a worker (with its scratch
+    /// buffers), joined by helpers for an `MC`, a `BATCH` or a campaign,
+    /// and whichever of them finishes the request invokes `done`.
     pub fn execute_wire(&self, model: Option<&str>, request: WireRequest, done: WireCallback) {
         let shard = match self.shard(model) {
             Ok(shard) => Arc::clone(shard),
@@ -1251,58 +1043,50 @@ impl Engine {
                         entry,
                         cached: true,
                     })),
-                    Ok(None) => {
-                        let tag = Arc::clone(&shard);
-                        self.enqueue(
-                            &tag,
-                            Box::new(move |workspace| {
-                                let result = evaluate(&shard, workspace, &client, &provider);
-                                if result.is_err() {
-                                    EngineMetrics::bump(&shard.metrics.errors);
-                                }
-                                done(result.map(|entry| WireResponse::Query {
-                                    entry,
-                                    cached: false,
-                                }));
-                            }),
-                        )
-                    }
+                    Ok(None) => self.enqueue(
+                        Arc::clone(&shard),
+                        Box::new(move |ctx| {
+                            let result = evaluate(&shard, ctx, &client, &provider);
+                            done(result.map(|entry| WireResponse::Query {
+                                entry,
+                                cached: false,
+                            }));
+                        }),
+                    ),
                 }
             }
             WireRequest::Batch { pairs } => {
                 EngineMetrics::bump(&shard.metrics.batches);
                 EngineMetrics::add(&shard.metrics.queries, pairs.len() as u64);
-                if pairs.is_empty() {
-                    return done(Ok(WireResponse::Batch(Vec::new())));
-                }
-                // Probe every pair up front so the whole batch is in flight
-                // before any result lands; the collector fires `done` when
-                // the last slot fills, wherever that is.
-                let collector = Arc::new(BatchCollector {
-                    slots: Slots::new(pairs.len(), Box::new(|_| {})),
-                    reply: Reply::new(done),
-                });
-                for (index, (client, provider)) in pairs.into_iter().enumerate() {
-                    match probe(&shard, &client, &provider) {
-                        Err(err) => collector.fill(index, Err(err)),
-                        Ok(Some(entry)) => collector.fill(index, Ok(entry)),
-                        Ok(None) => {
-                            let task_shard = Arc::clone(&shard);
-                            let task_collector = Arc::clone(&collector);
-                            self.enqueue(
-                                &shard,
-                                Box::new(move |workspace| {
-                                    let result =
-                                        evaluate(&task_shard, workspace, &client, &provider);
-                                    if result.is_err() {
-                                        EngineMetrics::bump(&task_shard.metrics.errors);
-                                    }
-                                    task_collector.fill(index, result);
-                                }),
-                            );
-                        }
+                // Probe in pair order up to the first failure, which fails
+                // every later pair: an all-hit batch never reaches the pool.
+                let mut probed = Vec::with_capacity(pairs.len());
+                for (client, provider) in &pairs {
+                    probed.push(probe(&shard, client, provider));
+                    if probed.last().is_some_and(Result::is_err) {
+                        break;
                     }
                 }
+                let misses: Vec<usize> = (0..probed.len())
+                    .filter(|&ix| matches!(probed[ix], Ok(None)))
+                    .collect();
+                let batch = BatchMisses {
+                    phase: Phase::new(misses.len()),
+                    pairs,
+                    probed,
+                    misses,
+                };
+                if batch.misses.is_empty() {
+                    return done(Ok(batch.reply(Vec::new())));
+                }
+                let (pool, claims) = (self.clone(), batch.phase.cursor.claims());
+                let reply = Reply::new(done, Box::new(|_| {}));
+                self.enqueue(
+                    Arc::clone(&shard),
+                    Box::new(move |ctx| {
+                        ClaimRun::start(&pool, &shard, reply, None, batch, claims, ctx)
+                    }),
+                );
             }
             WireRequest::MonteCarlo {
                 client,
@@ -1316,139 +1100,91 @@ impl Engine {
                     return done(Err(EngineError::McSampleLimit(samples)));
                 }
                 // One worker probes (and maybe evaluates) the perspective,
-                // then shares the sampling run with helper jobs for
-                // workers that have nothing else to do (`post_helpers`)
-                // and claims until the cursor runs out, so the run never
-                // depends on a helper. The counter-based kernel is
-                // bit-identical for any split of the blocks, so the reply
-                // does not depend on how many workers joined in.
-                let tag = Arc::clone(&shard);
-                let engine = self.clone();
+                // then claims the blocks with helpers; any split of them
+                // gives a bit-identical reply.
+                let pool = self.clone();
                 self.enqueue(
-                    &tag,
-                    Box::new(move |workspace| {
+                    Arc::clone(&shard),
+                    Box::new(move |ctx| {
                         EngineMetrics::bump(&shard.metrics.queries);
-                        let looked_up = match probe(&shard, &client, &provider) {
-                            Err(err) => Err(err),
-                            Ok(Some(entry)) => Ok((entry, true)),
-                            Ok(None) => match evaluate(&shard, workspace, &client, &provider) {
-                                Ok(entry) => Ok((entry, false)),
-                                Err(err) => {
-                                    EngineMetrics::bump(&shard.metrics.errors);
-                                    Err(err)
-                                }
+                        let (entry, cached) = match probe(&shard, &client, &provider) {
+                            Ok(Some(entry)) => (entry, true),
+                            Ok(None) => match evaluate(&shard, ctx, &client, &provider) {
+                                Ok(entry) => (entry, false),
+                                Err(err) => return done(Err(err)),
                             },
-                        };
-                        let (entry, cached) = match looked_up {
-                            Ok(found) => found,
                             Err(err) => return done(Err(err)),
                         };
                         EngineMetrics::bump(&shard.metrics.mc_queries);
                         EngineMetrics::add(&shard.metrics.mc_trials_total, samples as u64);
-                        let run = Arc::new(McRun::new(
+                        // Only an interval on observed parameters resamples
+                        // from the posterior (the posterior mean's interval).
+                        let sampler = (interval && entry.observed > 0)
+                            .then(|| entry.mc_program.posterior_sampler(&entry.posterior));
+                        let spec = mc_spec(samples, seed, sampler.as_ref());
+                        let share = entry.mc_program.share(&spec, pool.workers);
+                        let claims = share.claims();
+                        let mc = McBlocks {
                             entry,
                             cached,
                             samples,
                             seed,
                             interval,
-                            engine.workers,
-                            done,
-                        ));
-                        engine.post_helpers(&shard, &run, run.share.claims(), |run, pool| {
-                            run.claim(|| !pool.jobs_wait())
-                        });
-                        run.claim(|| true);
+                            sampler,
+                            share,
+                        };
+                        let reply = Reply::new(done, Box::new(|_| {}));
+                        ClaimRun::start(&pool, &shard, reply, None, mc, claims, ctx);
                     }),
                 );
             }
-            WireRequest::Update(command) => {
-                let tag = Arc::clone(&shard);
-                self.enqueue(
-                    &tag,
-                    Box::new(move |_| {
-                        done(apply_update(&shard, command).map(WireResponse::Update));
-                    }),
-                );
-            }
-            WireRequest::Save => {
-                let tag = Arc::clone(&shard);
-                self.enqueue(
-                    &tag,
-                    Box::new(move |_| {
-                        done(save_shard(&shard).map(WireResponse::Save));
-                    }),
-                );
-            }
+            WireRequest::Update(command) => self.enqueue(
+                Arc::clone(&shard),
+                Box::new(move |_| done(apply_update(&shard, command).map(WireResponse::Update))),
+            ),
+            WireRequest::Save => self.enqueue(
+                Arc::clone(&shard),
+                Box::new(move |_| done(save_shard(&shard).map(WireResponse::Save))),
+            ),
             WireRequest::Campaign {
                 spec,
                 cancel,
-                progress,
+                mut progress,
             } => {
-                let tag = Arc::clone(&shard);
-                let engine = self.clone();
+                // The pool half pins the shard's current snapshot and
+                // prepares the campaign before its claim run starts.
+                let pool = self.clone();
                 self.enqueue(
-                    &tag,
-                    Box::new(move |_| engine.start_campaign(&shard, spec, cancel, progress, done)),
+                    Arc::clone(&shard),
+                    Box::new(move |ctx| {
+                        let snapshot = shard.model();
+                        let input = match CampaignInput::prepare(
+                            snapshot.infrastructure.clone(),
+                            snapshot.service.clone(),
+                            Arc::clone(&shard.mapper),
+                            shard.discovery,
+                            Some(snapshot.interned_graph()),
+                            Arc::clone(&snapshot.params),
+                            spec,
+                        ) {
+                            Ok(input) => input,
+                            Err(msg) => return done(Err(EngineError::Campaign(msg))),
+                        };
+                        // `prepare` yields at least one pair and one
+                        // scenario, so both phases have a last item.
+                        let (pairs, total) = (input.pairs.len(), input.scenarios.len());
+                        let campaign = CampaignPhases {
+                            pairs: Phase::new(pairs),
+                            baseline: OnceLock::new(),
+                            scenarios: Phase::new(total),
+                            input,
+                        };
+                        let claims = campaign.pairs.cursor.claims();
+                        let reply = Reply::new(done, Box::new(move |n| progress(n, total)));
+                        ClaimRun::start(&pool, &shard, reply, Some(cancel), campaign, claims, ctx);
+                    }),
                 );
             }
-        }
-    }
-
-    /// Posts helper jobs that run `help` on `run`, an `MC` or campaign run
-    /// that hands out `claims` claims: at most one per other worker, while
-    /// no job waits for a worker (see `jobs_wait`) and every claimant keeps
-    /// at least two claims — a helper that can win only one claim costs
-    /// more to dispatch than it saves. Helpers thus go to free workers;
-    /// only the last one posted may wait in the queue, when every worker is
-    /// busy or one that has just replied has not yet counted itself free.
-    /// A helper claims only while no job waits for a worker, so a queued
-    /// request gets the worker back after one claim, and a helper that
-    /// starts after the items ran out does nothing. A zero-timeout send
-    /// means a full queue leaves the run to its other claimants.
-    fn post_helpers<R: Send + Sync + 'static>(
-        &self,
-        shard: &Arc<Shard>,
-        run: &Arc<R>,
-        claims: usize,
-        help: fn(&Arc<R>, &Engine),
-    ) {
-        for _ in 1..(claims / 2).min(self.workers) {
-            if self.jobs_wait() || !self.post_helper(shard, run, help) {
-                return;
-            }
-        }
-    }
-
-    /// Posts one helper job that runs `help` on `run`; `false` if the
-    /// queue is full (a zero-timeout send).
-    fn post_helper<R: Send + Sync + 'static>(
-        &self,
-        shard: &Arc<Shard>,
-        run: &Arc<R>,
-        help: fn(&Arc<R>, &Engine),
-    ) -> bool {
-        let (run, pool) = (Arc::clone(run), self.clone());
-        let job = Job::Run {
-            shard: Arc::clone(shard),
-            run: Box::new(move |_| help(&run, &pool)),
-        };
-        self.job_tx.send_timeout(job, Duration::ZERO).is_ok()
-    }
-
-    /// Enqueues one request's pool half. If the shutdown flag flipped
-    /// after the send, the job may sit behind the Stop jobs with every
-    /// worker already gone: drain it (and any neighbours) here, which
-    /// drops its callback unfired — read as `EngineError::Shutdown`.
-    fn enqueue(&self, shard: &Arc<Shard>, run: PoolTask) {
-        let job = Job::Run {
-            shard: Arc::clone(shard),
-            run,
-        };
-        if self.job_tx.send(job).is_err() {
-            return;
-        }
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.drain_pending();
         }
     }
 
@@ -1506,9 +1242,8 @@ impl Engine {
             }),
         };
         let reply = self.submit(model, request);
-        // The campaign drops its progress sender when its last scenario
-        // slot fills or it stops (or when the request is refused), which
-        // ends the relay.
+        // The campaign drops its progress sender when it answers (or when
+        // the request is refused), which ends the relay.
         while let Ok((done, total)) = tick_rx.recv() {
             progress(done, total);
         }
@@ -1516,50 +1251,6 @@ impl Engine {
             WireResponse::Campaign { report, .. } => Ok(report),
             _ => unreachable!("CAMPAIGN is answered with WireResponse::Campaign"),
         }
-    }
-
-    /// The pool half of a `CAMPAIGN`: pins the shard's current snapshot,
-    /// prepares the campaign, lends its baseline pairs idle workers and
-    /// claims them, and then scenarios, itself (see `CampaignRun`).
-    fn start_campaign(
-        &self,
-        shard: &Arc<Shard>,
-        spec: CampaignSpec,
-        cancel: Arc<AtomicBool>,
-        mut progress: Box<dyn FnMut(usize, usize) + Send>,
-        done: WireCallback,
-    ) {
-        let snapshot = shard.model();
-        let input = match CampaignInput::prepare(
-            snapshot.infrastructure.clone(),
-            snapshot.service.clone(),
-            Arc::clone(&shard.mapper),
-            shard.discovery,
-            Some(snapshot.interned_graph()),
-            Arc::clone(&snapshot.params),
-            spec,
-        ) {
-            Ok(input) => input,
-            Err(msg) => return done(Err(EngineError::Campaign(msg))),
-        };
-        // `prepare` yields at least one pair and one scenario, so both
-        // phases have a last slot to fill.
-        let (pairs, total) = (input.pairs.len(), input.scenarios.len());
-        let run = Arc::new(CampaignRun {
-            pairs: ClaimCursor::new(pairs, self.workers),
-            baselines: Slots::new(pairs, Box::new(|_| {})),
-            baseline: OnceLock::new(),
-            scenarios: ClaimCursor::new(total, self.workers),
-            outcomes: Slots::new(total, Box::new(move |done| progress(done, total))),
-            shard: Arc::clone(shard),
-            input,
-            cancel,
-            yielded: AtomicUsize::new(0),
-            reply: Reply::new(done),
-        });
-        EngineMetrics::bump(&run.shard.metrics.scatter_chunks);
-        self.post_helpers(&run.shard, &run, run.pairs.claims(), CampaignRun::help);
-        run.claim(self, true);
     }
 
     /// A point-in-time metrics snapshot (the `STATS` response): the rollup
@@ -1629,70 +1320,6 @@ impl Engine {
         }
         self.stop_workers();
         self.drain_pending();
-    }
-
-    /// Sends one Stop per worker and joins the pool.
-    fn stop_workers(&self) {
-        for _ in 0..self.workers {
-            // Ignore send failures: all workers already gone is fine.
-            let _ = self.job_tx.send(Job::Stop);
-        }
-        let handles = std::mem::take(&mut *self.handles.lock().expect("handles poisoned"));
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-
-    /// Drops every job still sitting in the queue. A dropped Run drops
-    /// the callback it captured, which its waiter reads as
-    /// `EngineError::Shutdown`. Safe to call from multiple threads —
-    /// each queued job is received (and thus dropped) exactly once.
-    ///
-    /// A racing drain (from `enqueue`'s tail) can also pull out a
-    /// `Job::Stop` that `stop_workers` addressed to a worker still blocked
-    /// in `recv`; stealing it would leave that worker (and the `shutdown`
-    /// join) hanging forever, so every drained Stop is re-sent. A blocking
-    /// send is safe: a Stop can only be in the queue while its worker is
-    /// still alive to receive it.
-    fn drain_pending(&self) {
-        let mut stolen_stops = 0usize;
-        while let Ok(job) = self.job_rx.try_recv() {
-            if let Job::Stop = job {
-                stolen_stops += 1;
-            }
-        }
-        for _ in 0..stolen_stops {
-            let _ = self.job_tx.send(Job::Stop);
-        }
-    }
-}
-
-fn worker_loop(rx: Receiver<Job>, idle: &AtomicUsize) {
-    // Step 7's scratch buffers hold no model state, so one workspace
-    // serves every shard and epoch this worker evaluates.
-    let mut workspace = DiscoveryWorkspace::default();
-    while let Ok(job) = rx.recv() {
-        // `idle` counts this worker from pool start until it takes a job
-        // and again once the job returns — `MC` and campaign runs read it
-        // to decide whether to post or keep a helper (see
-        // `Engine::jobs_wait`).
-        idle.fetch_sub(1, Ordering::Relaxed);
-        match job {
-            Job::Stop => break,
-            Job::Run { shard, run } => {
-                let started = Instant::now();
-                run(&mut workspace);
-                idle.fetch_add(1, Ordering::Relaxed);
-                // Every executed job is accounted to its shard: busy wall
-                // time and a job count, so `STATS` can expose pool
-                // utilization per model.
-                EngineMetrics::add(
-                    &shard.metrics.worker_busy_ns,
-                    started.elapsed().as_nanos() as u64,
-                );
-                EngineMetrics::bump(&shard.metrics.tasks_executed);
-            }
-        }
     }
 }
 
@@ -1859,9 +1486,10 @@ fn save_shard(shard: &Shard) -> Result<SaveSummary, EngineError> {
     })
 }
 
+/// Evaluates a probed miss on the worker's `ctx`; a failure counts in `errors`.
 fn evaluate(
     shard: &Shard,
-    workspace: &mut DiscoveryWorkspace,
+    ctx: &mut EvalCtx,
     client: &str,
     provider: &str,
 ) -> Result<Arc<CachedPerspective>, EngineError> {
@@ -1872,8 +1500,9 @@ fn evaluate(
     if let Some(hit) = shard.cache.get(&key) {
         return Ok(hit);
     }
-    let result = evaluate_uncached(shard, workspace, &snapshot, key.clone(), client, provider);
+    let result = evaluate_uncached(shard, ctx, &snapshot, key.clone(), client, provider);
     if let Err(err) = &result {
+        EngineMetrics::bump(&shard.metrics.errors);
         // Unknown devices and model errors are deterministic for this
         // epoch — remember them so repeats skip the evaluation entirely.
         if matches!(err, EngineError::UnknownDevice(_) | EngineError::Model(_)) {
@@ -1885,7 +1514,7 @@ fn evaluate(
 
 fn evaluate_uncached(
     shard: &Shard,
-    workspace: &mut DiscoveryWorkspace,
+    ctx: &mut EvalCtx,
     snapshot: &Arc<ModelSnapshot>,
     key: PerspectiveKey,
     client: &str,
@@ -1904,7 +1533,7 @@ fn evaluate_uncached(
         &mapping,
         &snapshot.params,
         shard.discovery,
-        workspace,
+        &mut ctx.workspace,
     )?;
     let observed = posterior.iter().filter(|p| p.is_some()).count();
     let availability = model.availability_bdd();
@@ -1982,6 +1611,8 @@ fn evaluate_uncached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
     use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
     use upsim_core::pipeline::UpsimPipeline;
@@ -2192,6 +1823,45 @@ mod tests {
         };
         assert_eq!(result, entry.mc_program.run(SAMPLES, 2, 7));
         engine.shutdown();
+    }
+
+    /// A helper that handed its worker to a queued request is posted again
+    /// once a worker is free: with the setup above, the pool runs the `MC`,
+    /// its helper, the `QUERY` miss and the helper posted again after the
+    /// query was served, and the `MC` still answers bit-identically.
+    #[test]
+    fn a_yielded_mc_helper_is_posted_again() {
+        const SAMPLES: usize = 1 << 22;
+        let engine = usi_engine(2);
+        let (mc_tx, mc_rx) = std::sync::mpsc::channel();
+        engine.execute_wire(
+            None,
+            WireRequest::MonteCarlo {
+                client: "t1".into(),
+                provider: "p2".into(),
+                samples: SAMPLES,
+                seed: 7,
+                interval: false,
+            },
+            Box::new(move |result| {
+                let _ = mc_tx.send(result);
+            }),
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while engine.shared.idle_workers.load(Ordering::Relaxed) > 0 {
+            assert!(Instant::now() < deadline, "the MC's helper starts");
+            std::thread::yield_now();
+        }
+        engine.query("t5", "p1").expect("valid perspective");
+        let reply = mc_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the MC answers");
+        let Ok(WireResponse::MonteCarlo { result, entry, .. }) = reply else {
+            panic!("MC is answered with WireResponse::MonteCarlo");
+        };
+        assert_eq!(result, entry.mc_program.run(SAMPLES, 2, 7));
+        engine.shutdown();
+        assert_eq!(engine.stats().tasks_executed, 4);
     }
 
     /// A campaign's helper hands its worker back between claims, as an

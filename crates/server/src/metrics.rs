@@ -193,14 +193,15 @@ pub struct EngineMetrics {
     pub observations_total: AtomicU64,
     pub errors: AtomicU64,
     /// Nanoseconds pool workers spent executing this shard's jobs
-    /// (requests and their `MC` and campaign helpers) — busy time, not
+    /// (requests and their claim runs' helpers) — busy time, not
     /// wall time, so `worker_busy_ns / (wall * workers)` is utilization.
     pub worker_busy_ns: AtomicU64,
     /// Pool jobs executed for this shard (every `Job` variant).
     pub tasks_executed: AtomicU64,
     /// Pool jobs this shard's campaigns ran as: each prepared campaign's
-    /// own job plus the helpers that claimed its baselines and scenarios
-    /// (vs. `scenarios_evaluated`, the per-item count).
+    /// own job plus the helper jobs of its claim run, re-posted ones
+    /// included (vs. `scenarios_evaluated`, the per-item count). `MC` and
+    /// `BATCH` helpers count only in `tasks_executed`.
     pub scatter_chunks: AtomicU64,
     pub eval_latency: LatencyHistogram,
     /// Cumulative nanoseconds per stage, indexed like [`STAGES`].
@@ -371,7 +372,8 @@ pub struct MetricsSnapshot {
     pub worker_busy_ns: u64,
     /// Pool jobs executed (every `Job` variant, summed over shards).
     pub tasks_executed: u64,
-    /// Pool jobs campaigns ran as: their own jobs plus their helpers.
+    /// Pool jobs campaigns ran as: their own jobs plus their helpers
+    /// (re-posted ones included).
     pub scatter_chunks: u64,
     pub evals: u64,
     pub eval_mean_micros: f64,

@@ -335,3 +335,53 @@ fn mc_posts_a_helper_only_when_it_has_blocks_to_share() {
         );
     }
 }
+
+/// A `BATCH` stops once its reply is known. Its pairs are probed in order
+/// up to the first failure, so a pair after an unknown device is never
+/// evaluated: only `t1:p1`, which comes first and could have failed
+/// first, is, and the later `MC` on `t10:p1` finds no cached entry. A miss
+/// that fails in the pool likewise stops every later miss, and each pair
+/// from the first failure on carries that failure.
+#[test]
+fn a_batch_evaluates_no_pair_after_its_first_failure() {
+    let server = serve(usi_engine(), "127.0.0.1:0").expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr());
+    assert_eq!(
+        client.request("BATCH t1:p1 ghost:p1 t10:p1 t11:p1 t12:p1"),
+        "ERR unknown device `ghost`"
+    );
+    let stats = client.request("STATS");
+    for (key, value) in [("cache_misses", "1"), ("evals", "1")] {
+        assert_eq!(field(&stats, key), value, "{key} in {stats}");
+    }
+    let mc = client.request("MC t10 p1 1000 1");
+    assert_eq!(field(&mc, "source"), "miss", "{mc}");
+    server.stop();
+
+    // On one worker the misses run in order: `t2`'s mapping names no
+    // device, so its evaluation fails and `t3` and `t4` are skipped.
+    let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
+        .expect("USI models are consistent");
+    let config = EngineConfig {
+        workers: 1,
+        mapper: Arc::new(|_, client, provider| {
+            perspective_mapping(if client == "t2" { "nowhere" } else { client }, provider)
+        }),
+        ..EngineConfig::default()
+    };
+    let engine = Engine::new(snapshot, config);
+    let pairs: Vec<(String, String)> = ["t1", "t2", "t3", "t4"]
+        .iter()
+        .map(|client| (client.to_string(), "p1".to_string()))
+        .collect();
+    let results = engine.batch(&pairs);
+    assert!(results[0].is_ok(), "t1:p1 evaluates");
+    let failure = results[1].clone().expect_err("t2's mapping fails");
+    assert!(matches!(failure, EngineError::Model(_)), "{failure:?}");
+    for result in &results[2..] {
+        assert_eq!(result.as_ref().err(), Some(&failure));
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.cache_misses, stats.evals), (1, 1));
+    engine.shutdown();
+}

@@ -7,7 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
-use upsim_server::{serve, CampaignSpec, Engine, EngineConfig, EngineError, ModelSnapshot};
+use upsim_server::{
+    serve, CampaignSpec, Engine, EngineConfig, EngineError, ModelSnapshot, MAX_MC_SAMPLES,
+};
 
 fn usi_engine(workers: usize) -> Engine {
     let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
@@ -157,4 +159,28 @@ fn concurrent_campaign_calls_during_shutdown_all_return() {
             .expect("every campaign caller must observe Shutdown in bounded time");
         assert_eq!(stopped, EngineError::Shutdown);
     }
+}
+
+/// An `MC` of `MAX_MC_SAMPLES` trials racing `shutdown()` answers
+/// `Shutdown` within the bound the other tests use: every claimant of its
+/// run checks the flag before each claim of blocks, so the run stops
+/// within one claim instead of sampling to the end.
+#[test]
+fn a_max_size_mc_stops_at_shutdown() {
+    let engine = usi_engine(2);
+    let (done_tx, done_rx) = mpsc::channel();
+    let caller = engine.clone();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(caller.monte_carlo("t1", "p1", MAX_MC_SAMPLES, 7));
+    });
+    // Let the run start claiming, then stop the engine from another
+    // thread: `shutdown` joins the workers, so it returns only once the
+    // run has stopped.
+    std::thread::sleep(Duration::from_millis(200));
+    let stopper = engine.clone();
+    std::thread::spawn(move || stopper.shutdown());
+    let result = done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the MC must answer in bounded time");
+    assert_eq!(result.err(), Some(EngineError::Shutdown));
 }

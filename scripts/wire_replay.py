@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Replays a wire script against a fresh case-study server.
+"""Replays a wire script against fresh case-study servers at 1, 2 and 4 workers.
 
 Usage: wire_replay.py <upsim-binary> <script>
 
-Starts `<upsim-binary> serve --case-study --workers 2 --addr 127.0.0.1:0`,
-reads the port from its banner, sends the script's commands one line at
-a time over one connection, and prints each reply on its own line.
-`PROGRESS` lines are skipped and ` micros=<n>` is stripped, so the output
-holds no timing and can be diffed against a golden file
-(`scripts/wire_golden.txt`). Blank script lines are ignored. Exits 1 if
-the server does not start or a reply does not arrive.
+For each worker count in `WORKERS`, starts `<upsim-binary> serve
+--case-study --workers <n> --addr 127.0.0.1:0`, reads the port from its
+banner, sends the script's commands one line at a time over one
+connection, and collects each reply on its own line. `PROGRESS` lines are
+skipped and ` micros=<n>` is stripped, so the output holds no timing and
+can be diffed against a golden file (`scripts/wire_golden.txt`). Blank
+script lines are ignored. Prints the replies if every server gave the same
+ones. Exits 1 if they differ (naming the first differing line), if a
+server does not start, or if a reply does not arrive. On one worker no
+helper job is ever posted, so every claim run finishes on the worker that
+took it.
 """
 
 import re
@@ -20,16 +24,13 @@ import sys
 MICROS = re.compile(r" micros=\d+")
 BANNER = re.compile(r"listening on (\S+):(\d+)")
 REPLY_TIMEOUT_S = 120
+WORKERS = (1, 2, 4)
 
 
-def main():
-    if len(sys.argv) != 3:
-        sys.exit(__doc__.strip().splitlines()[2])
-    binary, script = sys.argv[1], sys.argv[2]
-    with open(script, encoding="utf-8") as f:
-        commands = [line.strip() for line in f if line.strip()]
+def replay(binary, commands, workers):
+    """The replies of a fresh server with `workers` workers, one per command."""
     server = subprocess.Popen(
-        [binary, "serve", "--case-study", "--workers", "2", "--addr", "127.0.0.1:0"],
+        [binary, "serve", "--case-study", "--workers", str(workers), "--addr", "127.0.0.1:0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -42,7 +43,8 @@ def main():
                 port = int(match.group(2))
                 break
         if port is None:
-            sys.exit("server exited before printing its banner")
+            sys.exit(f"server with {workers} workers exited before printing its banner")
+        lines = []
         with socket.create_connection(("127.0.0.1", port), timeout=REPLY_TIMEOUT_S) as sock:
             replies = sock.makefile("r", encoding="utf-8", newline="\n")
             for command in commands:
@@ -53,14 +55,34 @@ def main():
                         sys.exit(f"connection closed before the reply to: {command}")
                     if not reply.startswith("PROGRESS"):
                         break
-                print(MICROS.sub("", reply.rstrip("\n")))
+                lines.append(MICROS.sub("", reply.rstrip("\n")))
             sock.sendall(b"SHUTDOWN\n")
             replies.readline()
         server.wait(timeout=30)
+        return lines
     finally:
         if server.poll() is None:
             server.kill()
             server.wait()
+
+
+def main():
+    if len(sys.argv) != 3:
+        sys.exit(__doc__.strip().splitlines()[2])
+    binary, script = sys.argv[1], sys.argv[2]
+    with open(script, encoding="utf-8") as f:
+        commands = [line.strip() for line in f if line.strip()]
+    outputs = {workers: replay(binary, commands, workers) for workers in WORKERS}
+    first = outputs[WORKERS[0]]
+    for workers, lines in outputs.items():
+        for number, (line, expected) in enumerate(zip(lines, first), start=1):
+            if line != expected:
+                sys.exit(
+                    f"line {number} differs between {WORKERS[0]} and {workers} workers:\n"
+                    f"  {expected}\n  {line}"
+                )
+    for line in first:
+        print(line)
 
 
 if __name__ == "__main__":
