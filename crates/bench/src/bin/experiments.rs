@@ -1,4 +1,5 @@
-//! Regenerates every table and figure of the paper (experiments E1–E15).
+//! Regenerates every table and figure of the paper (experiments E1–E15),
+//! and E17, a finding on Sec. V-D.
 //!
 //! Usage:
 //!   experiments            # run all

@@ -90,7 +90,9 @@ pub struct CampaignInput {
     pub service: Arc<CompositeService>,
     /// Perspective mapper (shared with the owning shard).
     pub mapper: PerspectiveMapper,
-    /// Discovery options (shared with the owning shard).
+    /// Unread: baselines and structural re-runs run Step 7 sized to its
+    /// answer, with no options. The field stays only because the
+    /// benchmark reads and passes it.
     pub discovery: DiscoveryOptions,
     /// The base topology's interned graph view — shared with the shard,
     /// so baseline evaluation interns nothing.
@@ -116,6 +118,7 @@ impl CampaignInput {
     /// Resolves the perspective scope, generates the scenario set and
     /// bundles the immutable inputs. `graph` should be the shard's shared
     /// interned view when available; `None` interns a fresh one.
+    /// `discovery` is kept, unread, in [`CampaignInput::discovery`].
     pub fn prepare(
         infrastructure: impl Into<Arc<Infrastructure>>,
         service: impl Into<Arc<CompositeService>>,
@@ -308,7 +311,6 @@ pub fn evaluate_baseline(
         &input.graph,
         &mapping,
         &input.params,
-        input.discovery,
         &mut ctx.workspace,
     )
     .map_err(|e| e.to_string())?;
@@ -319,7 +321,7 @@ pub fn evaluate_baseline(
     } else {
         Vec::new()
     };
-    let upsim = run.touched_devices().map(str::to_string).collect();
+    let upsim = run.upsim_names().map(str::to_string).collect();
     let classes = component_classes(&input.infrastructure, &model);
     // `posterior` campaigns always take the shared-stream MC path —
     // block resampling rewrites thresholds between blocks, which a
@@ -403,18 +405,6 @@ pub struct EvalCtx {
     pub workspace: DiscoveryWorkspace,
 }
 
-/// Evaluates scenario `index` against the shared baselines with
-/// throwaway per-call state (tests, one-off callers). Workers pricing
-/// many scenarios should hold an [`EvalCtx`] and call
-/// [`evaluate_scenario_with`].
-pub fn evaluate_scenario(
-    input: &CampaignInput,
-    baseline: &Baseline,
-    index: usize,
-) -> Result<ScenarioOutcome, String> {
-    evaluate_scenario_with(input, baseline, index, &mut EvalCtx::default())
-}
-
 /// Evaluates scenario `index` against the shared baselines, reusing the
 /// worker's [`EvalCtx`] across calls.
 pub fn evaluate_scenario_with(
@@ -481,7 +471,6 @@ pub fn evaluate_scenario_with(
                 graph2,
                 &mapping,
                 &input.params,
-                input.discovery,
                 &mut ctx.workspace,
             )
             .map_err(|e| e.to_string())?;

@@ -14,9 +14,15 @@
 //! [`DiscoveryWorkspace`], keep the paths interned, and optionally record
 //! them in the model space (the paper's "reserved tree structure"). The
 //! paths come out in DFS order. [`DiscoveryOptions::parallel`] switches to
-//! `ict_graph::parallel`, which finds the same paths sorted; the server
-//! and the pipeline's callers run the sequential DFS, and
-//! `upsim paths --parallel` the parallel one.
+//! `ict_graph::parallel`, which finds the same paths sorted; the
+//! pipeline's callers run the sequential DFS, and `upsim paths --parallel`
+//! the parallel one.
+//!
+//! The serving path lists no paths: [`walk_perspective`] walks each
+//! endpoint pair of a perspective twice, once to count its simple paths
+//! and number the devices on them, once for its chordless paths, whose
+//! node sets are the minimal path sets the availability model keeps. Both
+//! walks share one budget of [`MAX_DFS_FRAMES`].
 
 use crate::error::{UpsimError, UpsimResult};
 use crate::importers::PATHS_NS;
@@ -24,9 +30,17 @@ use crate::infrastructure::Infrastructure;
 use crate::interned::{InternedGraph, NameTable};
 use crate::mapping::ServiceMappingPair;
 use ict_graph::parallel::{parallel_simple_paths_pruned, ParallelOptions};
-use ict_graph::paths::{for_each_simple_path, DiscoveryScratch, PathLimits};
+use ict_graph::paths::{for_each_simple_path, walk_paths, DiscoveryScratch, PathKind, PathLimits};
+use ict_graph::NodeId;
 use std::sync::Arc;
 use vpm::ModelSpace;
+
+/// Most DFS frames [`walk_perspective`] may push for one perspective, its
+/// counting and chordless walks together. A frame costs tens of
+/// nanoseconds, so the budget bounds a perspective's Step 7 to a fraction
+/// of a second; the largest single-homed pair of a 4,486-device campus
+/// needs about 33,000.
+pub const MAX_DFS_FRAMES: usize = 1 << 22;
 
 /// Options for Step 7. The default is the sequential DFS, unlimited.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,13 +55,45 @@ pub struct DiscoveryOptions {
 }
 
 /// Reusable per-worker buffers for repeated discovery calls: the DFS
-/// scratch (on-path bitset, stack, path buffers) and the pruning mask.
-/// A warm sweep over many pairs allocates nothing once these reach their
-/// high-water mark.
+/// scratch (on-path bitset, stack, path buffers), the pruning mask, and
+/// what [`walk_perspective`] keeps per perspective. A warm sweep over many
+/// pairs allocates nothing once these reach their high-water mark.
 #[derive(Debug, Default)]
 pub struct DiscoveryWorkspace {
     scratch: DiscoveryScratch,
     mask: Vec<bool>,
+    /// The union of the last perspective's masks: its UPSIM.
+    pub(crate) upsim: Vec<bool>,
+    /// Component number per interned id (`u32::MAX`: on no path yet).
+    component_of: Vec<u32>,
+    /// The perspective's walked endpoint pairs, (min, max) node, each with
+    /// the index of the first mapping pair that walked it.
+    walked: Vec<((NodeId, NodeId), usize)>,
+}
+
+/// What Step 7 keeps of one mapping pair on the serving path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairPaths {
+    /// The mapping pair.
+    pub pair: ServiceMappingPair,
+    /// Its number of simple paths.
+    pub paths: usize,
+    /// Its minimal path sets over component numbers
+    /// ([`PerspectivePaths::components`]): each set sorted, the sets
+    /// ordered by length, then members.
+    pub path_sets: Vec<Vec<usize>>,
+}
+
+/// Step 7 of one perspective at the size of its answer
+/// ([`walk_perspective`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PerspectivePaths {
+    /// The interned ids of the devices on any path, in component order:
+    /// first occurrence over the pairs in order and, within a pair, over
+    /// its paths sorted by node ids, then link indices.
+    pub components: Vec<u32>,
+    /// One entry per mapping pair, in the order given.
+    pub pairs: Vec<PairPaths>,
 }
 
 /// The Step 7 output for one mapping pair.
@@ -250,6 +296,136 @@ pub fn discover_with_workspace(
         names: Arc::clone(view.names()),
         node_paths,
         link_paths,
+    })
+}
+
+/// Step 7 for a whole perspective, sized to its answer: for each new
+/// unordered endpoint pair among `pairs`, takes the block-cut-tree mask of
+/// the nodes that lie on some simple path (and adds it to the workspace's
+/// UPSIM), then walks the view's sorted graph twice under that mask. The
+/// counting walk counts the simple paths and numbers each device at its
+/// first occurrence; since the sorted adjacency makes the DFS meet the
+/// node sequences in sorted order, that is the numbering
+/// `ServiceAvailabilityModel::from_run` gives over a full run. The
+/// chordless walk finds the minimal path sets: links are not components,
+/// so a path's device set is minimal exactly when the path has no chord.
+/// A later pair with the same endpoints, in either orientation, reuses
+/// the first one's count and sets: its paths are the same ones, reversed,
+/// and number no new device.
+///
+/// The walks share one budget of [`MAX_DFS_FRAMES`]; the first walk past
+/// it fails the perspective with [`UpsimError::PathBudget`], naming its
+/// pair. A pair naming a device outside the view fails with
+/// [`UpsimError::UnknownComponent`].
+pub fn walk_perspective(
+    view: &InternedGraph,
+    pairs: &[&ServiceMappingPair],
+    workspace: &mut DiscoveryWorkspace,
+) -> UpsimResult<PerspectivePaths> {
+    let DiscoveryWorkspace {
+        scratch,
+        mask,
+        upsim,
+        component_of,
+        walked,
+    } = workspace;
+    let capacity = view.graph().node_capacity();
+    upsim.clear();
+    upsim.resize(capacity, false);
+    component_of.clear();
+    component_of.resize(capacity, u32::MAX);
+    walked.clear();
+    let graph = view.sorted_graph();
+    let mut budget = MAX_DFS_FRAMES;
+    let mut components: Vec<u32> = Vec::new();
+    let mut out: Vec<PairPaths> = Vec::with_capacity(pairs.len());
+    for &pair in pairs {
+        let resolve = |role: &'static str, name: &str| {
+            view.node_of(name)
+                .ok_or_else(|| UpsimError::UnknownComponent {
+                    atomic_service: pair.atomic_service.clone(),
+                    role,
+                    component: name.to_string(),
+                })
+        };
+        let source = resolve("requester", &pair.requester)?;
+        let target = resolve("provider", &pair.provider)?;
+        let endpoints = (source.min(target), source.max(target));
+        if let Some(&(_, first)) = walked.iter().find(|(seen, _)| *seen == endpoints) {
+            let PairPaths {
+                paths, path_sets, ..
+            } = &out[first];
+            out.push(PairPaths {
+                pair: pair.clone(),
+                paths: *paths,
+                path_sets: path_sets.clone(),
+            });
+            continue;
+        }
+        walked.push((endpoints, out.len()));
+        let mut path_sets: Vec<Vec<usize>> = Vec::new();
+        let mut paths = 0;
+        if view.tree().relevant_nodes(source, target, mask) > 0 {
+            for (kept, &relevant) in upsim.iter_mut().zip(mask.iter()) {
+                *kept |= relevant;
+            }
+            let over_budget = |_| UpsimError::PathBudget {
+                atomic_service: pair.atomic_service.clone(),
+                requester: pair.requester.clone(),
+                provider: pair.provider.clone(),
+                frames: MAX_DFS_FRAMES,
+            };
+            let mask = Some(mask.as_slice());
+            paths = walk_paths(
+                graph,
+                source,
+                target,
+                PathKind::Simple,
+                mask,
+                &mut budget,
+                scratch,
+                |nodes, _| {
+                    for node in nodes {
+                        let number = &mut component_of[node.index()];
+                        if *number == u32::MAX {
+                            *number = components.len() as u32;
+                            components.push(node.index() as u32);
+                        }
+                    }
+                },
+            )
+            .map_err(over_budget)?;
+            walk_paths(
+                graph,
+                source,
+                target,
+                PathKind::Chordless,
+                mask,
+                &mut budget,
+                scratch,
+                |nodes, _| {
+                    let mut set: Vec<usize> = nodes
+                        .iter()
+                        .map(|node| component_of[node.index()] as usize)
+                        .collect();
+                    set.sort_unstable();
+                    path_sets.push(set);
+                },
+            )
+            .map_err(over_budget)?;
+            // Parallel links repeat a set.
+            path_sets.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+            path_sets.dedup();
+        }
+        out.push(PairPaths {
+            pair: pair.clone(),
+            paths,
+            path_sets,
+        });
+    }
+    Ok(PerspectivePaths {
+        components,
+        pairs: out,
     })
 }
 

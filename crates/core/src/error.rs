@@ -35,6 +35,19 @@ pub enum UpsimError {
         /// Provider component.
         provider: String,
     },
+    /// Step 7 for one perspective needed more DFS frames than its budget
+    /// ([`crate::discovery::MAX_DFS_FRAMES`]), first past it on this pair.
+    /// No partial path set is ever answered.
+    PathBudget {
+        /// The atomic service whose walk ran past the budget.
+        atomic_service: String,
+        /// Requester component.
+        requester: String,
+        /// Provider component.
+        provider: String,
+        /// The budget, in DFS frames.
+        frames: usize,
+    },
 }
 
 impl fmt::Display for UpsimError {
@@ -53,6 +66,10 @@ impl fmt::Display for UpsimError {
             UpsimError::NoPath { atomic_service, requester, provider } => write!(
                 f,
                 "no path between requester '{requester}' and provider '{provider}' for atomic service '{atomic_service}'"
+            ),
+            UpsimError::PathBudget { atomic_service, requester, provider, frames } => write!(
+                f,
+                "path discovery between requester '{requester}' and provider '{provider}' for atomic service '{atomic_service}' exceeds the budget of {frames} DFS frames"
             ),
         }
     }

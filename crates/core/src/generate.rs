@@ -89,10 +89,15 @@ pub fn object_diagram_dot(diagram: &ObjectDiagram) -> String {
 /// The size-reduction ratio `|UPSIM| / |N|` over instances — the paper's
 /// motivation that a user perceives only a fragment of the network.
 pub fn reduction_ratio(infrastructure: &Infrastructure, upsim: &ObjectDiagram) -> f64 {
+    kept_ratio(infrastructure, upsim.instances.len())
+}
+
+/// `kept / |N|` over instances (0 for an empty infrastructure).
+pub(crate) fn kept_ratio(infrastructure: &Infrastructure, kept: usize) -> f64 {
     if infrastructure.objects.instances.is_empty() {
         return 0.0;
     }
-    upsim.instances.len() as f64 / infrastructure.objects.instances.len() as f64
+    kept as f64 / infrastructure.objects.instances.len() as f64
 }
 
 #[cfg(test)]

@@ -14,6 +14,11 @@
 //! [`crate::discovery::DiscoveredPaths`] stores interned paths plus an
 //! `Arc` of the table, so results stay self-describing without cloning a
 //! single name.
+//!
+//! The view also keeps a copy of its graph whose adjacency is sorted by
+//! (neighbour id, link index), built once with the view: the serving
+//! path's Step 7 walks it, so its DFS meets paths in the order
+//! `ServiceAvailabilityModel::from_run` sorts them into.
 
 use crate::infrastructure::Infrastructure;
 use ict_graph::prune::BlockCutTree;
@@ -81,6 +86,8 @@ impl NameTable {
 #[derive(Debug, Clone)]
 pub struct InternedGraph {
     graph: Graph<u32, usize>,
+    /// `graph` with every adjacency list sorted by (neighbour, link).
+    sorted: Graph<u32, usize>,
     names: Arc<NameTable>,
     tree: BlockCutTree,
 }
@@ -106,8 +113,11 @@ impl InternedGraph {
             );
         }
         let tree = BlockCutTree::new(&graph);
+        let mut sorted = graph.clone();
+        sorted.sort_adjacency();
         InternedGraph {
             graph,
+            sorted,
             names: Arc::new(names),
             tree,
         }
@@ -117,6 +127,14 @@ impl InternedGraph {
     /// index).
     pub fn graph(&self) -> &Graph<u32, usize> {
         &self.graph
+    }
+
+    /// [`Self::graph`] with every adjacency list sorted by (neighbour id,
+    /// link index), node and edge ids unchanged: a DFS over it meets a
+    /// pair's simple paths with their node sequences in sorted order
+    /// ([`Graph::sort_adjacency`]).
+    pub fn sorted_graph(&self) -> &Graph<u32, usize> {
+        &self.sorted
     }
 
     /// The shared name table.

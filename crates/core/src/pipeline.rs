@@ -19,18 +19,21 @@
 //! dynamicity claims.
 //!
 //! Steps 7–8 are one function, [`discover_and_merge`], which
-//! [`UpsimPipeline::run`] calls after the imports. Callers that never read
-//! the model space call it directly on a prebuilt graph view; the
-//! server's perspective evaluator (`dependability::transform`) does.
+//! [`UpsimPipeline::run`] calls after the imports. The serving path runs
+//! [`discover_perspective`] instead, on a prebuilt graph view: Steps 7–8
+//! sized to their answer, which lists no path and builds no object
+//! diagram. The server's perspective evaluator
+//! (`dependability::transform`) calls it.
 
 use crate::discovery::{
-    discover_with_workspace, record_in_space, DiscoveredPaths, DiscoveryOptions, DiscoveryWorkspace,
+    discover_with_workspace, record_in_space, walk_perspective, DiscoveredPaths, DiscoveryOptions,
+    DiscoveryWorkspace, PerspectivePaths,
 };
 use crate::error::UpsimResult;
-use crate::generate::{generate_upsim, reduction_ratio};
+use crate::generate::{generate_upsim, kept_ratio, reduction_ratio};
 use crate::importers;
 use crate::infrastructure::Infrastructure;
-use crate::interned::InternedGraph;
+use crate::interned::{InternedGraph, NameTable};
 use crate::mapping::ServiceMapping;
 use crate::service::CompositeService;
 use std::sync::Arc;
@@ -85,6 +88,35 @@ impl UpsimRun {
     /// single dense cache on this table instead of hashing names.
     pub fn name_table(&self) -> Option<&Arc<crate::interned::NameTable>> {
         self.discovered.first().map(|d| d.name_table())
+    }
+}
+
+/// Steps 7–8 of one perspective on the serving path
+/// ([`discover_perspective`]): what an [`UpsimRun`] of the same mapping
+/// reports, without its paths or its object diagram.
+#[derive(Debug, Clone)]
+pub struct PerspectiveRun {
+    names: Arc<NameTable>,
+    /// The UPSIM's devices as interned ids, ascending: infrastructure
+    /// order, as [`UpsimRun::touched_devices`] lists them.
+    pub upsim: Vec<u32>,
+    /// Step 7's counts, components and minimal path sets.
+    pub paths: PerspectivePaths,
+    /// `|UPSIM| / |N|` over instances.
+    pub reduction_ratio: f64,
+    /// The timings of Steps 7 and 8.
+    pub timings: Vec<StepTiming>,
+}
+
+impl PerspectiveRun {
+    /// The UPSIM's device names, in infrastructure order.
+    pub fn upsim_names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.upsim.iter().map(|&id| self.names.name(id))
+    }
+
+    /// The device name of an interned id.
+    pub fn name(&self, id: u32) -> &str {
+        self.names.name(id)
     }
 }
 
@@ -333,6 +365,52 @@ pub fn discover_and_merge(
         reduction_ratio: reduction_ratio(infrastructure, &upsim),
         upsim,
         discovered,
+        timings,
+    })
+}
+
+/// Steps 7–8 of one perspective at the size of their answer, on a
+/// prebuilt graph view of `infrastructure`. Step 7 is
+/// [`walk_perspective`] over the mapping's pairs in service execution
+/// order. Step 8 reads the UPSIM off the union of the pairs' masks: every
+/// node of a block on the block-cut-tree path between two endpoints lies
+/// on a simple path between them, so the union holds exactly the devices
+/// on some discovered path, the nodes [`generate_upsim`] keeps. The
+/// mapping must already be valid for `service` and `infrastructure`.
+pub fn discover_perspective(
+    infrastructure: &Infrastructure,
+    service: &CompositeService,
+    mapping: &ServiceMapping,
+    graph: &InternedGraph,
+    workspace: &mut DiscoveryWorkspace,
+) -> UpsimResult<PerspectiveRun> {
+    let t = Instant::now();
+    let paths = walk_perspective(graph, &mapping.for_service(service)?, workspace)?;
+    let step7 = t.elapsed();
+
+    let t = Instant::now();
+    let upsim: Vec<u32> = (0u32..)
+        .zip(&workspace.upsim)
+        .filter_map(|(id, &kept)| kept.then_some(id))
+        .collect();
+    let reduction_ratio = kept_ratio(infrastructure, upsim.len());
+    let timings = vec![
+        StepTiming {
+            step: "7-path-discovery",
+            duration: step7,
+            cached: false,
+        },
+        StepTiming {
+            step: "8-generate-upsim",
+            duration: t.elapsed(),
+            cached: false,
+        },
+    ];
+    Ok(PerspectiveRun {
+        names: Arc::clone(graph.names()),
+        upsim,
+        paths,
+        reduction_ratio,
         timings,
     })
 }

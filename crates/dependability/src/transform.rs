@@ -26,8 +26,11 @@
 //!   the compiled bit-sliced kernel.
 //!
 //! [`evaluate_perspective`] is the one evaluator the server's engine and
-//! its campaigns run per perspective: Steps 7–8, this transformation and
-//! the observation overlay, with no model space.
+//! its campaigns run per perspective: Steps 7–8 sized to their answer
+//! ([`discover_perspective`]), the model built from its walks
+//! ([`ServiceAvailabilityModel::from_perspective`], equal to what
+//! [`ServiceAvailabilityModel::from_run`] builds over a full run) and the
+//! observation overlay, with no model space.
 
 use crate::availability::ComponentAvailability;
 use crate::bdd::Bdd;
@@ -38,12 +41,12 @@ use crate::rbd::Block;
 use crate::sdp::union_probability;
 use std::collections::HashMap;
 use std::sync::Arc;
-use upsim_core::discovery::{DiscoveryOptions, DiscoveryWorkspace};
+use upsim_core::discovery::DiscoveryWorkspace;
 use upsim_core::error::UpsimResult;
 use upsim_core::infrastructure::Infrastructure;
 use upsim_core::interned::{InternedGraph, NameTable};
 use upsim_core::mapping::ServiceMapping;
-use upsim_core::pipeline::{discover_and_merge, UpsimRun};
+use upsim_core::pipeline::{discover_perspective, PerspectiveRun, UpsimRun};
 use upsim_core::service::CompositeService;
 
 /// Options of the transformation.
@@ -78,6 +81,28 @@ pub struct ServiceAvailabilityModel {
     pub components: Vec<ComponentAvailability>,
     /// One system per mapping pair, in service execution order.
     pub systems: Vec<PairSystem>,
+}
+
+/// The availability of device `name` of class `class` from the class's
+/// attributes (Formula 1 plus redundancy).
+fn device_component(
+    infrastructure: &Infrastructure,
+    name: &str,
+    class: &str,
+    paper_formula: bool,
+) -> ComponentAvailability {
+    let class = infrastructure.classes.class(class);
+    let value = |attribute| class.and_then(|c| c.value(attribute));
+    let mtbf = value("MTBF")
+        .and_then(|v| v.as_real())
+        .expect("device on a path has MTBF");
+    let mttr = value("MTTR")
+        .and_then(|v| v.as_real())
+        .expect("device on a path has MTTR");
+    let redundant = value("redundantComponents")
+        .and_then(|v| v.as_integer())
+        .unwrap_or(0);
+    ComponentAvailability::from_attributes(name, mtbf, mttr, redundant, paper_formula)
 }
 
 fn minimize(mut sets: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
@@ -123,18 +148,14 @@ impl ServiceAvailabilityModel {
                           components: &mut Vec<ComponentAvailability>,
                           index: &mut HashMap<String, usize>| {
             *index.entry(name.to_string()).or_insert_with(|| {
-                let mtbf = infrastructure
-                    .mtbf(name)
-                    .expect("device on a path has MTBF");
-                let mttr = infrastructure
-                    .mttr(name)
-                    .expect("device on a path has MTTR");
-                let redundant = infrastructure.redundant_components(name).unwrap_or(0);
-                components.push(ComponentAvailability::from_attributes(
+                let device = infrastructure
+                    .objects
+                    .instance(name)
+                    .expect("device on a path is an instance");
+                components.push(device_component(
+                    infrastructure,
                     name,
-                    mtbf,
-                    mttr,
-                    redundant,
+                    &device.class,
                     options.paper_formula,
                 ));
                 components.len() - 1
@@ -206,6 +227,40 @@ impl ServiceAvailabilityModel {
                 path_sets: minimize(path_sets),
             });
         }
+        ServiceAvailabilityModel {
+            components,
+            systems,
+        }
+    }
+
+    /// Builds the model of one perspective from its Step 7 walks
+    /// ([`discover_perspective`]) with [`AnalysisOptions::default`]: the
+    /// walks' components in their order, and each pair's minimal path
+    /// sets. `run` must come from a graph view of `infrastructure`, whose
+    /// interned ids are instance indices. The model equals what
+    /// [`Self::from_run`] builds over a full run of the same mapping.
+    pub fn from_perspective(infrastructure: &Infrastructure, run: &PerspectiveRun) -> Self {
+        let components = run
+            .paths
+            .components
+            .iter()
+            .map(|&id| {
+                let device = &infrastructure.objects.instances[id as usize];
+                debug_assert_eq!(device.name, run.name(id), "ids are instance indices");
+                device_component(infrastructure, &device.name, &device.class, false)
+            })
+            .collect();
+        let systems = run
+            .paths
+            .pairs
+            .iter()
+            .map(|p| PairSystem {
+                atomic_service: p.pair.atomic_service.clone(),
+                requester: p.pair.requester.clone(),
+                provider: p.pair.provider.clone(),
+                path_sets: p.path_sets.clone(),
+            })
+            .collect();
         ServiceAvailabilityModel {
             components,
             systems,
@@ -326,36 +381,33 @@ impl ServiceAvailabilityModel {
 
 /// Evaluates one perspective without a model space: checks `mapping`
 /// against the models ([`ServiceMapping::validate`]), runs Steps 7–8 on
-/// `graph`, a prebuilt view of `infrastructure`
-/// ([`discover_and_merge`]), builds the availability model with
-/// [`AnalysisOptions::default`], and overlays the observation-fed
-/// parameters in `params` ([`overlay_model`]). Returns the run, the
-/// overlaid model and the per-component posteriors (`None` = authored).
+/// `graph`, a prebuilt view of `infrastructure`, sized to their answer
+/// ([`discover_perspective`]), builds the availability model from the
+/// walks ([`ServiceAvailabilityModel::from_perspective`]), and overlays
+/// the observation-fed parameters in `params` ([`overlay_model`]). Returns
+/// the run, the overlaid model and the per-component posteriors (`None` =
+/// authored). The run and the model equal what a full
+/// [`upsim_core::pipeline::UpsimPipeline`] run and
+/// [`ServiceAvailabilityModel::from_run`] with [`AnalysisOptions::default`]
+/// give, bit for bit; a perspective whose Step 7 needs more than
+/// [`upsim_core::discovery::MAX_DFS_FRAMES`] DFS frames fails with
+/// [`upsim_core::UpsimError::PathBudget`].
 pub fn evaluate_perspective(
     infrastructure: &Infrastructure,
     service: &CompositeService,
     graph: &InternedGraph,
     mapping: &ServiceMapping,
     params: &ParamEstimator,
-    discovery: DiscoveryOptions,
     workspace: &mut DiscoveryWorkspace,
 ) -> UpsimResult<(
-    UpsimRun,
+    PerspectiveRun,
     ServiceAvailabilityModel,
     Vec<Option<PosteriorComponent>>,
 )> {
     mapping.validate(service, infrastructure)?;
-    let run = discover_and_merge(
-        infrastructure,
-        service,
-        mapping,
-        graph,
-        discovery,
-        workspace,
-    )?;
-    let options = AnalysisOptions::default();
-    let mut model = ServiceAvailabilityModel::from_run(infrastructure, &run, options);
-    let posteriors = overlay_model(&mut model, params, options.paper_formula);
+    let run = discover_perspective(infrastructure, service, mapping, graph, workspace)?;
+    let mut model = ServiceAvailabilityModel::from_perspective(infrastructure, &run);
+    let posteriors = overlay_model(&mut model, params, false);
     Ok((run, model, posteriors))
 }
 

@@ -1,31 +1,35 @@
 //! The full pipeline is the test oracle of the perspective evaluator
 //! ([`dependability::evaluate_perspective`]). On random campuses, random
 //! perspectives and random closed-sojourn observations, the evaluator —
-//! Steps 7–8 on a prebuilt graph view, no model space — must give what a
-//! full `UpsimPipeline` run (Steps 5–8, paths recorded in the model
-//! space) followed by `from_run` and `overlay_model` gives: the same paths
-//! in the same order, the same UPSIM, reduction ratio, availability bits,
-//! Monte-Carlo estimate and posteriors. Its errors read as the pipeline's.
+//! Steps 7–8 sized to their answer on a prebuilt graph view, no model
+//! space, no path listed — must give what a full `UpsimPipeline` run
+//! (Steps 5–8, paths recorded in the model space) followed by `from_run`
+//! and `overlay_model` gives: the same components in the same order, the
+//! same path sets, UPSIM, reduction ratio, per-pair path counts,
+//! availability bits, Monte-Carlo estimate and posteriors. Both of the
+//! pipeline's enumerators (the sequential DFS and the parallel one) serve
+//! as oracles. Its errors read as the pipeline's.
 //!
-//! On the same inputs, every answer must be a function of the set of
-//! paths Step 7 finds, not of the order it lists them in: the sequential
-//! DFS and the parallel enumerator (sorted order) must give the same
-//! model, the same bits for every exact and Monte-Carlo price, and
-//! byte-identical campaign reports.
+//! On the same inputs, the oracle's answers must be a function of the set
+//! of paths Step 7 finds, not of the order it lists them in: the
+//! sequential DFS and the parallel enumerator (sorted order) must give the
+//! same model and the same bits for every exact and Monte-Carlo price, and
+//! a campaign's baselines must be the evaluator's models.
 
 use std::sync::Arc;
 
 use dependability::perturb::availability_with;
 use dependability::transform::{evaluate_perspective, AnalysisOptions, ServiceAvailabilityModel};
-use dependability::{overlay_model, ParamEstimator, ParamSource};
+use dependability::{overlay_model, ParamEstimator, ParamSource, PosteriorComponent};
 use netgen::campus::{campus_infrastructure, CampusParams};
 use netgen::services::{random_mapping, sequential_service};
 use proptest::prelude::*;
-use upsim_campaign::{aggregate, run_serial, CampaignInput, CampaignSpec, PerspectiveMapper};
+use upsim_campaign::{run_serial, CampaignInput, CampaignSpec, PerspectiveMapper};
 use upsim_core::discovery::{DiscoveryOptions, DiscoveryWorkspace};
 use upsim_core::infrastructure::Infrastructure;
 use upsim_core::mapping::{ServiceMapping, ServiceMappingPair};
-use upsim_core::pipeline::UpsimPipeline;
+use upsim_core::pipeline::{UpsimPipeline, UpsimRun};
+use upsim_core::service::CompositeService;
 
 fn params_strategy() -> impl Strategy<Value = CampusParams> {
     (
@@ -73,6 +77,30 @@ fn observed(infra: &Infrastructure, observations: Vec<(usize, u64, u64, usize)>)
     estimator
 }
 
+/// A mapping whose steps run between devices of a three-device pool, so
+/// that pairs share endpoints in both orientations, differ in one
+/// endpoint, or are co-located: `picks[i]` names step i's requester and
+/// provider by pool index.
+fn pooled_mapping(
+    service: &CompositeService,
+    infra: &Infrastructure,
+    pool: &[usize],
+    picks: &[(usize, usize)],
+) -> ServiceMapping {
+    let device = |k: usize| {
+        let instances = &infra.objects.instances;
+        instances[pool[k % pool.len()] % instances.len()]
+            .name
+            .clone()
+    };
+    let mut mapping = ServiceMapping::new();
+    for (i, atomic) in service.atomic_services().into_iter().enumerate() {
+        let (rq, pr) = picks[i % picks.len()];
+        mapping.add(ServiceMappingPair::new(atomic, device(rq), device(pr)));
+    }
+    mapping
+}
+
 /// The requester and provider a generated mapping alternates between.
 fn perspective(mapping: &ServiceMapping) -> (String, String) {
     let first = &mapping.pairs()[0];
@@ -93,6 +121,50 @@ fn corner(model: &ServiceAvailabilityModel, low: bool) -> Vec<f64> {
         .collect()
 }
 
+type Oracle = (
+    UpsimRun,
+    ServiceAvailabilityModel,
+    Vec<Option<PosteriorComponent>>,
+);
+
+/// A full pipeline run with `discovery` (paths recorded in the model
+/// space), `from_run` with the default options, and the overlay.
+fn oracle(
+    infra: &Infrastructure,
+    service: &CompositeService,
+    mapping: &ServiceMapping,
+    discovery: DiscoveryOptions,
+    estimator: &ParamEstimator,
+) -> Oracle {
+    let mut pipeline = UpsimPipeline::new(infra.clone(), service.clone(), mapping.clone()).unwrap();
+    pipeline.set_options(discovery);
+    let run = pipeline.run().unwrap();
+    assert!(
+        pipeline.space().resolve("paths").is_ok(),
+        "oracle records paths"
+    );
+    let mut model = ServiceAvailabilityModel::from_run(
+        pipeline.infrastructure(),
+        &run,
+        AnalysisOptions::default(),
+    );
+    let posteriors = overlay_model(&mut model, estimator, false);
+    (run, model, posteriors)
+}
+
+/// The pipeline's two enumerators: the sequential DFS and the parallel
+/// one, which lists the same paths sorted.
+fn enumerators() -> [DiscoveryOptions; 2] {
+    [
+        DiscoveryOptions::default(),
+        DiscoveryOptions {
+            parallel: true,
+            threads: 2,
+            ..Default::default()
+        },
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -101,54 +173,73 @@ proptest! {
         params in params_strategy(),
         service_len in 1usize..5,
         seed in 0u64..1000,
-        parallel in any::<bool>(),
+        pooled in any::<bool>(),
+        pool in proptest::collection::vec(0usize..10_000, 3),
+        picks in proptest::collection::vec((0usize..3, 0usize..3), 4),
         observations in proptest::collection::vec(observation_strategy(), 0..5),
     ) {
         let infra = campus_infrastructure(params);
         let service = sequential_service("svc", service_len);
-        let mapping = random_mapping(&service, &infra, seed);
-        let discovery = DiscoveryOptions { parallel, threads: 2, ..Default::default() };
+        let mapping = if pooled {
+            pooled_mapping(&service, &infra, &pool, &picks)
+        } else {
+            random_mapping(&service, &infra, seed)
+        };
         let estimator = observed(&infra, observations);
-
-        let mut pipeline =
-            UpsimPipeline::new(infra.clone(), service.clone(), mapping.clone()).unwrap();
-        pipeline.set_options(discovery);
-        let expected = pipeline.run().unwrap();
-        prop_assert!(pipeline.space().resolve("paths").is_ok(), "oracle records paths");
-        let mut expected_model = ServiceAvailabilityModel::from_run(
-            pipeline.infrastructure(),
-            &expected,
-            AnalysisOptions::default(),
-        );
-        let expected_posteriors = overlay_model(&mut expected_model, &estimator, false);
+        let shape = format!("{params:?}, {mapping:?}");
 
         // The engine hands each worker one workspace for every perspective
         // it evaluates: warm it on another perspective first.
         let graph = infra.to_interned_graph();
         let mut workspace = DiscoveryWorkspace::default();
         let other = random_mapping(&service, &infra, seed + 1);
-        evaluate_perspective(
-            &infra, &service, &graph, &other, &estimator, discovery, &mut workspace,
-        )
-        .unwrap();
-        let (run, model, posteriors) = evaluate_perspective(
-            &infra, &service, &graph, &mapping, &estimator, discovery, &mut workspace,
-        )
-        .unwrap();
+        evaluate_perspective(&infra, &service, &graph, &other, &estimator, &mut workspace)
+            .unwrap();
+        let (run, model, posteriors) =
+            evaluate_perspective(&infra, &service, &graph, &mapping, &estimator, &mut workspace)
+                .unwrap();
 
-        prop_assert_eq!(&run.discovered, &expected.discovered);
-        prop_assert_eq!(&run.upsim, &expected.upsim);
-        prop_assert_eq!(run.reduction_ratio.to_bits(), expected.reduction_ratio.to_bits());
-        prop_assert_eq!(&model, &expected_model);
-        prop_assert_eq!(
-            model.availability_bdd().to_bits(),
-            expected_model.availability_bdd().to_bits()
-        );
-        prop_assert_eq!(
-            model.compile_mc().run(4096, 1, seed),
-            expected_model.compile_mc().run(4096, 1, seed)
-        );
-        prop_assert_eq!(posteriors, expected_posteriors);
+        for discovery in enumerators() {
+            let (expected, expected_model, expected_posteriors) =
+                oracle(&infra, &service, &mapping, discovery, &estimator);
+            let names = |m: &ServiceAvailabilityModel| {
+                m.components.iter().map(|c| c.name.clone()).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(names(&model), names(&expected_model), "{}", shape);
+            for (mine, theirs) in model.systems.iter().zip(&expected_model.systems) {
+                prop_assert_eq!(&mine.path_sets, &theirs.path_sets, "{}", shape);
+            }
+            prop_assert_eq!(&model, &expected_model, "{}", shape);
+            prop_assert_eq!(
+                run.upsim_names().collect::<Vec<_>>(),
+                expected.touched_devices().collect::<Vec<_>>(),
+                "{}", shape
+            );
+            prop_assert_eq!(run.reduction_ratio.to_bits(), expected.reduction_ratio.to_bits());
+            let counts: Vec<_> = run.paths.pairs.iter().map(|p| (&p.pair, p.paths)).collect();
+            let expected_counts: Vec<_> =
+                expected.discovered.iter().map(|d| (&d.pair, d.len())).collect();
+            prop_assert_eq!(counts, expected_counts, "{}", shape);
+            prop_assert_eq!(
+                model.availability_bdd().to_bits(),
+                expected_model.availability_bdd().to_bits()
+            );
+            for low in [true, false] {
+                prop_assert_eq!(
+                    availability_with(&model, &corner(&model, low)).to_bits(),
+                    availability_with(&expected_model, &corner(&expected_model, low)).to_bits()
+                );
+            }
+            let (mc, expected_mc) = (model.compile_mc(), expected_model.compile_mc());
+            prop_assert_eq!(mc.run(4096, 1, seed), expected_mc.run(4096, 1, seed));
+            prop_assert_eq!(
+                mc.run_posterior(4096, 1, seed, &mc.posterior_sampler(&posteriors)),
+                expected_mc.run_posterior(
+                    4096, 1, seed, &expected_mc.posterior_sampler(&expected_posteriors)
+                )
+            );
+            prop_assert_eq!(&posteriors, &expected_posteriors);
+        }
     }
 
     #[test]
@@ -164,20 +255,11 @@ proptest! {
         let estimator = Arc::new(observed(&infra, observations));
         let graph = Arc::new(infra.to_interned_graph());
         let shape = format!("{params:?}, {service_len} steps, seed {seed}");
-        let modes = [
-            DiscoveryOptions::default(),
-            DiscoveryOptions { parallel: true, threads: 2, ..Default::default() },
-        ];
 
-        let mut workspace = DiscoveryWorkspace::default();
         let [(dfs_run, dfs, dfs_posteriors), (sorted_run, sorted, sorted_posteriors)] =
-            modes.map(|discovery| {
-                evaluate_perspective(
-                    &infra, &service, &graph, &mapping, &estimator, discovery, &mut workspace,
-                )
-                .unwrap()
-            });
-        // The two modes find the same paths per pair, in their own orders.
+            enumerators().map(|discovery| oracle(&infra, &service, &mapping, discovery, &estimator));
+        // The two enumerators find the same paths per pair, in their own
+        // orders.
         for (a, b) in dfs_run.discovered.iter().zip(&sorted_run.discovered) {
             let mut paths: Vec<_> = a.interned().iter().zip(&a.link_paths).collect();
             paths.sort();
@@ -206,7 +288,8 @@ proptest! {
             "{}", shape
         );
 
-        // Campaigns price the same spec the same way in both modes.
+        // A campaign's baselines are the oracle's models, perspective by
+        // perspective.
         let mapper: PerspectiveMapper = Arc::new(|service, client, provider| {
             let mut mapping = ServiceMapping::new();
             for (i, atomic) in service.atomic_services().into_iter().enumerate() {
@@ -217,26 +300,29 @@ proptest! {
         });
         let (c1, p1) = perspective(&mapping);
         let (c2, p2) = perspective(&random_mapping(&service, &infra, seed + 1));
-        let pairs = format!("pairs:{c1}:{p1},{c2}:{p2}");
-        for spec in [
-            format!("kill-each-component {pairs}"),
-            format!("scale-mtbf:*:0.5,2 mc:2048:{seed} {pairs}"),
-        ] {
-            let [dfs_json, sorted_json] = modes.map(|discovery| {
-                let input = CampaignInput::prepare(
-                    infra.clone(),
-                    service.clone(),
-                    Arc::clone(&mapper),
-                    discovery,
-                    Some(Arc::clone(&graph)),
-                    Arc::clone(&estimator),
-                    CampaignSpec::parse(&spec).unwrap(),
-                )
-                .unwrap();
-                let (baseline, outcomes) = run_serial(&input).unwrap();
-                aggregate(&input, &baseline, &outcomes).render_json()
-            });
-            prop_assert_eq!(dfs_json, sorted_json, "{}: {}", shape, spec);
+        let spec = format!("kill-each-component pairs:{c1}:{p1},{c2}:{p2}");
+        let input = CampaignInput::prepare(
+            infra.clone(),
+            service.clone(),
+            Arc::clone(&mapper),
+            DiscoveryOptions::default(),
+            Some(Arc::clone(&graph)),
+            Arc::clone(&estimator),
+            CampaignSpec::parse(&spec).unwrap(),
+        )
+        .unwrap();
+        let (baseline, _) = run_serial(&input).unwrap();
+        for persp in &baseline.perspectives {
+            let mapping = mapper(&service, &persp.client, &persp.provider);
+            let (run, model, _) =
+                oracle(&infra, &service, &mapping, DiscoveryOptions::default(), &estimator);
+            prop_assert_eq!(&persp.model, &model, "{}: {}", shape, spec);
+            prop_assert_eq!(persp.availability.to_bits(), model.availability_bdd().to_bits());
+            let mut upsim: Vec<&str> = persp.upsim.iter().map(String::as_str).collect();
+            let mut expected: Vec<&str> = run.touched_devices().collect();
+            upsim.sort_unstable();
+            expected.sort_unstable();
+            prop_assert_eq!(upsim, expected, "{}: {}", shape, spec);
         }
     }
 }
@@ -273,7 +359,6 @@ fn evaluator_errors_read_as_the_pipelines() {
             &graph,
             &mapping,
             &ParamEstimator::new(),
-            DiscoveryOptions::default(),
             &mut DiscoveryWorkspace::default(),
         )
         .expect_err("the evaluator refuses the mapping")

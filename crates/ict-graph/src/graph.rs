@@ -390,6 +390,18 @@ impl<N, E> Graph<N, E> {
             .map(|adj| adj.edge)
             .collect()
     }
+
+    /// Sorts every adjacency list by (neighbour, edge), keeping every node
+    /// and edge id. A DFS that tries neighbours in adjacency order then
+    /// lists the simple paths of a graph without parallel edges sorted by
+    /// their node sequences; with parallel edges, the paths through one
+    /// node sequence come in one DFS subtree per edge choice, so a path's
+    /// node sequence first appears in that sorted order all the same.
+    pub fn sort_adjacency(&mut self) {
+        for list in self.adjacency.iter_mut().chain(&mut self.in_adjacency) {
+            list.sort_unstable_by_key(|a| (a.node, a.edge));
+        }
+    }
 }
 
 impl<N: Clone, E: Clone> Graph<N, E> {

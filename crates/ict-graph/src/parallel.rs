@@ -31,7 +31,9 @@
 //! and the parallel-discovery experiments.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{extend_simple_paths, DiscoveryScratch, EnumerationStats, Path, PathLimits};
+use crate::paths::{
+    extend_simple_paths, DiscoveryScratch, EnumerationStats, Path, PathLimits, Walk,
+};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -226,7 +228,7 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
                             &p.nodes,
                             &p.edges,
                             target,
-                            options.limits.max_nodes,
+                            Walk::bounded(options.limits.max_nodes),
                             mask,
                             &mut scratch,
                             |nodes, edges| {

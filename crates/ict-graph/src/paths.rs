@@ -6,15 +6,16 @@
 //! tracked in an on-path bitset, so cycles are never re-entered, and every
 //! extension reaching the target is handed to a visitor in DFS order
 //! ([`for_each_simple_path`]). [`all_simple_paths`], [`count_simple_paths`],
-//! [`minimal_path_sets`], the pruned search in [`crate::prune`] and each
-//! worker of [`crate::parallel`] all run that one loop.
+//! [`minimal_path_sets`], the pruned search in [`crate::prune`], each
+//! worker of [`crate::parallel`] and the budgeted walks of [`walk_paths`]
+//! (every simple path, or only the chordless ones) all run that one loop.
 //!
 //! The enumeration is **edge-distinct**: two parallel edges between the same
 //! device pair yield two distinct paths (they are distinct physical routes
 //! with independent failure behaviour, which matters for the downstream
 //! reliability analysis).
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{Adjacency, EdgeId, Graph, NodeId};
 use std::ops::ControlFlow;
 
 /// A simple path: `nodes.len() == edges.len() + 1`, no repeated nodes.
@@ -177,7 +178,7 @@ pub fn for_each_simple_path<N, E>(
         &[source],
         &[],
         target,
-        limits.max_nodes,
+        Walk::bounded(limits.max_nodes),
         mask,
         scratch,
         |nodes, edges| {
@@ -193,28 +194,145 @@ pub fn for_each_simple_path<N, E>(
     stats
 }
 
+/// Which simple paths [`walk_paths`] visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathKind {
+    /// Every simple path.
+    Simple,
+    /// Every chordless simple path: no edge joins two of its nodes that are
+    /// not consecutive on it (on a directed graph, no edge leads from a
+    /// node to a later node other than the next). A simple path's node set
+    /// contains another path's set exactly when the path has a chord, so
+    /// the chordless paths' node sets are the minimal path sets
+    /// ([`minimal_path_sets`]); parallel edges repeat a set.
+    Chordless,
+}
+
+/// A walk needed more DFS frames than its budget held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FramesExhausted;
+
+/// Visits the simple paths of `kind` from `source` to `target` in DFS
+/// order, as [`for_each_simple_path`] does without limits, and charges
+/// each DFS frame pushed to `budget`. Returns the number of paths visited,
+/// or [`FramesExhausted`] once the walk needs more frames than `budget`
+/// holds; then `budget` is spent, and the paths visited so far are only
+/// a prefix of the walk's, so a caller must not read them as the answer.
+///
+/// One budget shared by several walks bounds their total search, whatever
+/// the number of paths: frames, not emitted paths, measure the work, and
+/// a dense graph pushes many frames per path.
+#[allow(clippy::too_many_arguments)]
+pub fn walk_paths<N, E>(
+    graph: &Graph<N, E>,
+    source: NodeId,
+    target: NodeId,
+    kind: PathKind,
+    mask: Option<&[bool]>,
+    budget: &mut usize,
+    scratch: &mut DiscoveryScratch,
+    mut emit: impl FnMut(&[NodeId], &[EdgeId]),
+) -> Result<usize, FramesExhausted> {
+    let allowed = |n: NodeId| mask.is_none_or(|m| m.get(n.index()).copied().unwrap_or(false));
+    if !graph.contains_node(source)
+        || !graph.contains_node(target)
+        || !allowed(source)
+        || !allowed(target)
+    {
+        return Ok(0);
+    }
+    if source == target {
+        emit(&[source], &[]);
+        return Ok(1);
+    }
+    let walk = Walk {
+        max_nodes: None,
+        chordless: kind == PathKind::Chordless,
+        max_frames: *budget,
+    };
+    let mut emitted = 0;
+    let frames = extend_simple_paths(
+        graph,
+        &[source],
+        &[],
+        target,
+        walk,
+        mask,
+        scratch,
+        |nodes, edges| {
+            emit(nodes, edges);
+            emitted += 1;
+            ControlFlow::Continue(())
+        },
+    );
+    if frames > *budget {
+        *budget = 0;
+        return Err(FramesExhausted);
+    }
+    *budget -= frames;
+    Ok(emitted)
+}
+
+/// How [`extend_simple_paths`] walks: which extensions it takes and how
+/// much search it may spend.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk {
+    /// Bound on a completed path's node count.
+    pub max_nodes: Option<usize>,
+    /// Extend a path only by a node with no edge from the path's nodes
+    /// other than its head, so every completed path is chordless.
+    pub chordless: bool,
+    /// Most frames the walk may push; it stops at the first frame past it.
+    pub max_frames: usize,
+}
+
+impl Walk {
+    /// Every simple path with at most `max_nodes` nodes, however many
+    /// frames that takes.
+    pub fn bounded(max_nodes: Option<usize>) -> Self {
+        Walk {
+            max_nodes,
+            chordless: false,
+            max_frames: usize::MAX,
+        }
+    }
+}
+
 /// The DFS with path tracking (paper Sec. V-D), the one enumeration loop
 /// of this crate: extends the simple path `prefix_nodes` (joined by
-/// `prefix_edges`) to `target` in every possible way and hands each
-/// completed path to `emit`, in DFS order, until `emit` breaks. The prefix
-/// must be non-empty, must not contain `target`, and its nodes must pass
-/// `mask`. `max_nodes` bounds the completed path's node count. Returns the
-/// frames pushed, counting the prefix's head as one.
+/// `prefix_edges`) to `target` in every possible way that `walk` allows
+/// and hands each completed path to `emit`, in DFS order, until `emit`
+/// breaks or the walk pushes more than `walk.max_frames` frames. The
+/// prefix must be non-empty, must not contain `target`, and its nodes must
+/// pass `mask`. Returns the frames pushed, counting the prefix's head as
+/// one; a count over `walk.max_frames` means the walk stopped there.
 ///
-/// [`for_each_simple_path`] seeds it with the source alone;
-/// [`crate::parallel`] seeds it with each prefix of its fan-out.
+/// [`for_each_simple_path`] and [`walk_paths`] seed it with the source
+/// alone; [`crate::parallel`] seeds it with each prefix of its fan-out.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn extend_simple_paths<N, E>(
     graph: &Graph<N, E>,
     prefix_nodes: &[NodeId],
     prefix_edges: &[EdgeId],
     target: NodeId,
-    max_nodes: Option<usize>,
+    walk: Walk,
     mask: Option<&[bool]>,
     scratch: &mut DiscoveryScratch,
     mut emit: impl FnMut(&[NodeId], &[EdgeId]) -> ControlFlow<()>,
 ) -> usize {
     let allowed = |n: NodeId| mask.is_none_or(|m| m.get(n.index()).copied().unwrap_or(false));
+    let max_nodes = walk.max_nodes;
+    // A chord of the extended path is an edge into `next` from a path node
+    // other than the head (on a directed graph, only an edge into `next`
+    // shortens the path).
+    let has_chord = |next: NodeId, head: NodeId, on_path: &[bool]| {
+        let from_path = |a: Adjacency| a.node != head && on_path[a.node.index()];
+        if graph.is_directed() {
+            graph.in_neighbors(next).any(from_path)
+        } else {
+            graph.adjacency_slice(next).iter().copied().any(from_path)
+        }
+    };
     scratch.on_path.clear();
     scratch.on_path.resize(graph.node_capacity(), false);
     for n in prefix_nodes {
@@ -244,7 +362,7 @@ pub(crate) fn extend_simple_paths<N, E>(
 
         if adj.node == target {
             let within = max_nodes.is_none_or(|max| scratch.path_nodes.len() < max);
-            if within {
+            if within && !(walk.chordless && has_chord(target, node, &scratch.on_path)) {
                 scratch.path_nodes.push(target);
                 scratch.path_edges.push(adj.edge);
                 let flow = emit(&scratch.path_nodes, &scratch.path_edges);
@@ -261,7 +379,7 @@ pub(crate) fn extend_simple_paths<N, E>(
         }
         // Only descend if a target hop could still fit under the cap.
         let room = max_nodes.is_none_or(|max| scratch.path_nodes.len() + 2 <= max);
-        if !room {
+        if !room || (walk.chordless && has_chord(adj.node, node, &scratch.on_path)) {
             continue;
         }
         scratch.on_path[adj.node.index()] = true;
@@ -269,6 +387,9 @@ pub(crate) fn extend_simple_paths<N, E>(
         scratch.path_edges.push(adj.edge);
         scratch.cursors.push(0);
         frames += 1;
+        if frames > walk.max_frames {
+            break;
+        }
     }
     scratch.path_nodes.clear();
     scratch.path_edges.clear();
@@ -646,6 +767,109 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(paths.len(), 2, "stale scratch state must not leak");
+    }
+
+    #[test]
+    fn chordless_walk_skips_paths_with_a_shortcut() {
+        // a - b - t plus a - t: a-b-t has the chord a-t.
+        let mut g: Graph<&str, ()> = Graph::new_undirected();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let t = g.add_node("t");
+        g.add_edge(a, b, ());
+        g.add_edge(b, t, ());
+        g.add_edge(a, t, ());
+        let walk = |kind| {
+            let mut out = Vec::new();
+            let mut budget = usize::MAX;
+            let n = walk_paths(
+                &g,
+                a,
+                t,
+                kind,
+                None,
+                &mut budget,
+                &mut DiscoveryScratch::new(),
+                |nodes, _| out.push(nodes.to_vec()),
+            );
+            (n, out)
+        };
+        assert_eq!(
+            walk(PathKind::Simple),
+            (Ok(2), vec![vec![a, b, t], vec![a, t]])
+        );
+        assert_eq!(walk(PathKind::Chordless), (Ok(1), vec![vec![a, t]]));
+    }
+
+    #[test]
+    fn directed_chords_point_forward() {
+        // a -> b -> c with a back edge c -> a: a-b-c is chordless; a
+        // forward edge a -> c is a chord of it.
+        let mut g: Graph<(), ()> = Graph::new_directed();
+        let a = g.add_node(());
+        let b = g.add_node(());
+        let c = g.add_node(());
+        g.add_edge(a, b, ());
+        g.add_edge(b, c, ());
+        g.add_edge(c, a, ());
+        let chordless = |g: &Graph<(), ()>| {
+            let mut out = Vec::new();
+            let mut budget = usize::MAX;
+            walk_paths(
+                g,
+                a,
+                c,
+                PathKind::Chordless,
+                None,
+                &mut budget,
+                &mut DiscoveryScratch::new(),
+                |nodes, _| out.push(nodes.to_vec()),
+            )
+            .unwrap();
+            out
+        };
+        assert_eq!(chordless(&g), vec![vec![a, b, c]]);
+        g.add_edge(a, c, ());
+        assert_eq!(chordless(&g), vec![vec![a, c]]);
+    }
+
+    #[test]
+    fn walks_charge_frames_to_a_shared_budget() {
+        let (g, ids) = complete(6);
+        let mut scratch = DiscoveryScratch::new();
+        let stats = for_each_simple_path(
+            &g,
+            ids[0],
+            ids[1],
+            PathLimits::unlimited(),
+            None,
+            &mut scratch,
+            |_, _| {},
+        );
+        let mut walk = |budget: &mut usize| {
+            walk_paths(
+                &g,
+                ids[0],
+                ids[1],
+                PathKind::Simple,
+                None,
+                budget,
+                &mut scratch,
+                |_, _| {},
+            )
+        };
+        // Exactly enough frames: the whole count, and nothing left.
+        let mut budget = stats.frames;
+        assert_eq!(walk(&mut budget), Ok(stats.emitted));
+        assert_eq!(budget, 0);
+        // One frame short: refused, and the budget is spent.
+        let mut budget = stats.frames - 1;
+        assert_eq!(walk(&mut budget), Err(FramesExhausted));
+        assert_eq!(budget, 0);
+        // A second walk on a shared budget gets what the first left.
+        let mut budget = 2 * stats.frames - 1;
+        assert_eq!(walk(&mut budget), Ok(stats.emitted));
+        assert_eq!(walk(&mut budget), Err(FramesExhausted));
     }
 
     #[test]

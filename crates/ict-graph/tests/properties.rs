@@ -4,9 +4,10 @@
 
 use ict_graph::parallel::{parallel_simple_paths, ParallelOptions};
 use ict_graph::paths::{
-    all_simple_paths, for_each_simple_path, minimal_path_sets, DiscoveryScratch, Path, PathLimits,
+    all_simple_paths, count_simple_paths, for_each_simple_path, minimal_path_sets, walk_paths,
+    DiscoveryScratch, Path, PathKind, PathLimits,
 };
-use ict_graph::prune::pruned_simple_paths;
+use ict_graph::prune::{pruned_simple_paths, BlockCutTree};
 use ict_graph::{Graph, NodeId};
 use proptest::prelude::*;
 
@@ -79,6 +80,80 @@ fn kernel_paths(g: &Graph<usize, ()>, s: NodeId, t: NodeId, limits: PathLimits) 
         })
     });
     out
+}
+
+/// The paths a budget-free walk of `kind` visits, in its order.
+fn walked(g: &Graph<usize, ()>, s: NodeId, t: NodeId, kind: PathKind) -> Vec<Path> {
+    let mut out = Vec::new();
+    let mut budget = usize::MAX;
+    let count = walk_paths(
+        g,
+        s,
+        t,
+        kind,
+        None,
+        &mut budget,
+        &mut DiscoveryScratch::new(),
+        |nodes, edges| {
+            out.push(Path {
+                nodes: nodes.to_vec(),
+                edges: edges.to_vec(),
+            })
+        },
+    )
+    .expect("an unbounded budget");
+    assert_eq!(count, out.len());
+    out
+}
+
+/// Node indices numbered at their first occurrence over `paths`.
+fn first_occurrence(paths: &[Path]) -> Vec<NodeId> {
+    let mut order = Vec::new();
+    for node in paths.iter().flat_map(|p| &p.nodes) {
+        if !order.contains(node) {
+            order.push(*node);
+        }
+    }
+    order
+}
+
+/// The chordless walk's node sets as `minimal_path_sets` lists them: each
+/// set sorted, no duplicates, ordered by length, then members.
+fn chordless_sets(g: &Graph<usize, ()>, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
+    let mut sets: Vec<Vec<NodeId>> = walked(g, s, t, PathKind::Chordless)
+        .into_iter()
+        .map(|p| {
+            let mut nodes = p.nodes;
+            nodes.sort_unstable();
+            nodes
+        })
+        .collect();
+    sets.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    sets.dedup();
+    sets
+}
+
+/// The sorted view's walk against every simple path sorted by (node ids,
+/// edge ids): the same first-occurrence numbering, and without parallel
+/// edges the same list.
+fn sorted_view_agrees(g: &Graph<usize, ()>, s: NodeId, t: NodeId) -> Result<(), TestCaseError> {
+    let mut sorted = g.clone();
+    sorted.sort_adjacency();
+    let walk = walked(&sorted, s, t, PathKind::Simple);
+    let mut want = all_simple_paths(g, s, t);
+    want.sort();
+    prop_assert_eq!(first_occurrence(&walk), first_occurrence(&want));
+    let parallel = g.node_ids().any(|n| {
+        let mut seen: Vec<NodeId> = g.neighbors(n).map(|a| a.node).collect();
+        let len = seen.len();
+        seen.sort_unstable();
+        seen.dedup();
+        seen.len() < len
+    });
+    if !parallel {
+        prop_assert_eq!(walk, want);
+    }
+    Ok(())
 }
 
 /// A dense random multigraph: every vertex pair carries 0..=2 parallel
@@ -232,6 +307,63 @@ proptest! {
             prop_assert!(p.validate(&g));
             prop_assert!(universe.contains(p));
         }
+    }
+
+    #[test]
+    fn chordless_walk_finds_the_minimal_path_sets((g, ids) in graph_strategy(), si in 0usize..8, ti in 0usize..8) {
+        let s = ids[si % ids.len()];
+        let t = ids[ti % ids.len()];
+        prop_assert_eq!(chordless_sets(&g, s, t), minimal_path_sets(&g, s, t));
+    }
+
+    #[test]
+    fn chordless_walk_finds_the_minimal_path_sets_of_multigraphs((g, ids) in dense_graph_strategy()) {
+        let s = ids[0];
+        let t = ids[ids.len() - 1];
+        prop_assert_eq!(chordless_sets(&g, s, t), minimal_path_sets(&g, s, t));
+    }
+
+    #[test]
+    fn simple_paths_cover_exactly_the_relevant_mask((g, ids) in graph_strategy(), si in 0usize..8, ti in 0usize..8) {
+        let s = ids[si % ids.len()];
+        let t = ids[ti % ids.len()];
+        let mut covered = vec![false; g.node_capacity()];
+        for p in all_simple_paths(&g, s, t) {
+            for n in p.nodes {
+                covered[n.index()] = true;
+            }
+        }
+        let mut mask = Vec::new();
+        let allowed = BlockCutTree::new(&g).relevant_nodes(s, t, &mut mask);
+        prop_assert_eq!(allowed, covered.iter().filter(|&&c| c).count());
+        prop_assert_eq!(mask, covered);
+    }
+
+    #[test]
+    fn sorted_view_numbers_nodes_in_sorted_path_order((g, ids) in graph_strategy(), si in 0usize..8, ti in 0usize..8) {
+        sorted_view_agrees(&g, ids[si % ids.len()], ids[ti % ids.len()])?;
+    }
+
+    #[test]
+    fn sorted_view_numbers_nodes_in_sorted_path_order_on_multigraphs((g, ids) in dense_graph_strategy()) {
+        sorted_view_agrees(&g, ids[0], ids[ids.len() - 1])?;
+    }
+
+    #[test]
+    fn counting_walk_counts_every_simple_path((g, ids) in dense_graph_strategy(), si in 0usize..7, ti in 0usize..7) {
+        let s = ids[si % ids.len()];
+        let t = ids[ti % ids.len()];
+        let count = count_simple_paths(&g, s, t);
+        let mut budget = usize::MAX;
+        let walked = walk_paths(
+            &g, s, t, PathKind::Simple, None, &mut budget, &mut DiscoveryScratch::new(), |_, _| {},
+        );
+        prop_assert_eq!(walked, Ok(count));
+        // The frames it charged are the unbudgeted DFS's frames.
+        let stats = for_each_simple_path(
+            &g, s, t, PathLimits::unlimited(), None, &mut DiscoveryScratch::new(), |_, _| {},
+        );
+        prop_assert_eq!(usize::MAX - budget, stats.frames);
     }
 
     #[test]

@@ -28,9 +28,11 @@
 //! an `Arc<Shard>` tag), while everything model-scoped — snapshot, epoch,
 //! perspective + negative caches, metrics, journal — is per shard. A
 //! worker holds no model state: a cache miss runs
-//! [`evaluate_perspective`] (Steps 7–8, no model space) on the snapshot's
-//! shared interned graph, with the worker's one Step 7 workspace as
-//! scratch. An engine built with [`Engine::new`] has exactly one unnamed
+//! [`evaluate_perspective`] (Steps 7–8 sized to their answer, no model
+//! space) on the snapshot's shared interned graph, with the worker's one
+//! Step 7 workspace as scratch. A perspective whose Step 7 runs past the
+//! frame budget is a model error, cached for the epoch like the others.
+//! An engine built with [`Engine::new`] has exactly one unnamed
 //! default shard and behaves byte-identically to the pre-registry engine;
 //! [`Engine::with_models`] registers several named shards behind the same
 //! pool, addressed by the `USE <model>` protocol verb.
@@ -162,10 +164,9 @@ pub struct EngineConfig {
     /// least-recently-used entry is evicted when a new result would exceed
     /// it.
     pub cache_capacity: usize,
-    /// Step 7 options of every perspective evaluation, campaigns included.
-    /// The default is the sequential DFS on the worker's own workspace:
-    /// workers are already parallel across perspectives, so an evaluation
-    /// starts no threads of its own.
+    /// Unread: the engine's one evaluator, campaigns included, runs Step 7
+    /// sized to its answer on the worker's own workspace, with no options.
+    /// The field stays only because the benchmark reads and passes it.
     pub discovery: DiscoveryOptions,
     /// Derives the per-perspective mapping for the default shard of
     /// [`Engine::new`] (defaults to [`pingpong_mapper`]). Engines built
@@ -509,14 +510,13 @@ struct Shard {
     negative: NegativeCache,
     metrics: EngineMetrics,
     mapper: PerspectiveMapper,
-    discovery: DiscoveryOptions,
     persist: Mutex<Option<PersistHandle>>,
     journal_len: AtomicU64,
     last_save_epoch: AtomicU64,
 }
 
 impl Shard {
-    fn new(spec: ModelSpec, cache_capacity: usize, discovery: DiscoveryOptions) -> Shard {
+    fn new(spec: ModelSpec, cache_capacity: usize) -> Shard {
         Shard {
             name: spec.name,
             epoch: AtomicU64::new(spec.snapshot.epoch),
@@ -525,7 +525,6 @@ impl Shard {
             negative: NegativeCache::new(),
             metrics: EngineMetrics::new(),
             mapper: spec.mapper,
-            discovery,
             persist: Mutex::new(None),
             journal_len: AtomicU64::new(0),
             last_save_epoch: AtomicU64::new(0),
@@ -670,11 +669,7 @@ impl Engine {
                     spec.name
                 )));
             }
-            shards.push(Arc::new(Shard::new(
-                spec,
-                config.cache_capacity,
-                config.discovery,
-            )));
+            shards.push(Arc::new(Shard::new(spec, config.cache_capacity)));
         }
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
@@ -1162,7 +1157,7 @@ impl Engine {
                             snapshot.infrastructure.clone(),
                             snapshot.service.clone(),
                             Arc::clone(&shard.mapper),
-                            shard.discovery,
+                            DiscoveryOptions::default(),
                             Some(snapshot.interned_graph()),
                             Arc::clone(&snapshot.params),
                             spec,
@@ -1532,7 +1527,6 @@ fn evaluate_uncached(
         &snapshot.interned_graph(),
         &mapping,
         &snapshot.params,
-        shard.discovery,
         &mut ctx.workspace,
     )?;
     let observed = posterior.iter().filter(|p| p.is_some()).count();
@@ -1584,11 +1578,12 @@ fn evaluate_uncached(
         key,
         epoch: snapshot.epoch,
         availability,
-        upsim_nodes: run.touched_devices().collect(),
+        upsim_nodes: run.upsim_names().collect(),
         path_counts: run
-            .discovered
+            .paths
+            .pairs
             .iter()
-            .map(|d| (d.pair.atomic_service.clone(), d.len()))
+            .map(|p| (p.pair.atomic_service.clone(), p.paths))
             .collect(),
         reduction_ratio: run.reduction_ratio,
         eval_micros,
@@ -2035,6 +2030,60 @@ mod tests {
             1,
             "post-update failure must be re-derived, not replayed"
         );
+        engine.shutdown();
+    }
+
+    /// Dual-homing the edge switches of the first 8 distribution switches
+    /// of the 1,222-device campus (16 `CONNECT`s) gives `t0_0_0 → srv0`
+    /// about 10⁵ simple paths, whose count needs about 9·10⁶ DFS frames:
+    /// Step 7 refuses the perspective at its frame budget instead of
+    /// holding a worker, and the refusal is cached for the epoch.
+    #[test]
+    fn a_perspective_past_the_frame_budget_is_a_cached_model_error() {
+        let params = netgen::campus::CampusParams {
+            core: 2,
+            distributions: 64,
+            edges_per_distribution: 2,
+            clients_per_edge: 8,
+            servers: 3,
+            dual_homed_edges: false,
+        };
+        let (infrastructure, service, _) = netgen::campus::campus_scenario(params);
+        let snapshot =
+            ModelSnapshot::new(infrastructure, service).expect("campus models are consistent");
+        let engine = Engine::new(
+            snapshot,
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+        );
+        let k = 8;
+        for d in 0..k {
+            for e in 0..2 {
+                engine
+                    .update(UpdateCommand::Connect {
+                        a: format!("edge{d}_{e}"),
+                        b: format!("dist{}", (d + 1) % k),
+                    })
+                    .expect("a new uplink");
+            }
+        }
+        let err = engine.query("t0_0_0", "srv0").expect_err("over the budget");
+        let EngineError::Model(msg) = &err else {
+            panic!("a model error, got {err:?}");
+        };
+        let budget = upsim_core::discovery::MAX_DFS_FRAMES.to_string();
+        assert!(
+            msg.contains("'t0_0_0'") && msg.contains("'srv0'") && msg.contains(&budget),
+            "{msg}"
+        );
+        let before = engine.stats();
+        let repeat = engine.query("t0_0_0", "srv0").expect_err("cached");
+        assert_eq!(repeat, err);
+        let after = engine.stats();
+        assert_eq!(after.negative_hits, before.negative_hits + 1);
+        assert_eq!(after.tasks_executed, before.tasks_executed, "no second run");
         engine.shutdown();
     }
 
