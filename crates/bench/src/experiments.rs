@@ -14,7 +14,7 @@ use netgen::usi::{
 };
 use std::fmt::Write as _;
 use std::time::Instant;
-use upsim_core::discovery::{discover, DiscoveryOptions, DiscoveryWorkspace};
+use upsim_core::discovery::{discover, DiscoveryWorkspace};
 use upsim_core::mapping::{ServiceMapping, ServiceMappingPair};
 use upsim_core::pipeline::UpsimPipeline;
 use upsim_core::service::CompositeService;
@@ -140,7 +140,6 @@ pub fn e5_paths() -> String {
     let d = discover(
         &infra,
         &ServiceMappingPair::new("Request printing", "t1", "printS"),
-        DiscoveryOptions::default(),
     )
     .expect("pair resolves");
     let mut out = String::from("E5 — Sec. VI-G: paths for service mapping pair (t1, printS)\n\n");
@@ -375,7 +374,7 @@ pub fn e9_scaling() -> String {
         let infra = netgen::random::complete(n);
         let pair = ServiceMappingPair::new("s", "n0", format!("n{}", n - 1));
         let start = Instant::now();
-        let d = discover(&infra, &pair, DiscoveryOptions::default()).expect("resolves");
+        let d = discover(&infra, &pair).expect("resolves");
         let elapsed = start.elapsed();
         t.row([
             format!("K_{n}"),
@@ -400,7 +399,7 @@ pub fn e9_scaling() -> String {
         let (infra, _, _) = campus_scenario(params);
         let pair = ServiceMappingPair::new("s", "t0_0_0", "srv0");
         let start = Instant::now();
-        let d = discover(&infra, &pair, DiscoveryOptions::default()).expect("resolves");
+        let d = discover(&infra, &pair).expect("resolves");
         let elapsed = start.elapsed();
         t.row([
             format!("dist={distributions}"),
@@ -503,10 +502,10 @@ pub fn e10_dynamicity() -> String {
     out
 }
 
-/// E11 — Sec. VIII scalability + IPPS angle: UPSIM generation cost and
-/// parallel path-discovery speedup.
-pub fn e11_parallel() -> String {
-    let mut out = String::from("E11 — Sec. VIII: scalability and parallel discovery\n\n");
+/// E11 — Sec. VIII scalability: UPSIM generation cost against network size,
+/// and the sequential path-discovery kernel on the factorial worst case.
+pub fn e11_scalability() -> String {
+    let mut out = String::from("E11 — Sec. VIII: scalability\n\n");
 
     // Pipeline wall time vs campus size.
     let mut t = Table::new([
@@ -540,55 +539,18 @@ pub fn e11_parallel() -> String {
     }
     let _ = writeln!(out, "end-to-end pipeline vs network size:\n{t}");
 
-    // Parallel speedup on the path-explosion worst case — measured at the
-    // graph level (ict-graph), where the enumeration itself dominates.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // The kernel on the path-explosion worst case, measured at the graph
+    // level (ict-graph), where the enumeration itself dominates.
     let infra = netgen::random::complete(10);
     let (graph, index) = infra.to_graph();
-    let (s, t_node) = (index["n0"], index["n9"]);
     let start = Instant::now();
-    let seq = ict_graph::paths::all_simple_paths(&graph, s, t_node);
-    let seq_time = start.elapsed();
-    let mut t = Table::new(["threads", "time [ms]", "speedup", "paths"]);
-    t.row([
-        "seq".to_string(),
-        format!("{:.2}", seq_time.as_secs_f64() * 1e3),
-        "1.00".into(),
-        seq.len().to_string(),
-    ]);
-    for threads in [1usize, 2, 4, 8] {
-        let start = Instant::now();
-        let par = ict_graph::parallel::parallel_simple_paths(
-            &graph,
-            s,
-            t_node,
-            ict_graph::parallel::ParallelOptions {
-                threads,
-                ..Default::default()
-            },
-        );
-        let elapsed = start.elapsed();
-        assert_eq!(par.len(), seq.len(), "parallel enumeration must agree");
-        t.row([
-            threads.to_string(),
-            format!("{:.2}", elapsed.as_secs_f64() * 1e3),
-            format!("{:.2}", seq_time.as_secs_f64() / elapsed.as_secs_f64()),
-            par.len().to_string(),
-        ]);
-    }
+    let paths = ict_graph::paths::all_simple_paths(&graph, index["n0"], index["n9"]);
+    let elapsed = start.elapsed();
     let _ = writeln!(
         out,
-        "parallel all-paths enumeration on K_10 ({} paths), host cores: {cores}:\n{t}",
-        seq.len()
-    );
-    let _ = writeln!(
-        out,
-        "shape check: with {cores} core(s) available, the expected speedup ceiling is {cores}.00x; \
-         on a single-core host the experiment instead bounds the parallelization overhead \
-         (prefix split + per-worker sort + k-way merge). Equivalence of the parallel and \
-         sequential path sets is asserted above and proptested in ict-graph."
+        "sequential all-paths enumeration on K_10: {} paths in {:.2} ms",
+        paths.len(),
+        elapsed.as_secs_f64() * 1e3
     );
     out
 }
@@ -997,7 +959,7 @@ pub fn all() -> Vec<Experiment> {
         ("E8", e8_availability),
         ("E9", e9_scaling),
         ("E10", e10_dynamicity),
-        ("E11", e11_parallel),
+        ("E11", e11_scalability),
         ("E12", e12_outlook),
         ("E13", e13_transient),
         ("E14", e14_redundancy),

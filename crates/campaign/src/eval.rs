@@ -90,10 +90,6 @@ pub struct CampaignInput {
     pub service: Arc<CompositeService>,
     /// Perspective mapper (shared with the owning shard).
     pub mapper: PerspectiveMapper,
-    /// Unread: baselines and structural re-runs run Step 7 sized to its
-    /// answer, with no options. The field stays only because the
-    /// benchmark reads and passes it.
-    pub discovery: DiscoveryOptions,
     /// The base topology's interned graph view — shared with the shard,
     /// so baseline evaluation interns nothing.
     pub graph: Arc<InternedGraph>,
@@ -118,12 +114,13 @@ impl CampaignInput {
     /// Resolves the perspective scope, generates the scenario set and
     /// bundles the immutable inputs. `graph` should be the shard's shared
     /// interned view when available; `None` interns a fresh one.
-    /// `discovery` is kept, unread, in [`CampaignInput::discovery`].
+    /// `_discovery` is unread: Step 7 has no options ([`DiscoveryOptions`]),
+    /// and the argument stays only because the benchmark still passes it.
     pub fn prepare(
         infrastructure: impl Into<Arc<Infrastructure>>,
         service: impl Into<Arc<CompositeService>>,
         mapper: PerspectiveMapper,
-        discovery: DiscoveryOptions,
+        _discovery: DiscoveryOptions,
         graph: Option<Arc<InternedGraph>>,
         params: Arc<ParamEstimator>,
         spec: CampaignSpec,
@@ -137,7 +134,6 @@ impl CampaignInput {
             infrastructure,
             service,
             mapper,
-            discovery,
             graph,
             pairs,
             scenarios,

@@ -21,7 +21,7 @@ fn usi_input(spec: &str) -> CampaignInput {
         usi_infrastructure(),
         printing_service(),
         usi_mapper(),
-        DiscoveryOptions::default(),
+        DiscoveryOptions,
         None,
         Arc::new(dependability::ParamEstimator::new()),
         CampaignSpec::parse(spec).expect("spec parses"),
@@ -236,7 +236,7 @@ fn usi_input_observed(spec: &str) -> CampaignInput {
         usi_infrastructure(),
         printing_service(),
         usi_mapper(),
-        DiscoveryOptions::default(),
+        DiscoveryOptions,
         None,
         Arc::new(est),
         CampaignSpec::parse(spec).expect("spec parses"),

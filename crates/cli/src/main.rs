@@ -10,8 +10,7 @@
 //! * `paths -i <infra.xml> --from <a> --to <b>` — all simple paths between
 //!   components (`--from`/`--to` accept comma-separated lists — every
 //!   pair is enumerated over one shared interned graph view; paths print
-//!   in DFS order, or sorted with `--parallel <threads>`, which runs the
-//!   parallel enumerator),
+//!   in DFS order),
 //! * `availability -i ... -s ... -m ...` — user-perceived steady-state
 //!   service availability (`--links`, `--paper-formula`, `--mc <samples>`),
 //! * `validate -i ... [-s ... -m ...]` — well-formedness checks,
@@ -35,7 +34,8 @@
 //!   the snapshot, replay the journal, report the resulting epoch.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (unknown
-//! command, unknown or missing flag — usage is printed to stderr).
+//! command, a flag the command does not read, a missing flag or a bad
+//! flag value — usage is printed to stderr).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write as _};
@@ -56,7 +56,7 @@ const USAGE: &str = "upsim — user-perceived service infrastructure models (IPP
 USAGE:
   upsim export-case-study <dir>
   upsim generate     -i <infra.xml> -s <service.xml> -m <mapping.xml> [--dot <file>] [--xmi <file>]
-  upsim paths        -i <infra.xml> --from <comp[,comp...]> --to <comp[,comp...]> [--parallel <threads>]
+  upsim paths        -i <infra.xml> --from <comp[,comp...]> --to <comp[,comp...]>
   upsim availability -i <infra.xml> -s <service.xml> -m <mapping.xml> [--links] [--paper-formula] [--mc <samples>] [--transient] [--sensitivity]
   upsim redundancy   -i <infra.xml> -s <service.xml> -m <mapping.xml>
   upsim validate     -i <infra.xml> [-s <service.xml>] [-m <mapping.xml>]
@@ -128,8 +128,11 @@ fn main() -> ExitCode {
 /// flags read the last one.
 type Flags = HashMap<String, Vec<String>>;
 
-/// Parses `--flag value` pairs and boolean `--flag`s into a map.
-fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
+/// Parses `--flag value` pairs and boolean `--flag`s into a map. A flag
+/// outside `known`, the space-separated flags `command` reads (aliases
+/// included), is a usage error that names it, so no command runs with a
+/// flag it ignores.
+fn parse_flags(command: &str, args: &[String], known: &[&str]) -> Result<Flags, CliError> {
     let mut flags: Flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -138,6 +141,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
             return Err(usage_err(format!("unexpected positional argument '{arg}'")));
         }
         let key = arg.trim_start_matches('-').to_string();
+        if !known
+            .iter()
+            .flat_map(|k| k.split_whitespace())
+            .any(|k| k == key)
+        {
+            return Err(usage_err(format!("'upsim {command}' has no flag '{arg}'")));
+        }
         let boolean = matches!(
             key.as_str(),
             "links" | "paper-formula" | "transient" | "sensitivity" | "case-study"
@@ -204,19 +214,39 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "export-case-study" => export_case_study(args.get(1).map(String::as_str).unwrap_or(".")),
-        "generate" => generate(&parse_flags(&args[1..])?),
-        "paths" => paths(&parse_flags(&args[1..])?),
-        "availability" => availability(&parse_flags(&args[1..])?),
-        "redundancy" => redundancy(&parse_flags(&args[1..])?),
-        "validate" => validate(&parse_flags(&args[1..])?),
-        "serve" => serve(&parse_flags(&args[1..])?),
-        "query" => query(&parse_flags(&args[1..])?),
-        "campaign" => campaign(&parse_flags(&args[1..])?),
-        "importance" => importance(&parse_flags(&args[1..])?),
-        "restore" => restore(&parse_flags(&args[1..])?),
-        other => Err(usage_err(format!(
-            "unknown command '{other}'; try 'upsim help'"
-        ))),
+        other => {
+            type Body = fn(&Flags) -> Result<(), CliError>;
+            const MODELS: &str = "i infrastructure s service m mapping";
+            const INITIAL: &str = "case-study i infrastructure s service";
+            // The flags each command reads, aliases included.
+            let (known, body): (&[&str], Body) = match other {
+                "generate" => (&[MODELS, "dot xmi"], generate),
+                "paths" => (&["i infrastructure from to"], paths),
+                "availability" => (
+                    &[MODELS, "links paper-formula mc transient sensitivity"],
+                    availability,
+                ),
+                "redundancy" => (&[MODELS], redundancy),
+                "validate" => (&[MODELS], validate),
+                "serve" => (
+                    &[INITIAL, "model addr workers cache-cap state-dir save-every"],
+                    serve,
+                ),
+                "query" => (&["addr from to model pipeline count"], query),
+                "campaign" => (&[INITIAL, "spec addr model"], campaign),
+                "importance" => (
+                    &[MODELS, "case-study from to links paper-formula sensitivity"],
+                    importance,
+                ),
+                "restore" => (&[INITIAL, "state-dir model"], restore),
+                _ => {
+                    return Err(usage_err(format!(
+                        "unknown command '{other}'; try 'upsim help'"
+                    )))
+                }
+            };
+            body(&parse_flags(other, &args[1..], known)?)
+        }
     }
 }
 
@@ -232,7 +262,8 @@ fn initial_models(
     ),
     CliError,
 > {
-    let case_study = flag(flags, &["case-study"]).is_some() || flag(flags, &["i"]).is_none();
+    let case_study =
+        flag(flags, &["case-study"]).is_some() || flag(flags, &["i", "infrastructure"]).is_none();
     if case_study {
         Ok((
             netgen::usi::usi_infrastructure(),
@@ -370,7 +401,12 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
         };
         upsim_server::Engine::new(snapshot, config)
     } else {
-        if flag(flags, &["case-study", "i", "s"]).is_some() {
+        if flag(
+            flags,
+            &["case-study", "i", "infrastructure", "s", "service"],
+        )
+        .is_some()
+        {
             return Err(usage_err(
                 "--model cannot be combined with --case-study or -i/-s (name every model instead)",
             ));
@@ -704,7 +740,7 @@ fn campaign(flags: &Flags) -> Result<(), CliError> {
         infra,
         service,
         mapper,
-        DiscoveryOptions::default(),
+        DiscoveryOptions,
         None,
         std::sync::Arc::new(dependability::ParamEstimator::new()),
         spec,
@@ -726,7 +762,8 @@ fn campaign(flags: &Flags) -> Result<(), CliError> {
 /// component to die (`ΔA = p·B`), optionally with parameter
 /// sensitivities.
 fn importance(flags: &Flags) -> Result<(), CliError> {
-    let case_study = flag(flags, &["case-study"]).is_some() || flag(flags, &["i"]).is_none();
+    let case_study =
+        flag(flags, &["case-study"]).is_some() || flag(flags, &["i", "infrastructure"]).is_none();
     let (infra, service, mapping) = if case_study {
         let from = require(flags, &["from"])?;
         let to = require(flags, &["to"])?;
@@ -837,13 +874,6 @@ fn paths(flags: &Flags) -> Result<(), CliError> {
         .map_err(|e| e.to_string())?;
     let from = require(flags, &["from"])?;
     let to = require(flags, &["to"])?;
-    let mut options = DiscoveryOptions::default();
-    if let Some(threads) = flag(flags, &["parallel"]) {
-        options.parallel = true;
-        options.threads = threads
-            .parse()
-            .map_err(|_| usage_err("--parallel expects a thread count"))?;
-    }
     // One interned view (name table + block-cut tree) and one reusable
     // workspace serve every requested endpoint pair: `--from`/`--to`
     // accept comma-separated lists, and the graph extraction is no longer
@@ -860,8 +890,7 @@ fn paths(flags: &Flags) -> Result<(), CliError> {
         return Err(usage_err("--from/--to need at least one component each"));
     }
     for pair in &pairs {
-        let d = discover_with_workspace(&view, pair, options, &mut workspace)
-            .map_err(|e| e.to_string())?;
+        let d = discover_with_workspace(&view, pair, &mut workspace).map_err(|e| e.to_string())?;
         for i in 0..d.len() {
             println!("{}", d.render_path_at(i));
         }

@@ -1,9 +1,10 @@
 //! Black-box smoke tests for the `upsim` binary: exit codes, stderr
 //! routing for usage errors, and a served query round trip.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn upsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_upsim"))
@@ -128,7 +129,7 @@ fn availability_mc_prices_with_the_kernel_and_rejects_zero_samples() {
 }
 
 #[test]
-fn paths_parallel_lists_the_sequential_paths() {
+fn paths_lists_the_case_study_paths_in_dfs_order() {
     let dir = std::env::temp_dir().join(format!("upsim-cli-paths-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let export = upsim()
@@ -142,42 +143,118 @@ fn paths_parallel_lists_the_sequential_paths() {
         "stderr: {}",
         String::from_utf8_lossy(&export.stderr)
     );
-    let paths = |extra: &[&str]| {
-        let out = upsim()
-            .arg("paths")
-            .arg("-i")
-            .arg(dir.join("usi-infrastructure.xml"))
-            .args(["--from", "t1", "--to", "printS"])
-            .args(extra)
-            .output()
-            .expect("run upsim paths");
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-        let mut lines: Vec<String> = stdout.lines().map(str::to_string).collect();
-        let count = lines.pop().expect("a count line");
-        lines.sort();
-        (lines, count)
-    };
-
-    let (sequential, count) = paths(&[]);
-    let (parallel, parallel_count) = paths(&["--parallel", "2"]);
-    // The same multiset of paths and the same count, whatever the order.
-    assert_eq!(parallel, sequential);
-    assert_eq!(parallel_count, count);
-    assert_eq!(count, "6 path(s) between t1 and printS");
-    // The two paths the paper prints (Sec. VI-G, E5).
-    for printed in ["t1—e1—d1—c1—d4—printS", "t1—e1—d1—c1—c2—d4—printS"] {
-        assert!(
-            sequential.iter().any(|line| line == printed),
-            "{printed} missing from {sequential:?}"
-        );
-    }
+    let out = upsim()
+        .arg("paths")
+        .arg("-i")
+        .arg(dir.join("usi-infrastructure.xml"))
+        .args(["--from", "t1", "--to", "printS"])
+        .output()
+        .expect("run upsim paths");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    // DFS order over the model's link order; the second and third lines
+    // are the two paths the paper prints (Sec. VI-G, E5).
+    assert_eq!(
+        stdout.lines().collect::<Vec<_>>(),
+        [
+            "t1—e1—d1—c1—c2—d4—printS",
+            "t1—e1—d1—c1—d2—c2—d4—printS",
+            "t1—e1—d1—c1—d4—printS",
+            "t1—e1—d1—c2—c1—d4—printS",
+            "t1—e1—d1—c2—d2—c1—d4—printS",
+            "t1—e1—d1—c2—d4—printS",
+            "6 path(s) between t1 and printS",
+        ]
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `upsim` with `args` to its exit and returns its exit code and
+/// stderr. A process still running after 10 s is killed and fails the
+/// test, so a command that wrongly starts serving cannot hang the suite.
+fn exit_of(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = upsim()
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn upsim");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll upsim") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("upsim {args:?} still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    (status.code(), stderr)
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_exits_two() {
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &[
+                "paths",
+                "-i",
+                "infra.xml",
+                "--from",
+                "t1",
+                "--to",
+                "printS",
+                "--parallel",
+                "2",
+            ],
+            "'upsim paths' has no flag '--parallel'",
+        ),
+        (
+            &["serve", "--case-study", "--worker", "2"],
+            "'upsim serve' has no flag '--worker'",
+        ),
+    ];
+    for (args, refusal) in cases {
+        let (code, stderr) = exit_of(args);
+        assert_eq!(code, Some(2), "upsim {args:?}: {stderr}");
+        assert!(stderr.contains(refusal), "stderr: {stderr}");
+        assert!(stderr.contains("USAGE:"), "stderr: {stderr}");
+    }
+}
+
+#[test]
+fn long_model_aliases_are_read_without_the_short_ones() {
+    // `--infrastructure` alone selects model files, as `-i` does, instead
+    // of falling back to the case study.
+    let dir = std::env::temp_dir().join(format!("upsim-cli-aliases-{}", std::process::id()));
+    let (code, stderr) = exit_of(&[
+        "restore",
+        "--state-dir",
+        dir.to_str().expect("utf8 dir"),
+        "--infrastructure",
+        "/nonexistent/infra.xml",
+        "--service",
+        "/nonexistent/service.xml",
+    ]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cannot read '/nonexistent/infra.xml'"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]

@@ -13,10 +13,8 @@
 //! (`ict_graph::prune`), enumerate on the caller's reused
 //! [`DiscoveryWorkspace`], keep the paths interned, and optionally record
 //! them in the model space (the paper's "reserved tree structure"). The
-//! paths come out in DFS order. [`DiscoveryOptions::parallel`] switches to
-//! `ict_graph::parallel`, which finds the same paths sorted; the
-//! pipeline's callers run the sequential DFS, and `upsim paths --parallel`
-//! the parallel one.
+//! paths come out in DFS order, from an unlimited
+//! `ict_graph::paths::walk_paths`.
 //!
 //! The serving path lists no paths: [`walk_perspective`] walks each
 //! endpoint pair of a perspective twice, once to count its simple paths
@@ -29,8 +27,7 @@ use crate::importers::PATHS_NS;
 use crate::infrastructure::Infrastructure;
 use crate::interned::{InternedGraph, NameTable};
 use crate::mapping::ServiceMappingPair;
-use ict_graph::parallel::{parallel_simple_paths_pruned, ParallelOptions};
-use ict_graph::paths::{for_each_simple_path, walk_paths, DiscoveryScratch, PathKind, PathLimits};
+use ict_graph::paths::{walk_paths, DiscoveryScratch, PathKind};
 use ict_graph::NodeId;
 use std::sync::Arc;
 use vpm::ModelSpace;
@@ -42,17 +39,13 @@ use vpm::ModelSpace;
 /// needs about 33,000.
 pub const MAX_DFS_FRAMES: usize = 1 << 22;
 
-/// Options for Step 7. The default is the sequential DFS, unlimited.
+/// Step 7 has no options: every caller runs the one DFS, unlimited. This
+/// fieldless type stays only because the benchmark still names it
+/// (`EngineConfig::discovery`, [`crate::pipeline::UpsimPipeline::set_options`]
+/// and `CampaignInput::prepare` take it and read nothing); it goes with
+/// the benchmark's next revision.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DiscoveryOptions {
-    /// Use the parallel enumerator (crossbeam prefix fan-out; lists the
-    /// same paths sorted instead of in DFS order).
-    pub parallel: bool,
-    /// Worker threads for the parallel enumerator (0 = all cores).
-    pub threads: usize,
-    /// Path limits (both enumerators).
-    pub limits: PathLimits,
-}
+pub struct DiscoveryOptions;
 
 /// Reusable per-worker buffers for repeated discovery calls: the DFS
 /// scratch (on-path bitset, stack, path buffers), the pruning mask, and
@@ -203,10 +196,9 @@ impl DiscoveredPaths {
 pub fn discover_on_graph(
     view: &InternedGraph,
     pair: &ServiceMappingPair,
-    options: DiscoveryOptions,
 ) -> UpsimResult<DiscoveredPaths> {
     let mut workspace = DiscoveryWorkspace::default();
-    discover_with_workspace(view, pair, options, &mut workspace)
+    discover_with_workspace(view, pair, &mut workspace)
 }
 
 /// [`discover_on_graph`] with caller-owned scratch buffers: repeated calls
@@ -214,7 +206,6 @@ pub fn discover_on_graph(
 pub fn discover_with_workspace(
     view: &InternedGraph,
     pair: &ServiceMappingPair,
-    options: DiscoveryOptions,
     workspace: &mut DiscoveryWorkspace,
 ) -> UpsimResult<DiscoveredPaths> {
     let resolve = |role: &'static str, name: &str| {
@@ -247,50 +238,26 @@ pub fn discover_with_workspace(
             link_paths,
         });
     }
-    let mask = Some(workspace.mask.as_slice());
-
-    if options.parallel {
-        let (raw, _) = parallel_simple_paths_pruned(
-            graph,
-            source,
-            target,
-            ParallelOptions {
-                threads: options.threads,
-                limits: options.limits,
-                ..Default::default()
-            },
-            mask,
-        );
-        node_paths.reserve(raw.len());
-        link_paths.reserve(raw.len());
-        for path in raw {
-            node_paths.push(path.nodes.iter().map(|n| n.index() as u32).collect());
+    let mut budget = usize::MAX;
+    walk_paths(
+        graph,
+        source,
+        target,
+        PathKind::Simple,
+        Some(workspace.mask.as_slice()),
+        &mut budget,
+        &mut workspace.scratch,
+        |nodes, edges| {
+            node_paths.push(nodes.iter().map(|n| n.index() as u32).collect());
             link_paths.push(
-                path.edges
+                edges
                     .iter()
                     .map(|&e| *graph.edge(e).expect("live edge"))
                     .collect(),
             );
-        }
-    } else {
-        for_each_simple_path(
-            graph,
-            source,
-            target,
-            options.limits,
-            mask,
-            &mut workspace.scratch,
-            |nodes, edges| {
-                node_paths.push(nodes.iter().map(|n| n.index() as u32).collect());
-                link_paths.push(
-                    edges
-                        .iter()
-                        .map(|&e| *graph.edge(e).expect("live edge"))
-                        .collect(),
-                );
-            },
-        );
-    }
+        },
+    )
+    .expect("an unlimited budget is never exhausted");
     Ok(DiscoveredPaths {
         pair: pair.clone(),
         names: Arc::clone(view.names()),
@@ -434,10 +401,9 @@ pub fn walk_perspective(
 pub fn discover(
     infrastructure: &Infrastructure,
     pair: &ServiceMappingPair,
-    options: DiscoveryOptions,
 ) -> UpsimResult<DiscoveredPaths> {
     let view = infrastructure.to_interned_graph();
-    discover_on_graph(&view, pair, options)
+    discover_on_graph(&view, pair)
 }
 
 /// Records discovered paths in the model space — the paper's "reserved tree
@@ -499,7 +465,7 @@ mod tests {
 
     #[test]
     fn discovers_both_redundant_paths() {
-        let d = discover(&diamond(), &pair(), DiscoveryOptions::default()).unwrap();
+        let d = discover(&diamond(), &pair()).unwrap();
         assert_eq!(d.len(), 2);
         let rendered: Vec<String> = (0..d.len()).map(|i| d.render_path_at(i)).collect();
         assert!(rendered.contains(&"t1—a—srv".to_string()));
@@ -510,7 +476,7 @@ mod tests {
     #[test]
     fn link_paths_align_with_infrastructure_links() {
         let infra = diamond();
-        let d = discover(&infra, &pair(), DiscoveryOptions::default()).unwrap();
+        let d = discover(&infra, &pair()).unwrap();
         for (nodes, links) in d.named_paths().iter().zip(&d.link_paths) {
             assert_eq!(nodes.len(), links.len() + 1);
             for (i, &li) in links.iter().enumerate() {
@@ -534,16 +500,18 @@ mod tests {
         infra.add_device("tail", "Sw").unwrap();
         infra.connect("a", "tail").unwrap();
         let view = infra.to_interned_graph();
-        let pruned = discover_on_graph(&view, &pair(), DiscoveryOptions::default()).unwrap();
+        let pruned = discover_on_graph(&view, &pair()).unwrap();
         let graph = view.graph();
         let mut nodes_seen = Vec::new();
         let mut links_seen = Vec::new();
-        for_each_simple_path(
+        let mut budget = usize::MAX;
+        walk_paths(
             graph,
             view.node_of("t1").unwrap(),
             view.node_of("srv").unwrap(),
-            PathLimits::unlimited(),
+            PathKind::Simple,
             None,
+            &mut budget,
             &mut DiscoveryScratch::new(),
             |nodes, edges| {
                 nodes_seen.push(nodes.iter().map(|n| n.index() as u32).collect::<Vec<_>>());
@@ -554,7 +522,8 @@ mod tests {
                         .collect::<Vec<_>>(),
                 );
             },
-        );
+        )
+        .unwrap();
         assert_eq!(pruned.interned(), nodes_seen.as_slice());
         assert_eq!(pruned.link_paths, links_seen);
         assert_eq!(pruned.len(), 2);
@@ -565,20 +534,14 @@ mod tests {
         let infra = diamond();
         let view = infra.to_interned_graph();
         let mut ws = DiscoveryWorkspace::default();
-        let first =
-            discover_with_workspace(&view, &pair(), DiscoveryOptions::default(), &mut ws).unwrap();
-        let second = discover_with_workspace(
-            &view,
-            &ServiceMappingPair::new("rev", "srv", "t1"),
-            DiscoveryOptions::default(),
-            &mut ws,
-        )
-        .unwrap();
+        let first = discover_with_workspace(&view, &pair(), &mut ws).unwrap();
+        let second =
+            discover_with_workspace(&view, &ServiceMappingPair::new("rev", "srv", "t1"), &mut ws)
+                .unwrap();
         assert_eq!(first.len(), 2);
         assert_eq!(second.len(), 2);
         // Same pair again through the warm workspace: identical result.
-        let again =
-            discover_with_workspace(&view, &pair(), DiscoveryOptions::default(), &mut ws).unwrap();
+        let again = discover_with_workspace(&view, &pair(), &mut ws).unwrap();
         assert_eq!(again.interned(), first.interned());
     }
 
@@ -604,7 +567,7 @@ mod tests {
             infra.connect("t1", &m).unwrap();
             infra.connect(&m, "srv").unwrap();
         }
-        let d = discover(&infra, &pair(), DiscoveryOptions::default()).unwrap();
+        let d = discover(&infra, &pair()).unwrap();
         assert_eq!(d.len(), 6);
         let components = d.components();
         assert_eq!(components.len(), 8);
@@ -621,34 +584,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_discovery_matches_sequential() {
-        let infra = diamond();
-        let seq = discover(&infra, &pair(), DiscoveryOptions::default()).unwrap();
-        let par = discover(
-            &infra,
-            &pair(),
-            DiscoveryOptions {
-                parallel: true,
-                threads: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut seq_paths = seq.interned().to_vec();
-        let mut par_paths = par.interned().to_vec();
-        seq_paths.sort();
-        par_paths.sort();
-        assert_eq!(seq_paths, par_paths);
-    }
-
-    #[test]
     fn unknown_requester_reported() {
-        let err = discover(
-            &diamond(),
-            &ServiceMappingPair::new("x", "ghost", "srv"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap_err();
+        let err = discover(&diamond(), &ServiceMappingPair::new("x", "ghost", "srv")).unwrap_err();
         assert!(matches!(
             err,
             UpsimError::UnknownComponent {
@@ -660,12 +597,7 @@ mod tests {
 
     #[test]
     fn same_component_pair_yields_trivial_path() {
-        let d = discover(
-            &diamond(),
-            &ServiceMappingPair::new("local", "srv", "srv"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap();
+        let d = discover(&diamond(), &ServiceMappingPair::new("local", "srv", "srv")).unwrap();
         assert_eq!(d.len(), 1);
         assert_eq!(d.path_names(0).collect::<Vec<_>>(), vec!["srv"]);
         assert!(d.link_paths[0].is_empty());
@@ -676,7 +608,7 @@ mod tests {
         let infra = diamond();
         let mut space = ModelSpace::new();
         crate::importers::import_infrastructure(&mut space, &infra).unwrap();
-        let d = discover(&infra, &pair(), DiscoveryOptions::default()).unwrap();
+        let d = discover(&infra, &pair()).unwrap();
         record_in_space(&mut space, &d).unwrap();
         let root = space.resolve("paths.fetch").unwrap();
         assert_eq!(space.children(root).unwrap().len(), 2);

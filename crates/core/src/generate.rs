@@ -103,7 +103,7 @@ pub(crate) fn kept_ratio(infrastructure: &Infrastructure, kept: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discovery::{discover, DiscoveryOptions};
+    use crate::discovery::discover;
     use crate::infrastructure::DeviceClassSpec;
     use crate::mapping::ServiceMappingPair;
 
@@ -144,12 +144,7 @@ mod tests {
     #[test]
     fn upsim_filters_to_path_components() {
         let infra = infra();
-        let d = discover(
-            &infra,
-            &ServiceMappingPair::new("s", "t1", "srv"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap();
+        let d = discover(&infra, &ServiceMappingPair::new("s", "t1", "srv")).unwrap();
         let upsim = generate_upsim(&infra, &[d], "upsim");
         let names: Vec<&str> = upsim.instances.iter().map(|i| i.name.as_str()).collect();
         assert_eq!(names, vec!["t1", "a", "b", "srv"]);
@@ -161,12 +156,7 @@ mod tests {
     #[test]
     fn signatures_preserved_for_dependability_analysis() {
         let infra = infra();
-        let d = discover(
-            &infra,
-            &ServiceMappingPair::new("s", "t1", "srv"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap();
+        let d = discover(&infra, &ServiceMappingPair::new("s", "t1", "srv")).unwrap();
         let upsim = generate_upsim(&infra, &[d], "upsim");
         // Properties still resolvable through the class diagram.
         let v = upsim.instance_value(&infra.classes, "a", "MTBF").unwrap();
@@ -176,18 +166,8 @@ mod tests {
     #[test]
     fn multiple_pairs_merge() {
         let infra = infra();
-        let d1 = discover(
-            &infra,
-            &ServiceMappingPair::new("s1", "t1", "srv"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap();
-        let d2 = discover(
-            &infra,
-            &ServiceMappingPair::new("s2", "x", "y"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap();
+        let d1 = discover(&infra, &ServiceMappingPair::new("s1", "t1", "srv")).unwrap();
+        let d2 = discover(&infra, &ServiceMappingPair::new("s2", "x", "y")).unwrap();
         let upsim = generate_upsim(&infra, &[d1, d2], "upsim");
         assert_eq!(upsim.instances.len(), 6);
         assert_eq!(upsim.links.len(), 5);
@@ -215,12 +195,7 @@ mod tests {
     #[test]
     fn reduction_ratio_reflects_filtering() {
         let infra = infra();
-        let d = discover(
-            &infra,
-            &ServiceMappingPair::new("s", "t1", "srv"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap();
+        let d = discover(&infra, &ServiceMappingPair::new("s", "t1", "srv")).unwrap();
         let upsim = generate_upsim(&infra, &[d], "upsim");
         let ratio = reduction_ratio(&infra, &upsim);
         assert!((ratio - 4.0 / 6.0).abs() < 1e-12);

@@ -67,7 +67,7 @@ pub mod service;
 pub mod statistics;
 pub mod vtcl_reference;
 
-pub use discovery::{DiscoveredPaths, DiscoveryOptions, DiscoveryWorkspace};
+pub use discovery::{DiscoveredPaths, DiscoveryWorkspace};
 pub use error::{UpsimError, UpsimResult};
 pub use infrastructure::{DeviceClassSpec, DeviceKind, Infrastructure, LinkClassSpec};
 pub use interned::{InternedGraph, NameTable};
@@ -77,7 +77,6 @@ pub use service::CompositeService;
 
 /// Convenience re-exports for the common workflow.
 pub mod prelude {
-    pub use crate::discovery::DiscoveryOptions;
     pub use crate::infrastructure::{DeviceClassSpec, DeviceKind, Infrastructure, LinkClassSpec};
     pub use crate::mapping::{ServiceMapping, ServiceMappingPair};
     pub use crate::pipeline::{UpsimPipeline, UpsimRun};

@@ -131,7 +131,6 @@ pub struct UpsimPipeline {
     infrastructure: Arc<Infrastructure>,
     service: Arc<CompositeService>,
     mapping: ServiceMapping,
-    options: DiscoveryOptions,
     /// Record discovered paths in the model space (Step 7's reserved tree).
     /// On by default; benchmarks switch it off to time the discovery alone.
     pub record_paths: bool,
@@ -159,7 +158,6 @@ impl UpsimPipeline {
             infrastructure,
             service,
             mapping,
-            options: DiscoveryOptions::default(),
             record_paths: true,
             space: ModelSpace::new(),
             graph: None,
@@ -189,10 +187,10 @@ impl UpsimPipeline {
         &self.space
     }
 
-    /// Sets the discovery options (parallelism, limits).
-    pub fn set_options(&mut self, options: DiscoveryOptions) {
-        self.options = options;
-    }
+    /// Does nothing: Step 7 has no options ([`DiscoveryOptions`]). It
+    /// stays only because the benchmark still calls it, and goes with the
+    /// benchmark's next revision.
+    pub fn set_options(&mut self, _options: DiscoveryOptions) {}
 
     /// Injects a pre-built interned graph view of the infrastructure, so a
     /// caller that already holds one does not intern and prune it again.
@@ -304,7 +302,6 @@ impl UpsimPipeline {
             &self.service,
             &self.mapping,
             &graph,
-            self.options,
             &mut self.workspace,
         )?;
         let t = Instant::now();
@@ -332,14 +329,13 @@ pub fn discover_and_merge(
     service: &CompositeService,
     mapping: &ServiceMapping,
     graph: &InternedGraph,
-    options: DiscoveryOptions,
     workspace: &mut DiscoveryWorkspace,
 ) -> UpsimResult<UpsimRun> {
     let t = Instant::now();
     let discovered = mapping
         .for_service(service)?
         .into_iter()
-        .map(|pair| discover_with_workspace(graph, pair, options, workspace))
+        .map(|pair| discover_with_workspace(graph, pair, workspace))
         .collect::<UpsimResult<Vec<_>>>()?;
     let step7 = t.elapsed();
 

@@ -156,7 +156,7 @@ pub fn discover_paths_vtcl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discovery::{discover, DiscoveryOptions};
+    use crate::discovery::discover;
     use crate::importers::import_infrastructure;
     use crate::infrastructure::{DeviceClassSpec, Infrastructure};
     use crate::mapping::ServiceMappingPair;
@@ -185,13 +185,9 @@ mod tests {
         let mut space = ModelSpace::new();
         import_infrastructure(&mut space, infra).unwrap();
         let mut vtcl = discover_paths_vtcl(&mut space, from, to).unwrap();
-        let mut graph = discover(
-            infra,
-            &ServiceMappingPair::new("x", from, to),
-            DiscoveryOptions::default(),
-        )
-        .unwrap()
-        .named_paths();
+        let mut graph = discover(infra, &ServiceMappingPair::new("x", from, to))
+            .unwrap()
+            .named_paths();
         vtcl.sort();
         graph.sort();
         assert_eq!(vtcl, graph, "{from}->{to}");

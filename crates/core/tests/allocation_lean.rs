@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use upsim_core::discovery::{discover_with_workspace, DiscoveryOptions, DiscoveryWorkspace};
+use upsim_core::discovery::{discover_with_workspace, DiscoveryWorkspace};
 use upsim_core::infrastructure::{DeviceClassSpec, Infrastructure};
 use upsim_core::mapping::ServiceMappingPair;
 
@@ -78,21 +78,17 @@ fn interned_discovery_allocates_less_than_name_materialization() {
     let infra = redundant_fabric();
     let view = infra.to_interned_graph();
     let pair = ServiceMappingPair::new("request", "client", "server");
-    let options = DiscoveryOptions {
-        parallel: false,
-        ..Default::default()
-    };
 
     // Warm the workspace so both measured calls run at the high-water mark.
     let mut workspace = DiscoveryWorkspace::default();
     let (cold, first) =
-        allocations_of(|| discover_with_workspace(&view, &pair, options, &mut workspace).unwrap());
+        allocations_of(|| discover_with_workspace(&view, &pair, &mut workspace).unwrap());
     assert_eq!(first.len(), 4, "fabric has one path per middle switch");
 
     let (interned_only, discovered) =
-        allocations_of(|| discover_with_workspace(&view, &pair, options, &mut workspace).unwrap());
+        allocations_of(|| discover_with_workspace(&view, &pair, &mut workspace).unwrap());
     let (with_names, names) = allocations_of(|| {
-        let d = discover_with_workspace(&view, &pair, options, &mut workspace).unwrap();
+        let d = discover_with_workspace(&view, &pair, &mut workspace).unwrap();
         let names = d.named_paths();
         (d, names)
     });

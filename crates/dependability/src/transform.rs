@@ -132,10 +132,10 @@ impl ServiceAvailabilityModel {
     /// The model is a function of each pair's *set* of paths, not of the
     /// order Step 7 listed them in: variables are numbered by first
     /// occurrence over the pairs in service order and, within a pair, over
-    /// its paths sorted by interned node ids, then link indices (the
-    /// order `ict_graph::parallel` returns them in). The sequential and the
-    /// parallel enumerator therefore give the same model, and every
-    /// availability, bound and Monte-Carlo estimate priced on it.
+    /// its paths sorted by interned node ids, then link indices. Any DFS
+    /// order of the same paths (another adjacency order, say) therefore
+    /// gives the same model, and every availability, bound and Monte-Carlo
+    /// estimate priced on it.
     pub fn from_run(
         infrastructure: &Infrastructure,
         run: &UpsimRun,

@@ -6,15 +6,16 @@
 //! (Steps 5–8, paths recorded in the model space) followed by `from_run`
 //! and `overlay_model` gives: the same components in the same order, the
 //! same path sets, UPSIM, reduction ratio, per-pair path counts,
-//! availability bits, Monte-Carlo estimate and posteriors. Both of the
-//! pipeline's enumerators (the sequential DFS and the parallel one) serve
-//! as oracles. Its errors read as the pipeline's.
+//! availability bits, Monte-Carlo estimate and posteriors. Its errors read
+//! as the pipeline's.
 //!
 //! On the same inputs, the oracle's answers must be a function of the set
-//! of paths Step 7 finds, not of the order it lists them in: the
-//! sequential DFS and the parallel enumerator (sorted order) must give the
-//! same model and the same bits for every exact and Monte-Carlo price, and
-//! a campaign's baselines must be the evaluator's models.
+//! of paths Step 7 finds, not of the order it lists them in: a copy of the
+//! model whose links are listed in reverse order has the same devices, and
+//! so the same interned ids, but reversed adjacency lists, so its DFS lists
+//! each pair's paths in another order. Both copies must give the same
+//! model and the same bits for every exact and Monte-Carlo price, and a
+//! campaign's baselines must be the evaluator's models.
 
 use std::sync::Arc;
 
@@ -23,6 +24,7 @@ use dependability::transform::{evaluate_perspective, AnalysisOptions, ServiceAva
 use dependability::{overlay_model, ParamEstimator, ParamSource, PosteriorComponent};
 use netgen::campus::{campus_infrastructure, CampusParams};
 use netgen::services::{random_mapping, sequential_service};
+use netgen::usi::{printing_service, table_i_mapping, usi_infrastructure};
 use proptest::prelude::*;
 use upsim_campaign::{run_serial, CampaignInput, CampaignSpec, PerspectiveMapper};
 use upsim_core::discovery::{DiscoveryOptions, DiscoveryWorkspace};
@@ -127,17 +129,15 @@ type Oracle = (
     Vec<Option<PosteriorComponent>>,
 );
 
-/// A full pipeline run with `discovery` (paths recorded in the model
-/// space), `from_run` with the default options, and the overlay.
+/// A full pipeline run (paths recorded in the model space), `from_run`
+/// with the default options, and the overlay.
 fn oracle(
     infra: &Infrastructure,
     service: &CompositeService,
     mapping: &ServiceMapping,
-    discovery: DiscoveryOptions,
     estimator: &ParamEstimator,
 ) -> Oracle {
     let mut pipeline = UpsimPipeline::new(infra.clone(), service.clone(), mapping.clone()).unwrap();
-    pipeline.set_options(discovery);
     let run = pipeline.run().unwrap();
     assert!(
         pipeline.space().resolve("paths").is_ok(),
@@ -152,17 +152,13 @@ fn oracle(
     (run, model, posteriors)
 }
 
-/// The pipeline's two enumerators: the sequential DFS and the parallel
-/// one, which lists the same paths sorted.
-fn enumerators() -> [DiscoveryOptions; 2] {
-    [
-        DiscoveryOptions::default(),
-        DiscoveryOptions {
-            parallel: true,
-            threads: 2,
-            ..Default::default()
-        },
-    ]
+/// A copy of `infra` with its links listed in reverse order: the same
+/// devices, and so the same interned ids, but every adjacency list
+/// reversed, so Step 7 lists each pair's paths in another DFS order.
+fn reversed_links(infra: &Infrastructure) -> Infrastructure {
+    let mut reversed = infra.clone();
+    reversed.objects.links.reverse();
+    reversed
 }
 
 proptest! {
@@ -199,47 +195,45 @@ proptest! {
             evaluate_perspective(&infra, &service, &graph, &mapping, &estimator, &mut workspace)
                 .unwrap();
 
-        for discovery in enumerators() {
-            let (expected, expected_model, expected_posteriors) =
-                oracle(&infra, &service, &mapping, discovery, &estimator);
-            let names = |m: &ServiceAvailabilityModel| {
-                m.components.iter().map(|c| c.name.clone()).collect::<Vec<_>>()
-            };
-            prop_assert_eq!(names(&model), names(&expected_model), "{}", shape);
-            for (mine, theirs) in model.systems.iter().zip(&expected_model.systems) {
-                prop_assert_eq!(&mine.path_sets, &theirs.path_sets, "{}", shape);
-            }
-            prop_assert_eq!(&model, &expected_model, "{}", shape);
-            prop_assert_eq!(
-                run.upsim_names().collect::<Vec<_>>(),
-                expected.touched_devices().collect::<Vec<_>>(),
-                "{}", shape
-            );
-            prop_assert_eq!(run.reduction_ratio.to_bits(), expected.reduction_ratio.to_bits());
-            let counts: Vec<_> = run.paths.pairs.iter().map(|p| (&p.pair, p.paths)).collect();
-            let expected_counts: Vec<_> =
-                expected.discovered.iter().map(|d| (&d.pair, d.len())).collect();
-            prop_assert_eq!(counts, expected_counts, "{}", shape);
-            prop_assert_eq!(
-                model.availability_bdd().to_bits(),
-                expected_model.availability_bdd().to_bits()
-            );
-            for low in [true, false] {
-                prop_assert_eq!(
-                    availability_with(&model, &corner(&model, low)).to_bits(),
-                    availability_with(&expected_model, &corner(&expected_model, low)).to_bits()
-                );
-            }
-            let (mc, expected_mc) = (model.compile_mc(), expected_model.compile_mc());
-            prop_assert_eq!(mc.run(4096, 1, seed), expected_mc.run(4096, 1, seed));
-            prop_assert_eq!(
-                mc.run_posterior(4096, 1, seed, &mc.posterior_sampler(&posteriors)),
-                expected_mc.run_posterior(
-                    4096, 1, seed, &expected_mc.posterior_sampler(&expected_posteriors)
-                )
-            );
-            prop_assert_eq!(&posteriors, &expected_posteriors);
+        let (expected, expected_model, expected_posteriors) =
+            oracle(&infra, &service, &mapping, &estimator);
+        let names = |m: &ServiceAvailabilityModel| {
+            m.components.iter().map(|c| c.name.clone()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(names(&model), names(&expected_model), "{}", shape);
+        for (mine, theirs) in model.systems.iter().zip(&expected_model.systems) {
+            prop_assert_eq!(&mine.path_sets, &theirs.path_sets, "{}", shape);
         }
+        prop_assert_eq!(&model, &expected_model, "{}", shape);
+        prop_assert_eq!(
+            run.upsim_names().collect::<Vec<_>>(),
+            expected.touched_devices().collect::<Vec<_>>(),
+            "{}", shape
+        );
+        prop_assert_eq!(run.reduction_ratio.to_bits(), expected.reduction_ratio.to_bits());
+        let counts: Vec<_> = run.paths.pairs.iter().map(|p| (&p.pair, p.paths)).collect();
+        let expected_counts: Vec<_> =
+            expected.discovered.iter().map(|d| (&d.pair, d.len())).collect();
+        prop_assert_eq!(counts, expected_counts, "{}", shape);
+        prop_assert_eq!(
+            model.availability_bdd().to_bits(),
+            expected_model.availability_bdd().to_bits()
+        );
+        for low in [true, false] {
+            prop_assert_eq!(
+                availability_with(&model, &corner(&model, low)).to_bits(),
+                availability_with(&expected_model, &corner(&expected_model, low)).to_bits()
+            );
+        }
+        let (mc, expected_mc) = (model.compile_mc(), expected_model.compile_mc());
+        prop_assert_eq!(mc.run(4096, 1, seed), expected_mc.run(4096, 1, seed));
+        prop_assert_eq!(
+            mc.run_posterior(4096, 1, seed, &mc.posterior_sampler(&posteriors)),
+            expected_mc.run_posterior(
+                4096, 1, seed, &expected_mc.posterior_sampler(&expected_posteriors)
+            )
+        );
+        prop_assert_eq!(&posteriors, &expected_posteriors);
     }
 
     #[test]
@@ -256,35 +250,39 @@ proptest! {
         let graph = Arc::new(infra.to_interned_graph());
         let shape = format!("{params:?}, {service_len} steps, seed {seed}");
 
-        let [(dfs_run, dfs, dfs_posteriors), (sorted_run, sorted, sorted_posteriors)] =
-            enumerators().map(|discovery| oracle(&infra, &service, &mapping, discovery, &estimator));
-        // The two enumerators find the same paths per pair, in their own
-        // orders.
-        for (a, b) in dfs_run.discovered.iter().zip(&sorted_run.discovered) {
-            let mut paths: Vec<_> = a.interned().iter().zip(&a.link_paths).collect();
+        let [(dfs_run, dfs, dfs_posteriors), (reversed_run, reversed, reversed_posteriors)] =
+            [infra.clone(), reversed_links(&infra)]
+                .map(|infra| oracle(&infra, &service, &mapping, &estimator));
+        // The two listings hold the same paths per pair as node sequences,
+        // in their own orders.
+        for (a, b) in dfs_run.discovered.iter().zip(&reversed_run.discovered) {
+            let mut paths = a.interned().to_vec();
+            let mut listed = b.interned().to_vec();
             paths.sort();
-            let listed: Vec<_> = b.interned().iter().zip(&b.link_paths).collect();
+            listed.sort();
             prop_assert_eq!(paths, listed, "{}", shape);
         }
-        prop_assert_eq!(&dfs, &sorted, "{}", shape);
-        prop_assert_eq!(&dfs_posteriors, &sorted_posteriors, "{}", shape);
+        prop_assert_eq!(&dfs, &reversed, "{}", shape);
+        prop_assert_eq!(&dfs_posteriors, &reversed_posteriors, "{}", shape);
         prop_assert_eq!(
             dfs.availability_bdd().to_bits(),
-            sorted.availability_bdd().to_bits(),
+            reversed.availability_bdd().to_bits(),
             "{}", shape
         );
         for low in [true, false] {
             prop_assert_eq!(
                 availability_with(&dfs, &corner(&dfs, low)).to_bits(),
-                availability_with(&sorted, &corner(&sorted, low)).to_bits(),
+                availability_with(&reversed, &corner(&reversed, low)).to_bits(),
                 "{}", shape
             );
         }
-        let (dfs_mc, sorted_mc) = (dfs.compile_mc(), sorted.compile_mc());
-        prop_assert_eq!(dfs_mc.run(4096, 1, seed), sorted_mc.run(4096, 2, seed), "{}", shape);
+        let (dfs_mc, reversed_mc) = (dfs.compile_mc(), reversed.compile_mc());
+        prop_assert_eq!(dfs_mc.run(4096, 1, seed), reversed_mc.run(4096, 2, seed), "{}", shape);
         prop_assert_eq!(
             dfs_mc.run_posterior(4096, 1, seed, &dfs_mc.posterior_sampler(&dfs_posteriors)),
-            sorted_mc.run_posterior(4096, 2, seed, &sorted_mc.posterior_sampler(&sorted_posteriors)),
+            reversed_mc.run_posterior(
+                4096, 2, seed, &reversed_mc.posterior_sampler(&reversed_posteriors)
+            ),
             "{}", shape
         );
 
@@ -305,7 +303,7 @@ proptest! {
             infra.clone(),
             service.clone(),
             Arc::clone(&mapper),
-            DiscoveryOptions::default(),
+            DiscoveryOptions,
             Some(Arc::clone(&graph)),
             Arc::clone(&estimator),
             CampaignSpec::parse(&spec).unwrap(),
@@ -314,8 +312,7 @@ proptest! {
         let (baseline, _) = run_serial(&input).unwrap();
         for persp in &baseline.perspectives {
             let mapping = mapper(&service, &persp.client, &persp.provider);
-            let (run, model, _) =
-                oracle(&infra, &service, &mapping, DiscoveryOptions::default(), &estimator);
+            let (run, model, _) = oracle(&infra, &service, &mapping, &estimator);
             prop_assert_eq!(&persp.model, &model, "{}: {}", shape, spec);
             prop_assert_eq!(persp.availability.to_bits(), model.availability_bdd().to_bits());
             let mut upsim: Vec<&str> = persp.upsim.iter().map(String::as_str).collect();
@@ -325,6 +322,35 @@ proptest! {
             prop_assert_eq!(upsim, expected, "{}: {}", shape, spec);
         }
     }
+}
+
+/// Reversing the link list permutes Step 7's listing, so the proptest
+/// above compares two orders: on the USI model the six paths of
+/// `t1 → printS` come out in another order, and the model is the same.
+#[test]
+fn reversed_links_list_the_usi_paths_in_another_order() {
+    let infra = usi_infrastructure();
+    let [(run, model, _), (reversed_run, reversed, _)] = [infra.clone(), reversed_links(&infra)]
+        .map(|infra| {
+            oracle(
+                &infra,
+                &printing_service(),
+                &table_i_mapping(),
+                &ParamEstimator::new(),
+            )
+        });
+    let listed = run.paths_of("Request printing").unwrap().interned();
+    let reversed_listed = reversed_run
+        .paths_of("Request printing")
+        .unwrap()
+        .interned();
+    assert_eq!(listed.len(), 6);
+    assert_ne!(listed, reversed_listed);
+    let (mut paths, mut reversed_paths) = (listed.to_vec(), reversed_listed.to_vec());
+    paths.sort();
+    reversed_paths.sort();
+    assert_eq!(paths, reversed_paths);
+    assert_eq!(model, reversed);
 }
 
 /// The evaluator refuses a bad mapping with the pipeline's error.

@@ -9,19 +9,13 @@
 //!
 //! * [`Graph`] — an index-stable, directed or undirected multigraph with
 //!   arbitrary node/edge weights and O(1) removal tombstones,
-//! * [`paths`] — the paper's all-simple-paths DFS (one visitor-driven
-//!   loop with depth/count caps and an optional node mask), path counting,
-//!   and minimal path sets,
-//! * [`parallel`] — a crossbeam-based parallel enumeration of the same path
-//!   set (prefix splitting, each worker running that DFS from its
-//!   prefixes), identical in content to the sequential result and sorted,
+//! * [`paths`] — the paper's all-simple-paths DFS: one visitor-driven loop
+//!   behind [`paths::walk_paths`], with an optional node mask, a frame
+//!   budget and a chordless mode, plus path counting and minimal path sets,
 //! * [`prune`] — biconnected components and the block-cut tree, used to
 //!   restrict path discovery to the blocks between a source and target
 //!   (exactly the nodes that can lie on some simple path),
-//! * [`shortest`] — BFS/Dijkstra shortest paths and Yen's k-shortest,
 //! * [`connectivity`] — components, bridges, articulation points,
-//! * [`cutsets`] — minimal cut sets (via path-set hitting sets) and
-//!   max-flow min-cut,
 //! * [`seriesparallel`] — two-terminal series-parallel reduction (used by
 //!   the UPSIM → reliability-block-diagram transformation),
 //! * [`metrics`], [`dot`] — graph statistics and Graphviz export.
@@ -45,17 +39,14 @@
 
 pub mod capacity;
 pub mod connectivity;
-pub mod cutsets;
 pub mod disjoint;
 pub mod dot;
 pub mod graph;
 pub mod metrics;
-pub mod parallel;
 pub mod paths;
 pub mod prune;
 pub mod seriesparallel;
-pub mod shortest;
 pub mod traversal;
 
 pub use graph::{Direction, EdgeId, Graph, NodeId};
-pub use paths::{Path, PathLimits};
+pub use paths::Path;

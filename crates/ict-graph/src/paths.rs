@@ -4,11 +4,12 @@
 //! algorithm with a path tracking mechanism to avoid live-locks within
 //! cycles."* This module implements exactly that, once: the current path is
 //! tracked in an on-path bitset, so cycles are never re-entered, and every
-//! extension reaching the target is handed to a visitor in DFS order
-//! ([`for_each_simple_path`]). [`all_simple_paths`], [`count_simple_paths`],
-//! [`minimal_path_sets`], the pruned search in [`crate::prune`], each
-//! worker of [`crate::parallel`] and the budgeted walks of [`walk_paths`]
-//! (every simple path, or only the chordless ones) all run that one loop.
+//! extension reaching the target is handed to a visitor in DFS order.
+//! [`walk_paths`] is the one way into that loop: it visits every simple
+//! path, or only the chordless ones, and charges the frames it pushes to a
+//! budget. [`all_simple_paths`], [`count_simple_paths`],
+//! [`minimal_path_sets`] and the pruned search in [`crate::prune`] call it
+//! with an unlimited budget.
 //!
 //! The enumeration is **edge-distinct**: two parallel edges between the same
 //! device pair yield two distinct paths (they are distinct physical routes
@@ -67,35 +68,7 @@ impl Path {
     }
 }
 
-/// Caps on the enumeration, to keep worst-case `O(n!)` searches bounded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PathLimits {
-    /// Maximum number of nodes per emitted path (`None` = unlimited).
-    pub max_nodes: Option<usize>,
-    /// Maximum number of paths to emit (`None` = unlimited).
-    pub max_paths: Option<usize>,
-}
-
-impl PathLimits {
-    /// No limits — the paper's semantics ("all redundant paths included").
-    pub fn unlimited() -> Self {
-        PathLimits::default()
-    }
-
-    /// Caps the number of nodes per path.
-    pub fn with_max_nodes(mut self, n: usize) -> Self {
-        self.max_nodes = Some(n);
-        self
-    }
-
-    /// Caps the number of emitted paths.
-    pub fn with_max_paths(mut self, n: usize) -> Self {
-        self.max_paths = Some(n);
-        self
-    }
-}
-
-/// Reusable DFS state for [`for_each_simple_path`]: the on-path bitset, the
+/// Reusable DFS state for [`walk_paths`]: the on-path bitset, the
 /// per-depth cursor stack, and the current path buffers.
 ///
 /// One instance serves any number of enumerations over any number of graphs
@@ -117,83 +90,6 @@ impl DiscoveryScratch {
     }
 }
 
-/// Work/output counters returned by [`for_each_simple_path`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnumerationStats {
-    /// DFS descents pushed onto the stack — a proxy for search work that is
-    /// independent of how long each visit takes.
-    pub frames: usize,
-    /// Paths handed to the visitor.
-    pub emitted: usize,
-}
-
-/// Visits every simple path from `source` to `target` without materializing
-/// it: the visitor receives borrowed node/edge slices valid only for the
-/// duration of the call.
-///
-/// Paths arrive in DFS order: neighbours are tried in adjacency order, so
-/// a path is emitted before every path that leaves the common prefix by a
-/// later adjacency entry. `limits.max_nodes` drops longer paths without
-/// reordering the rest, and `limits.max_paths` stops the search after that
-/// many emissions. If `source == target` the single trivial path
-/// `[source]` is emitted (a requester co-located with its provider uses no
-/// network components beyond itself).
-///
-/// `mask`, when present, restricts the search to nodes whose index maps to
-/// `true` — exactly as if every other node had been removed from the graph.
-/// [`crate::prune::BlockCutTree::relevant_nodes`] produces a mask that
-/// provably preserves the full path multiset while collapsing the DFS
-/// frontier to the source/target's block-cut-tree path.
-///
-/// All bookkeeping buffers come from `scratch`.
-pub fn for_each_simple_path<N, E>(
-    graph: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    limits: PathLimits,
-    mask: Option<&[bool]>,
-    scratch: &mut DiscoveryScratch,
-    mut emit: impl FnMut(&[NodeId], &[EdgeId]),
-) -> EnumerationStats {
-    let mut stats = EnumerationStats::default();
-    let allowed = |n: NodeId| mask.is_none_or(|m| m.get(n.index()).copied().unwrap_or(false));
-    if !graph.contains_node(source)
-        || !graph.contains_node(target)
-        || !allowed(source)
-        || !allowed(target)
-    {
-        return stats;
-    }
-    let cap = limits.max_paths.unwrap_or(usize::MAX);
-    if cap == 0 {
-        return stats;
-    }
-    if source == target {
-        emit(&[source], &[]);
-        stats.emitted = 1;
-        return stats;
-    }
-    stats.frames = extend_simple_paths(
-        graph,
-        &[source],
-        &[],
-        target,
-        Walk::bounded(limits.max_nodes),
-        mask,
-        scratch,
-        |nodes, edges| {
-            emit(nodes, edges);
-            stats.emitted += 1;
-            if stats.emitted >= cap {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-    );
-    stats
-}
-
 /// Which simple paths [`walk_paths`] visits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathKind {
@@ -212,16 +108,31 @@ pub enum PathKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FramesExhausted;
 
-/// Visits the simple paths of `kind` from `source` to `target` in DFS
-/// order, as [`for_each_simple_path`] does without limits, and charges
-/// each DFS frame pushed to `budget`. Returns the number of paths visited,
-/// or [`FramesExhausted`] once the walk needs more frames than `budget`
-/// holds; then `budget` is spent, and the paths visited so far are only
-/// a prefix of the walk's, so a caller must not read them as the answer.
+/// Visits the simple paths of `kind` from `source` to `target` without
+/// materializing them, and charges each DFS frame pushed to `budget`. The
+/// visitor receives borrowed node/edge slices valid only for the duration
+/// of the call. Returns the number of paths visited, or [`FramesExhausted`]
+/// once the walk needs more frames than `budget` holds; then `budget` is
+/// spent, and the paths visited so far are only a prefix of the walk's, so
+/// a caller must not read them as the answer. A budget of `usize::MAX` is
+/// never exhausted.
+///
+/// Paths arrive in DFS order: neighbours are tried in adjacency order, so
+/// a path is visited before every path that leaves the common prefix by a
+/// later adjacency entry. If `source == target` the single trivial path
+/// `[source]` is visited (a requester co-located with its provider uses no
+/// network components beyond itself).
+///
+/// `mask`, when present, restricts the search to nodes whose index maps to
+/// `true` — exactly as if every other node had been removed from the graph.
+/// [`crate::prune::BlockCutTree::relevant_nodes`] produces a mask that
+/// provably preserves the full path multiset while collapsing the DFS
+/// frontier to the source/target's block-cut-tree path.
 ///
 /// One budget shared by several walks bounds their total search, whatever
-/// the number of paths: frames, not emitted paths, measure the work, and
-/// a dense graph pushes many frames per path.
+/// the number of paths: frames, not visited paths, measure the work, and
+/// a dense graph pushes many frames per path. All bookkeeping buffers come
+/// from `scratch`.
 #[allow(clippy::too_many_arguments)]
 pub fn walk_paths<N, E>(
     graph: &Graph<N, E>,
@@ -246,15 +157,13 @@ pub fn walk_paths<N, E>(
         return Ok(1);
     }
     let walk = Walk {
-        max_nodes: None,
         chordless: kind == PathKind::Chordless,
         max_frames: *budget,
     };
     let mut emitted = 0;
     let frames = extend_simple_paths(
         graph,
-        &[source],
-        &[],
+        source,
         target,
         walk,
         mask,
@@ -276,44 +185,25 @@ pub fn walk_paths<N, E>(
 /// How [`extend_simple_paths`] walks: which extensions it takes and how
 /// much search it may spend.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Walk {
-    /// Bound on a completed path's node count.
-    pub max_nodes: Option<usize>,
+struct Walk {
     /// Extend a path only by a node with no edge from the path's nodes
     /// other than its head, so every completed path is chordless.
-    pub chordless: bool,
+    chordless: bool,
     /// Most frames the walk may push; it stops at the first frame past it.
-    pub max_frames: usize,
-}
-
-impl Walk {
-    /// Every simple path with at most `max_nodes` nodes, however many
-    /// frames that takes.
-    pub fn bounded(max_nodes: Option<usize>) -> Self {
-        Walk {
-            max_nodes,
-            chordless: false,
-            max_frames: usize::MAX,
-        }
-    }
+    max_frames: usize,
 }
 
 /// The DFS with path tracking (paper Sec. V-D), the one enumeration loop
-/// of this crate: extends the simple path `prefix_nodes` (joined by
-/// `prefix_edges`) to `target` in every possible way that `walk` allows
-/// and hands each completed path to `emit`, in DFS order, until `emit`
-/// breaks or the walk pushes more than `walk.max_frames` frames. The
-/// prefix must be non-empty, must not contain `target`, and its nodes must
-/// pass `mask`. Returns the frames pushed, counting the prefix's head as
-/// one; a count over `walk.max_frames` means the walk stopped there.
-///
-/// [`for_each_simple_path`] and [`walk_paths`] seed it with the source
-/// alone; [`crate::parallel`] seeds it with each prefix of its fan-out.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extend_simple_paths<N, E>(
+/// of this crate: extends the path `[source]` to `target` in every
+/// possible way that `walk` allows and hands each completed path to
+/// `emit`, in DFS order, until `emit` breaks or the walk pushes more than
+/// `walk.max_frames` frames. `source` must differ from `target` and pass
+/// `mask`. Returns the frames pushed, counting the source's as one; a
+/// count over `walk.max_frames` means the walk stopped there.
+/// [`walk_paths`] is its only caller.
+fn extend_simple_paths<N, E>(
     graph: &Graph<N, E>,
-    prefix_nodes: &[NodeId],
-    prefix_edges: &[EdgeId],
+    source: NodeId,
     target: NodeId,
     walk: Walk,
     mask: Option<&[bool]>,
@@ -321,7 +211,6 @@ pub(crate) fn extend_simple_paths<N, E>(
     mut emit: impl FnMut(&[NodeId], &[EdgeId]) -> ControlFlow<()>,
 ) -> usize {
     let allowed = |n: NodeId| mask.is_none_or(|m| m.get(n.index()).copied().unwrap_or(false));
-    let max_nodes = walk.max_nodes;
     // A chord of the extended path is an edge into `next` from a path node
     // other than the head (on a directed graph, only an edge into `next`
     // shortens the path).
@@ -335,13 +224,10 @@ pub(crate) fn extend_simple_paths<N, E>(
     };
     scratch.on_path.clear();
     scratch.on_path.resize(graph.node_capacity(), false);
-    for n in prefix_nodes {
-        scratch.on_path[n.index()] = true;
-    }
+    scratch.on_path[source.index()] = true;
     scratch.path_nodes.clear();
-    scratch.path_nodes.extend_from_slice(prefix_nodes);
+    scratch.path_nodes.push(source);
     scratch.path_edges.clear();
-    scratch.path_edges.extend_from_slice(prefix_edges);
     scratch.cursors.clear();
     scratch.cursors.push(0);
     let mut frames = 1;
@@ -361,8 +247,7 @@ pub(crate) fn extend_simple_paths<N, E>(
         let adj = neighbors[cursor];
 
         if adj.node == target {
-            let within = max_nodes.is_none_or(|max| scratch.path_nodes.len() < max);
-            if within && !(walk.chordless && has_chord(target, node, &scratch.on_path)) {
+            if !(walk.chordless && has_chord(target, node, &scratch.on_path)) {
                 scratch.path_nodes.push(target);
                 scratch.path_edges.push(adj.edge);
                 let flow = emit(&scratch.path_nodes, &scratch.path_edges);
@@ -377,9 +262,7 @@ pub(crate) fn extend_simple_paths<N, E>(
         if scratch.on_path[adj.node.index()] || !allowed(adj.node) {
             continue; // path tracking: never re-enter the current path
         }
-        // Only descend if a target hop could still fit under the cap.
-        let room = max_nodes.is_none_or(|max| scratch.path_nodes.len() + 2 <= max);
-        if !room || (walk.chordless && has_chord(adj.node, node, &scratch.on_path)) {
+        if walk.chordless && has_chord(adj.node, node, &scratch.on_path) {
             continue;
         }
         scratch.on_path[adj.node.index()] = true;
@@ -397,22 +280,23 @@ pub(crate) fn extend_simple_paths<N, E>(
     frames
 }
 
-/// Collects the paths [`for_each_simple_path`] visits, in its order, with
-/// a fresh scratch.
+/// Collects the paths an unlimited [`walk_paths`] of every simple path
+/// visits, in its order, with a fresh scratch.
 pub(crate) fn collect_simple_paths<N, E>(
     graph: &Graph<N, E>,
     source: NodeId,
     target: NodeId,
-    limits: PathLimits,
     mask: Option<&[bool]>,
 ) -> Vec<Path> {
     let mut out = Vec::new();
-    for_each_simple_path(
+    let mut budget = usize::MAX;
+    walk_paths(
         graph,
         source,
         target,
-        limits,
+        PathKind::Simple,
         mask,
+        &mut budget,
         &mut DiscoveryScratch::new(),
         |nodes, edges| {
             out.push(Path {
@@ -420,27 +304,30 @@ pub(crate) fn collect_simple_paths<N, E>(
                 edges: edges.to_vec(),
             })
         },
-    );
+    )
+    .expect("an unlimited budget is never exhausted");
     out
 }
 
 /// Collects all simple paths into a vector, in DFS order.
 pub fn all_simple_paths<N, E>(graph: &Graph<N, E>, source: NodeId, target: NodeId) -> Vec<Path> {
-    collect_simple_paths(graph, source, target, PathLimits::unlimited(), None)
+    collect_simple_paths(graph, source, target, None)
 }
 
 /// Counts simple paths without materializing them.
 pub fn count_simple_paths<N, E>(graph: &Graph<N, E>, source: NodeId, target: NodeId) -> usize {
-    for_each_simple_path(
+    let mut budget = usize::MAX;
+    walk_paths(
         graph,
         source,
         target,
-        PathLimits::unlimited(),
+        PathKind::Simple,
         None,
+        &mut budget,
         &mut DiscoveryScratch::new(),
         |_, _| {},
     )
-    .emitted
+    .expect("an unlimited budget is never exhausted")
 }
 
 /// Computes the **minimal path sets** over nodes: the node sets of all
@@ -587,24 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn max_paths_limit_respected() {
-        let (g, ids) = complete(6);
-        let limits = PathLimits::default().with_max_paths(7);
-        let limited = collect_simple_paths(&g, ids[0], ids[1], limits, None);
-        assert_eq!(limited.len(), 7);
-    }
-
-    #[test]
-    fn max_nodes_limit_respected() {
-        let (g, ids) = complete(5);
-        let limits = PathLimits::default().with_max_nodes(3);
-        let limited = collect_simple_paths(&g, ids[0], ids[1], limits, None);
-        // direct (2 nodes) + one-intermediate paths (3 nodes): 1 + 3 = 4
-        assert_eq!(limited.len(), 4);
-        assert!(limited.iter().all(|p| p.nodes.len() <= 3));
-    }
-
-    #[test]
     fn cycles_do_not_livelock() {
         // Ring of 6: exactly 2 simple paths between opposite nodes.
         let mut g: Graph<usize, ()> = Graph::new_undirected();
@@ -657,49 +526,48 @@ mod tests {
         assert_eq!(minimal_path_sets(&g, s, t).len(), 2);
     }
 
+    /// The paths an unlimited walk of every simple path visits, in its
+    /// order, with the frames it charged.
     fn collect_visited(
         g: &Graph<usize, ()>,
         s: NodeId,
         t: NodeId,
-        limits: PathLimits,
         mask: Option<&[bool]>,
         scratch: &mut DiscoveryScratch,
-    ) -> (Vec<Path>, EnumerationStats) {
+    ) -> (Vec<Path>, usize) {
         let mut out = Vec::new();
-        let stats = for_each_simple_path(g, s, t, limits, mask, scratch, |nodes, edges| {
-            out.push(Path {
-                nodes: nodes.to_vec(),
-                edges: edges.to_vec(),
-            })
-        });
-        (out, stats)
+        let mut budget = usize::MAX;
+        let visited = walk_paths(
+            g,
+            s,
+            t,
+            PathKind::Simple,
+            mask,
+            &mut budget,
+            scratch,
+            |nodes, edges| {
+                out.push(Path {
+                    nodes: nodes.to_vec(),
+                    edges: edges.to_vec(),
+                })
+            },
+        );
+        assert_eq!(visited, Ok(out.len()));
+        (out, usize::MAX - budget)
     }
 
     #[test]
     fn visitor_enumeration_trivial_and_missing_endpoints() {
         let (g, ids) = complete(3);
         let mut scratch = DiscoveryScratch::new();
-        let (paths, stats) = collect_visited(
-            &g,
-            ids[0],
-            ids[0],
-            PathLimits::unlimited(),
-            None,
-            &mut scratch,
-        );
-        assert_eq!(stats.emitted, 1);
+        let (paths, frames) = collect_visited(&g, ids[0], ids[0], None, &mut scratch);
+        assert_eq!(paths.len(), 1);
         assert!(paths[0].is_empty());
+        assert_eq!(frames, 0);
         let dead = NodeId::from_index(77);
-        let (paths, stats) = collect_visited(
-            &g,
-            ids[0],
-            dead,
-            PathLimits::unlimited(),
-            None,
-            &mut scratch,
-        );
+        let (paths, frames) = collect_visited(&g, ids[0], dead, None, &mut scratch);
         assert!(paths.is_empty());
-        assert_eq!(stats, EnumerationStats::default());
+        assert_eq!(frames, 0);
     }
 
     #[test]
@@ -717,32 +585,14 @@ mod tests {
         let mut mask = vec![true; g.node_capacity()];
         mask[c.index()] = false;
         let mut scratch = DiscoveryScratch::new();
-        let (paths, _) =
-            collect_visited(&g, a, t, PathLimits::unlimited(), Some(&mask), &mut scratch);
+        let (paths, _) = collect_visited(&g, a, t, Some(&mask), &mut scratch);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].nodes, vec![a, b, t]);
         // A mask excluding an endpoint yields nothing.
         mask[t.index()] = false;
-        let (paths, stats) =
-            collect_visited(&g, a, t, PathLimits::unlimited(), Some(&mask), &mut scratch);
+        let (paths, frames) = collect_visited(&g, a, t, Some(&mask), &mut scratch);
         assert!(paths.is_empty());
-        assert_eq!(stats.frames, 0);
-    }
-
-    #[test]
-    fn max_paths_zero_emits_nothing() {
-        let (g, ids) = complete(4);
-        let mut scratch = DiscoveryScratch::new();
-        let (paths, stats) = collect_visited(
-            &g,
-            ids[0],
-            ids[1],
-            PathLimits::default().with_max_paths(0),
-            None,
-            &mut scratch,
-        );
-        assert!(paths.is_empty());
-        assert_eq!(stats.frames, 0);
+        assert_eq!(frames, 0);
     }
 
     #[test]
@@ -750,22 +600,8 @@ mod tests {
         let (big, big_ids) = complete(6);
         let (small, small_ids) = complete(3);
         let mut scratch = DiscoveryScratch::new();
-        let (_, _) = collect_visited(
-            &big,
-            big_ids[0],
-            big_ids[5],
-            PathLimits::unlimited(),
-            None,
-            &mut scratch,
-        );
-        let (paths, _) = collect_visited(
-            &small,
-            small_ids[0],
-            small_ids[2],
-            PathLimits::unlimited(),
-            None,
-            &mut scratch,
-        );
+        collect_visited(&big, big_ids[0], big_ids[5], None, &mut scratch);
+        let (paths, _) = collect_visited(&small, small_ids[0], small_ids[2], None, &mut scratch);
         assert_eq!(paths.len(), 2, "stale scratch state must not leak");
     }
 
@@ -837,15 +673,7 @@ mod tests {
     fn walks_charge_frames_to_a_shared_budget() {
         let (g, ids) = complete(6);
         let mut scratch = DiscoveryScratch::new();
-        let stats = for_each_simple_path(
-            &g,
-            ids[0],
-            ids[1],
-            PathLimits::unlimited(),
-            None,
-            &mut scratch,
-            |_, _| {},
-        );
+        let (paths, frames) = collect_visited(&g, ids[0], ids[1], None, &mut scratch);
         let mut walk = |budget: &mut usize| {
             walk_paths(
                 &g,
@@ -859,16 +687,16 @@ mod tests {
             )
         };
         // Exactly enough frames: the whole count, and nothing left.
-        let mut budget = stats.frames;
-        assert_eq!(walk(&mut budget), Ok(stats.emitted));
+        let mut budget = frames;
+        assert_eq!(walk(&mut budget), Ok(paths.len()));
         assert_eq!(budget, 0);
         // One frame short: refused, and the budget is spent.
-        let mut budget = stats.frames - 1;
+        let mut budget = frames - 1;
         assert_eq!(walk(&mut budget), Err(FramesExhausted));
         assert_eq!(budget, 0);
         // A second walk on a shared budget gets what the first left.
-        let mut budget = 2 * stats.frames - 1;
-        assert_eq!(walk(&mut budget), Ok(stats.emitted));
+        let mut budget = 2 * frames - 1;
+        assert_eq!(walk(&mut budget), Ok(paths.len()));
         assert_eq!(walk(&mut budget), Err(FramesExhausted));
     }
 

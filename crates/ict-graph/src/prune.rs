@@ -14,7 +14,7 @@
 //! [`crate::connectivity::critical_elements`]). [`BlockCutTree::relevant_nodes`]
 //! then answers per-pair queries by walking the tree path between the two
 //! endpoints and unioning the block node sets, producing a mask for
-//! [`crate::paths::for_each_simple_path`].
+//! [`crate::paths::walk_paths`].
 //!
 //! **Soundness on directed graphs:** blocks are computed on the undirected
 //! view. Every directed simple path is also an undirected simple path, so
@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{collect_simple_paths, Path, PathLimits};
+use crate::paths::{collect_simple_paths, Path};
 
 const UNASSIGNED: u32 = u32::MAX;
 /// `parent[b]` marker for BFS roots (blocks containing the source).
@@ -214,9 +214,8 @@ impl BlockCutTree {
     /// `target`: the union of the blocks on the block-cut-tree path between
     /// them. Returns the number of allowed nodes (0 when no path exists).
     ///
-    /// The mask plugs directly into
-    /// [`crate::paths::for_each_simple_path`]; `mask` is reusable across
-    /// calls without reallocation.
+    /// The mask plugs directly into [`crate::paths::walk_paths`]; `mask` is
+    /// reusable across calls without reallocation.
     pub fn relevant_nodes(&self, source: NodeId, target: NodeId, mask: &mut Vec<bool>) -> usize {
         mask.clear();
         mask.resize(self.node_blocks.len(), false);
@@ -282,24 +281,18 @@ impl BlockCutTree {
 /// Enumerates all simple paths between `source` and `target` with
 /// block-cut-tree pruning: builds a [`BlockCutTree`], masks the search to
 /// the relevant blocks, and runs the DFS of [`crate::paths`]. The result is
-/// the same path list, in the same DFS order and under the same `limits`,
-/// as the unmasked [`crate::paths::for_each_simple_path`].
+/// the same path list, in the same DFS order, as
+/// [`crate::paths::all_simple_paths`].
 ///
 /// For repeated queries over one graph, build the tree once and drive
-/// [`crate::paths::for_each_simple_path`] with a reused mask/scratch
-/// instead.
-pub fn pruned_simple_paths<N, E>(
-    graph: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    limits: PathLimits,
-) -> Vec<Path> {
+/// [`crate::paths::walk_paths`] with a reused mask/scratch instead.
+pub fn pruned_simple_paths<N, E>(graph: &Graph<N, E>, source: NodeId, target: NodeId) -> Vec<Path> {
     let tree = BlockCutTree::new(graph);
     let mut mask = Vec::new();
     if tree.relevant_nodes(source, target, &mut mask) == 0 {
         return Vec::new();
     }
-    collect_simple_paths(graph, source, target, limits, Some(&mask))
+    collect_simple_paths(graph, source, target, Some(&mask))
 }
 
 #[cfg(test)]
@@ -423,22 +416,13 @@ mod tests {
         for &s in &ids {
             for &t in &ids {
                 let mut expected = all_simple_paths(&g, s, t);
-                let mut got = pruned_simple_paths(&g, s, t, PathLimits::unlimited());
+                let mut got = pruned_simple_paths(&g, s, t);
                 assert_eq!(got, expected, "pre-sort order must match too");
                 expected.sort();
                 got.sort();
                 assert_eq!(got, expected);
             }
         }
-    }
-
-    #[test]
-    fn pruned_respects_caps_like_unpruned() {
-        let (g, ids) = two_triangles_and_tail();
-        let limits = PathLimits::default().with_max_paths(2).with_max_nodes(4);
-        let expected = collect_simple_paths(&g, ids[0], ids[4], limits, None);
-        let got = pruned_simple_paths(&g, ids[0], ids[4], limits);
-        assert_eq!(got, expected);
     }
 
     #[test]
@@ -455,10 +439,7 @@ mod tests {
         g.add_edge(c, a, ());
         g.add_edge(c, d, ());
         for (s, t) in [(a, c), (c, b), (a, d), (d, a)] {
-            assert_eq!(
-                pruned_simple_paths(&g, s, t, PathLimits::unlimited()),
-                all_simple_paths(&g, s, t),
-            );
+            assert_eq!(pruned_simple_paths(&g, s, t), all_simple_paths(&g, s, t),);
         }
     }
 
@@ -472,9 +453,6 @@ mod tests {
         let n = tree.relevant_nodes(a, e, &mut mask);
         assert_eq!(n, 4);
         assert!(!mask[b.index()] && !mask[tail.index()]);
-        assert_eq!(
-            pruned_simple_paths(&g, a, e, PathLimits::unlimited()),
-            all_simple_paths(&g, a, e),
-        );
+        assert_eq!(pruned_simple_paths(&g, a, e), all_simple_paths(&g, a, e),);
     }
 }

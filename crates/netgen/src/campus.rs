@@ -2,8 +2,7 @@
 //!
 //! Scales the USI architecture (redundant core mesh, dual-homed
 //! distribution layer, tree-shaped edge periphery, a server distribution
-//! block) to arbitrary sizes for the scalability and parallel-speedup
-//! experiments. Paper Sec. V-D: *"real networks usually contain few loops,
+//! block) to arbitrary sizes for the scalability experiments. Paper Sec. V-D: *"real networks usually contain few loops,
 //! while most clients are located in tree-like structures with a low number
 //! of edges"* — this generator produces exactly that shape, with the loop
 //! density controlled by `core` and the dual-homing.

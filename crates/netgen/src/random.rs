@@ -155,7 +155,7 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Infrastructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upsim_core::discovery::{discover, DiscoveryOptions};
+    use upsim_core::discovery::discover;
     use upsim_core::mapping::ServiceMappingPair;
 
     #[test]
@@ -170,12 +170,7 @@ mod tests {
     fn complete_graph_path_explosion_matches_formula() {
         // #paths in K_n between fixed endpoints: sum_k (n-2)!/(n-2-k)!
         let infra = complete(6);
-        let d = discover(
-            &infra,
-            &ServiceMappingPair::new("s", "n0", "n5"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap();
+        let d = discover(&infra, &ServiceMappingPair::new("s", "n0", "n5")).unwrap();
         assert_eq!(d.len(), 65); // 1 + 4 + 12 + 24 + 24
     }
 
@@ -183,12 +178,7 @@ mod tests {
     fn ring_has_two_paths_between_any_pair() {
         let infra = ring(8);
         assert_eq!(infra.link_count(), 8);
-        let d = discover(
-            &infra,
-            &ServiceMappingPair::new("s", "n0", "n4"),
-            DiscoveryOptions::default(),
-        )
-        .unwrap();
+        let d = discover(&infra, &ServiceMappingPair::new("s", "n0", "n4")).unwrap();
         assert_eq!(d.len(), 2);
     }
 

@@ -272,7 +272,7 @@ pub fn second_perspective_mapping() -> ServiceMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upsim_core::discovery::{discover, DiscoveryOptions};
+    use upsim_core::discovery::discover;
     use upsim_core::mapping::ServiceMappingPair;
 
     #[test]
@@ -324,7 +324,6 @@ mod tests {
         let d = discover(
             &infra,
             &ServiceMappingPair::new("Request printing", "t1", "printS"),
-            DiscoveryOptions::default(),
         )
         .unwrap();
         let found = d.named_paths();

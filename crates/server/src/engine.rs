@@ -181,7 +181,7 @@ impl Default for EngineConfig {
             workers: 0,
             queue_capacity: 256,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            discovery: DiscoveryOptions::default(),
+            discovery: DiscoveryOptions,
             mapper: pingpong_mapper(),
         }
     }
@@ -1157,7 +1157,7 @@ impl Engine {
                             snapshot.infrastructure.clone(),
                             snapshot.service.clone(),
                             Arc::clone(&shard.mapper),
-                            DiscoveryOptions::default(),
+                            DiscoveryOptions,
                             Some(snapshot.interned_graph()),
                             Arc::clone(&snapshot.params),
                             spec,
@@ -1914,7 +1914,7 @@ mod tests {
             snapshot.infrastructure.clone(),
             snapshot.service.clone(),
             Arc::new(|_, client, provider| perspective_mapping(client, provider)),
-            DiscoveryOptions::default(),
+            DiscoveryOptions,
             None,
             Arc::clone(&snapshot.params),
             CampaignSpec::parse(SPEC).expect("spec parses"),

@@ -6,7 +6,7 @@
 
 use netgen::campus::{campus_scenario, CampusParams};
 use std::time::Instant;
-use upsim_core::discovery::{discover, DiscoveryOptions};
+use upsim_core::discovery::discover;
 use upsim_core::mapping::ServiceMappingPair;
 use upsim_core::pipeline::UpsimPipeline;
 
@@ -48,7 +48,7 @@ fn main() {
         let infra = netgen::random::complete(n);
         let pair = ServiceMappingPair::new("s", "n0", format!("n{}", n - 1));
         let start = Instant::now();
-        let d = discover(&infra, &pair, DiscoveryOptions::default()).unwrap();
+        let d = discover(&infra, &pair).unwrap();
         println!(
             "{:>6} {:>10} {:>12.2}",
             n,

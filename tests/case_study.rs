@@ -112,13 +112,9 @@ fn vtcl_reference_matches_graph_engine_on_usi() {
             &pair.provider,
         )
         .unwrap();
-        let mut graph = upsim_core::discovery::discover(
-            &infra,
-            pair,
-            upsim_core::discovery::DiscoveryOptions::default(),
-        )
-        .unwrap()
-        .named_paths();
+        let mut graph = upsim_core::discovery::discover(&infra, pair)
+            .unwrap()
+            .named_paths();
         vtcl.sort();
         graph.sort();
         assert_eq!(vtcl, graph, "pair {}", pair.atomic_service);

@@ -2,11 +2,11 @@
 //! campus networks: the UPSIM invariants of Definition 2 must hold for
 //! every topology shape and every mapping.
 
-use ict_graph::paths::{for_each_simple_path, DiscoveryScratch, PathLimits};
+use ict_graph::paths::{walk_paths, DiscoveryScratch, PathKind};
 use netgen::campus::{campus_infrastructure, CampusParams};
 use netgen::services::{random_mapping, sequential_service};
 use proptest::prelude::*;
-use upsim_core::discovery::DiscoveryOptions;
+use upsim_core::infrastructure::Infrastructure;
 use upsim_core::pipeline::UpsimPipeline;
 
 fn params_strategy() -> impl Strategy<Value = CampusParams> {
@@ -81,20 +81,28 @@ proptest! {
     }
 
     #[test]
-    fn parallel_discovery_equals_sequential_at_pipeline_level(
+    fn reversed_links_give_the_same_upsim_and_paths(
         params in params_strategy(),
         seed in 0u64..100,
     ) {
+        // Listing the links in reverse keeps every device and interned id
+        // but reverses every adjacency list, so Step 7 lists each pair's
+        // paths in another DFS order.
         let infra = campus_infrastructure(params);
+        let mut reversed = infra.clone();
+        reversed.objects.links.reverse();
         let service = sequential_service("svc", 2);
         let mapping = random_mapping(&service, &infra, seed);
-        let mut seq = UpsimPipeline::new(infra.clone(), service.clone(), mapping.clone()).unwrap();
-        let mut par = UpsimPipeline::new(infra, service, mapping).unwrap();
-        par.set_options(DiscoveryOptions { parallel: true, threads: 3, ..Default::default() });
-        let rs = seq.run().unwrap();
-        let rp = par.run().unwrap();
-        prop_assert_eq!(&rs.upsim, &rp.upsim);
-        for (a, b) in rs.discovered.iter().zip(&rp.discovered) {
+        let run = |infra: Infrastructure| {
+            let mut pipeline = UpsimPipeline::new(infra, service.clone(), mapping.clone()).unwrap();
+            pipeline.run().unwrap()
+        };
+        let (rs, rr) = (run(infra), run(reversed));
+        prop_assert_eq!(&rs.upsim.instances, &rr.upsim.instances);
+        let mut links = rr.upsim.links.clone();
+        links.reverse();
+        prop_assert_eq!(&rs.upsim.links, &links);
+        for (a, b) in rs.discovered.iter().zip(&rr.discovered) {
             let mut pa = a.interned().to_vec();
             let mut pb = b.interned().to_vec();
             pa.sort();
@@ -122,18 +130,21 @@ proptest! {
         for d in &run.discovered {
             let mut nodes_seen: Vec<Vec<u32>> = Vec::new();
             let mut links_seen: Vec<Vec<usize>> = Vec::new();
-            for_each_simple_path(
+            let mut budget = usize::MAX;
+            walk_paths(
                 graph,
                 view.node_of(&d.pair.requester).unwrap(),
                 view.node_of(&d.pair.provider).unwrap(),
-                PathLimits::unlimited(),
+                PathKind::Simple,
                 None,
+                &mut budget,
                 &mut scratch,
                 |nodes, edges| {
                     nodes_seen.push(nodes.iter().map(|n| n.index() as u32).collect());
                     links_seen.push(edges.iter().map(|&e| *graph.edge(e).unwrap()).collect());
                 },
-            );
+            )
+            .unwrap();
             prop_assert_eq!(d.interned(), nodes_seen.as_slice());
             prop_assert_eq!(&d.link_paths, &links_seen);
         }
