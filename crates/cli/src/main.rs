@@ -13,7 +13,7 @@
 //!   in DFS order),
 //! * `availability -i ... -s ... -m ...` — user-perceived steady-state
 //!   service availability (`--links`, `--paper-formula`, `--mc <samples>`),
-//! * `validate -i ... [-s ... -m ...]` — well-formedness checks,
+//! * `validate -i ... [-s ... [-m ...]]` — well-formedness checks,
 //! * `serve [--case-study] [--addr <host:port>] [--workers <n>]
 //!   [--cache-cap <entries>] [--state-dir <dir>] [--save-every <n>]` — run
 //!   the resident query engine behind the line-delimited TCP protocol;
@@ -34,7 +34,8 @@
 //!   the snapshot, replay the journal, report the resulting epoch.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (unknown
-//! command, a flag the command does not read, a missing flag or a bad
+//! command, a flag the command does not read, a flag missing the flag it
+//! is read beside or given with one it excludes, a missing flag or a bad
 //! flag value — usage is printed to stderr).
 
 use std::collections::HashMap;
@@ -59,7 +60,7 @@ USAGE:
   upsim paths        -i <infra.xml> --from <comp[,comp...]> --to <comp[,comp...]>
   upsim availability -i <infra.xml> -s <service.xml> -m <mapping.xml> [--links] [--paper-formula] [--mc <samples>] [--transient] [--sensitivity]
   upsim redundancy   -i <infra.xml> -s <service.xml> -m <mapping.xml>
-  upsim validate     -i <infra.xml> [-s <service.xml>] [-m <mapping.xml>]
+  upsim validate     -i <infra.xml> [-s <service.xml> [-m <mapping.xml>]]
   upsim serve        [--case-study | -i <infra.xml> -s <service.xml> | --model <name>=<spec> ...] [--addr <host:port>] [--workers <n>] [--cache-cap <entries>] [--state-dir <dir>] [--save-every <n>]
   upsim query        --addr <host:port> --from <client> --to <provider> [--model <name>] [--pipeline <depth> [--count <n>]]
   upsim campaign     --spec \"<clauses>\" [--addr <host:port> [--model <name>] | --case-study | -i <infra.xml> -s <service.xml>]
@@ -128,10 +129,38 @@ fn main() -> ExitCode {
 /// flags read the last one.
 type Flags = HashMap<String, Vec<String>>;
 
+/// The commands that read local models: the case study, or `-i` with `-s`.
+const LOCAL: &str = "serve restore campaign";
+
+/// Flags the named commands read only together (`true`) or only apart
+/// (`false`): `(commands, flag, other, together)`, with each flag an alias
+/// group as in `known`.
+const PAIRS: &[(&str, &str, &str, bool)] = &[
+    ("validate", "m mapping", "s service", true),
+    ("importance", "case-study", "i infrastructure", false),
+    ("importance", "from", "i infrastructure", false),
+    ("importance", "to", "i infrastructure", false),
+    ("importance", "s service", "i infrastructure", true),
+    ("importance", "m mapping", "i infrastructure", true),
+    ("query", "count", "pipeline", true),
+    ("campaign", "model", "addr", true),
+    ("campaign", "addr", "case-study", false),
+    ("campaign", "addr", "i infrastructure", false),
+    ("campaign", "addr", "s service", false),
+    ("serve", "save-every", "state-dir", true),
+    ("serve", "model", "case-study", false),
+    ("serve", "model", "i infrastructure", false),
+    ("serve", "model", "s service", false),
+    (LOCAL, "case-study", "i infrastructure", false),
+    (LOCAL, "case-study", "s service", false),
+    (LOCAL, "s service", "i infrastructure", true),
+];
+
 /// Parses `--flag value` pairs and boolean `--flag`s into a map. A flag
 /// outside `known`, the space-separated flags `command` reads (aliases
-/// included), is a usage error that names it, so no command runs with a
-/// flag it ignores.
+/// included), is a usage error that names it, and so is a flag that
+/// breaks one of `command`'s [`PAIRS`], naming both flags: no command
+/// runs with a flag it ignores.
 fn parse_flags(command: &str, args: &[String], known: &[&str]) -> Result<Flags, CliError> {
     let mut flags: Flags = HashMap::new();
     let mut i = 0;
@@ -164,7 +193,29 @@ fn parse_flags(command: &str, args: &[String], known: &[&str]) -> Result<Flags, 
             i += 2;
         }
     }
+    let given = |group: &str| group.split_whitespace().any(|k| flags.contains_key(k));
+    for &(commands, first, other, together) in PAIRS {
+        if commands.split_whitespace().any(|c| c == command)
+            && given(first)
+            && given(other) != together
+        {
+            let relation = if together {
+                "requires"
+            } else {
+                "cannot be combined with"
+            };
+            let (first, other) = (dashed(first), dashed(other));
+            return Err(usage_err(format!("{first} {relation} {other}")));
+        }
+    }
     Ok(flags)
+}
+
+/// An alias group's first name as typed: `-i`, `--case-study`.
+fn dashed(group: &str) -> String {
+    let name = group.split_whitespace().next().unwrap_or(group);
+    let dashes = if name.len() == 1 { "-" } else { "--" };
+    format!("{dashes}{name}")
 }
 
 fn flag<'a>(flags: &'a Flags, names: &[&str]) -> Option<&'a str> {
@@ -262,9 +313,7 @@ fn initial_models(
     ),
     CliError,
 > {
-    let case_study =
-        flag(flags, &["case-study"]).is_some() || flag(flags, &["i", "infrastructure"]).is_none();
-    if case_study {
+    if flag(flags, &["i", "infrastructure"]).is_none() {
         Ok((
             netgen::usi::usi_infrastructure(),
             netgen::usi::printing_service(),
@@ -360,13 +409,9 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
     };
     let state_dir = flag(flags, &["state-dir"]);
     let save_every: usize = match flag(flags, &["save-every"]) {
-        Some(n) => {
-            if state_dir.is_none() {
-                return Err(usage_err("--save-every requires --state-dir"));
-            }
-            n.parse()
-                .map_err(|_| usage_err("--save-every expects an update count"))?
-        }
+        Some(n) => n
+            .parse()
+            .map_err(|_| usage_err("--save-every expects an update count"))?,
         None => 0,
     };
 
@@ -401,16 +446,6 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
         };
         upsim_server::Engine::new(snapshot, config)
     } else {
-        if flag(
-            flags,
-            &["case-study", "i", "infrastructure", "s", "service"],
-        )
-        .is_some()
-        {
-            return Err(usage_err(
-                "--model cannot be combined with --case-study or -i/-s (name every model instead)",
-            ));
-        }
         let mut models = Vec::with_capacity(model_args.len());
         for arg in model_args {
             let mut spec = parse_model_spec(arg)?;
@@ -762,9 +797,7 @@ fn campaign(flags: &Flags) -> Result<(), CliError> {
 /// component to die (`ΔA = p·B`), optionally with parameter
 /// sensitivities.
 fn importance(flags: &Flags) -> Result<(), CliError> {
-    let case_study =
-        flag(flags, &["case-study"]).is_some() || flag(flags, &["i", "infrastructure"]).is_none();
-    let (infra, service, mapping) = if case_study {
+    let (infra, service, mapping) = if flag(flags, &["i", "infrastructure"]).is_none() {
         let from = require(flags, &["from"])?;
         let to = require(flags, &["to"])?;
         (

@@ -236,6 +236,166 @@ fn a_flag_the_command_does_not_read_exits_two() {
     }
 }
 
+/// Asserts that `upsim <args>` exits 2 with `refusal`, which names a flag
+/// and the flag it is read only beside (or never beside).
+fn assert_unpaired(args: &[&str], refusal: &str) {
+    let (code, stderr) = exit_of(args);
+    assert_eq!(code, Some(2), "upsim {args:?}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: {refusal}\n")),
+        "upsim {args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn validate_refuses_a_mapping_without_a_service() {
+    assert_unpaired(
+        &["validate", "-i", "infra.xml", "-m", "/nonexistent.xml"],
+        "-m requires -s",
+    );
+}
+
+#[test]
+fn importance_refuses_a_perspective_beside_model_files() {
+    for flag in ["--from", "--to"] {
+        let files = ["-i", "infra.xml", "-s", "service.xml", "-m", "mapping.xml"];
+        let args = [&["importance", flag, "t15"][..], &files].concat();
+        assert_unpaired(&args, &format!("{flag} cannot be combined with -i"));
+    }
+}
+
+#[test]
+fn importance_refuses_the_case_study_beside_model_files() {
+    assert_unpaired(
+        &[
+            "importance",
+            "--case-study",
+            "-i",
+            "/nonexistent.xml",
+            "--from",
+            "t1",
+            "--to",
+            "p2",
+        ],
+        "--case-study cannot be combined with -i",
+    );
+}
+
+#[test]
+fn importance_refuses_a_service_or_mapping_without_infrastructure() {
+    for flag in ["-s", "-m"] {
+        let args = ["importance", "--from", "t1", "--to", "p2", flag, "x.xml"];
+        assert_unpaired(&args, &format!("{flag} requires -i"));
+    }
+}
+
+#[test]
+fn query_refuses_a_count_without_a_pipeline() {
+    let args = [
+        "query",
+        "--addr",
+        "127.0.0.1:9",
+        "--from",
+        "t1",
+        "--to",
+        "p1",
+    ];
+    assert_unpaired(
+        &[&args[..], &["--count", "5"]].concat(),
+        "--count requires --pipeline",
+    );
+}
+
+#[test]
+fn campaign_refuses_a_model_without_an_address() {
+    assert_unpaired(
+        &[
+            "campaign",
+            "--spec",
+            "kill-each-component",
+            "--model",
+            "usi",
+        ],
+        "--model requires --addr",
+    );
+}
+
+#[test]
+fn campaign_refuses_an_address_beside_local_models() {
+    let remote = [
+        "campaign",
+        "--spec",
+        "kill-each-component",
+        "--addr",
+        "127.0.0.1:9",
+    ];
+    for (local, refusal) in [
+        (
+            &["--case-study"][..],
+            "--addr cannot be combined with --case-study",
+        ),
+        (
+            &["-i", "infra.xml", "-s", "service.xml"],
+            "--addr cannot be combined with -i",
+        ),
+        (&["-s", "service.xml"], "--addr cannot be combined with -s"),
+    ] {
+        assert_unpaired(&[&remote[..], local].concat(), refusal);
+    }
+}
+
+#[test]
+fn serve_refuses_save_every_without_a_state_dir() {
+    assert_unpaired(
+        &["serve", "--case-study", "--save-every", "2"],
+        "--save-every requires --state-dir",
+    );
+}
+
+#[test]
+fn serve_refuses_named_models_beside_local_models() {
+    let named = ["serve", "--model", "usi=case-study"];
+    for (local, refusal) in [
+        (
+            &["--case-study"][..],
+            "--model cannot be combined with --case-study",
+        ),
+        (
+            &["-i", "infra.xml", "-s", "service.xml"],
+            "--model cannot be combined with -i",
+        ),
+        (&["-s", "service.xml"], "--model cannot be combined with -s"),
+    ] {
+        assert_unpaired(&[&named[..], local].concat(), refusal);
+    }
+}
+
+/// `serve`, `restore` and a local `campaign` load the case study, or
+/// `-i` with `-s`, and refuse any other mix of the three.
+#[test]
+fn local_models_are_the_case_study_or_infrastructure_with_service() {
+    let commands: [&[&str]; 3] = [
+        &["serve"],
+        &["restore", "--state-dir", "/nonexistent"],
+        &["campaign", "--spec", "kill-each-component"],
+    ];
+    for command in commands {
+        for (models, refusal) in [
+            (
+                &["--case-study", "-i", "infra.xml", "-s", "service.xml"][..],
+                "--case-study cannot be combined with -i",
+            ),
+            (
+                &["--case-study", "-s", "service.xml"],
+                "--case-study cannot be combined with -s",
+            ),
+            (&["-s", "service.xml"], "-s requires -i"),
+        ] {
+            assert_unpaired(&[command, models].concat(), refusal);
+        }
+    }
+}
+
 #[test]
 fn long_model_aliases_are_read_without_the_short_ones() {
     // `--infrastructure` alone selects model files, as `-i` does, instead

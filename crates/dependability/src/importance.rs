@@ -13,7 +13,6 @@
 //! * **Fussell-Vesely** `FV_i = (U − U(x_i=1)) / U` — fraction of service
 //!   unavailability involving the failure of `i`.
 
-use crate::bdd::Bdd;
 use crate::transform::ServiceAvailabilityModel;
 
 /// Importance measures of one component.
@@ -34,12 +33,7 @@ pub struct ComponentImportance {
 /// Computes importance measures for every component of the model, sorted by
 /// descending Birnbaum importance (ties broken by name for determinism).
 pub fn component_importance(model: &ServiceAvailabilityModel) -> Vec<ComponentImportance> {
-    let mut bdd = Bdd::new();
-    let mut f = bdd.one();
-    for system in &model.systems {
-        let pair = bdd.from_path_sets(&system.path_sets);
-        f = bdd.and(f, pair);
-    }
+    let (mut bdd, f) = model.structure_function();
     let probs = model.availability_vector();
     let a = bdd.probability(f, &probs);
     let u = 1.0 - a;

@@ -15,7 +15,6 @@
 //! [`component_importance`](crate::importance::component_importance).
 
 use crate::availability::ComponentAvailability;
-use crate::bdd::Bdd;
 use crate::transform::ServiceAvailabilityModel;
 
 /// Exact service availability of `model` under a caller-supplied
@@ -26,12 +25,7 @@ use crate::transform::ServiceAvailabilityModel;
 /// probabilities decoupled from the stored components, so a campaign can
 /// re-price one baseline structure under many parametric perturbations.
 pub fn availability_with(model: &ServiceAvailabilityModel, probs: &[f64]) -> f64 {
-    let mut bdd = Bdd::new();
-    let mut f = bdd.one();
-    for system in &model.systems {
-        let pair = bdd.from_path_sets(&system.path_sets);
-        f = bdd.and(f, pair);
-    }
+    let (bdd, f) = model.structure_function();
     bdd.probability(f, probs)
 }
 
@@ -42,12 +36,7 @@ pub fn availability_with(model: &ServiceAvailabilityModel, probs: &[f64]) -> f64
 /// `kill-each-component` campaign over one perspective must match these
 /// values to floating-point identity.
 pub fn kill_deltas(model: &ServiceAvailabilityModel) -> Vec<(String, f64)> {
-    let mut bdd = Bdd::new();
-    let mut f = bdd.one();
-    for system in &model.systems {
-        let pair = bdd.from_path_sets(&system.path_sets);
-        f = bdd.and(f, pair);
-    }
+    let (mut bdd, f) = model.structure_function();
     let probs = model.availability_vector();
     let a = bdd.probability(f, &probs);
     model

@@ -15,7 +15,6 @@
 //! change moves every instance of the class at once — the per-class sums
 //! below are what an operator actually controls.
 
-use crate::bdd::Bdd;
 use crate::transform::ServiceAvailabilityModel;
 use std::collections::HashMap;
 
@@ -37,12 +36,7 @@ pub struct ComponentSensitivity {
 /// Components with `redundantComponents > 0` chain through the redundancy
 /// expansion `A' = 1 − (1 − A)^(r+1)`, i.e. `∂A'/∂A = (r+1)(1−A)^r`.
 pub fn component_sensitivities(model: &ServiceAvailabilityModel) -> Vec<ComponentSensitivity> {
-    let mut bdd = Bdd::new();
-    let mut f = bdd.one();
-    for system in &model.systems {
-        let pair = bdd.from_path_sets(&system.path_sets);
-        f = bdd.and(f, pair);
-    }
+    let (mut bdd, f) = model.structure_function();
     let probs = model.availability_vector();
     let mut out = Vec::with_capacity(model.components.len());
     for (i, component) in model.components.iter().enumerate() {

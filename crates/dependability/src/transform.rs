@@ -33,7 +33,7 @@
 //! observation overlay, with no model space.
 
 use crate::availability::ComponentAvailability;
-use crate::bdd::Bdd;
+use crate::bdd::{Bdd, BddRef};
 use crate::mcprog::McProgram;
 use crate::montecarlo::MonteCarloResult;
 use crate::params::{overlay_model, ParamEstimator, PosteriorComponent};
@@ -272,16 +272,25 @@ impl ServiceAvailabilityModel {
         self.components.iter().map(|c| c.availability).collect()
     }
 
+    /// The service structure function: one BDD over every pair's path
+    /// sets and the root of their conjunction (the service is up when
+    /// every pair has a working path). Every exact analysis of the model
+    /// starts from it, so all of them build the same diagram.
+    pub fn structure_function(&self) -> (Bdd, BddRef) {
+        let mut bdd = Bdd::new();
+        let mut root = bdd.one();
+        for system in &self.systems {
+            let pair = bdd.from_path_sets(&system.path_sets);
+            root = bdd.and(root, pair);
+        }
+        (bdd, root)
+    }
+
     /// Exact user-perceived steady-state service availability: the
     /// probability that every pair has a working path, via one shared BDD.
     pub fn availability_bdd(&self) -> f64 {
-        let mut bdd = Bdd::new();
-        let mut f = bdd.one();
-        for system in &self.systems {
-            let pair = bdd.from_path_sets(&system.path_sets);
-            f = bdd.and(f, pair);
-        }
-        bdd.probability(f, &self.availability_vector())
+        let (bdd, root) = self.structure_function();
+        bdd.probability(root, &self.availability_vector())
     }
 
     /// Exact availability of a single pair via BDD.

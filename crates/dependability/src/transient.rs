@@ -16,7 +16,7 @@
 //!   function of a [`ServiceAvailabilityModel`], yielding the
 //!   user-perceived `A_service(t)` and `R_service(t)`.
 
-use crate::bdd::Bdd;
+use crate::bdd::{Bdd, BddRef};
 use crate::transform::ServiceAvailabilityModel;
 
 /// Failure/repair rates of one component.
@@ -75,7 +75,7 @@ impl ComponentRates {
 pub struct TransientAnalysis {
     rates: Vec<ComponentRates>,
     bdd: Bdd,
-    root: crate::bdd::BddRef,
+    root: BddRef,
 }
 
 impl TransientAnalysis {
@@ -87,12 +87,7 @@ impl TransientAnalysis {
             .iter()
             .map(|c| ComponentRates::from_times(c.mtbf, c.mttr))
             .collect();
-        let mut bdd = Bdd::new();
-        let mut root = bdd.one();
-        for system in &model.systems {
-            let pair = bdd.from_path_sets(&system.path_sets);
-            root = bdd.and(root, pair);
-        }
+        let (bdd, root) = model.structure_function();
         TransientAnalysis { rates, bdd, root }
     }
 

@@ -61,13 +61,16 @@ use upsim_core::service::CompositeService;
 use crate::cache::{
     CachedPerspective, NegativeCache, PerspectiveCache, PerspectiveKey, DEFAULT_CACHE_CAPACITY,
 };
-use crate::metrics::{EngineMetrics, MetricsSnapshot, ShardRollup};
+use crate::metrics::{Counter, EngineMetrics, MetricsSnapshot, ModelInfo};
 use crate::persist::{self, Journal, SaveSummary};
 use crate::snapshot::{pingpong_mapper, ModelSnapshot, PerspectiveMapper};
 
 /// Name of the implicit shard an [`Engine::new`] engine registers — the
 /// back-compat single-model mode (`USE default` also resolves to it).
 pub const DEFAULT_MODEL: &str = "default";
+
+/// Bound of the job queue: backpressure for `BATCH` floods.
+const QUEUE_CAPACITY: usize = 256;
 
 /// Most trials one `MC` request may ask for; a larger request is answered
 /// [`EngineError::McSampleLimit`] without running.
@@ -158,8 +161,6 @@ impl From<UpsimError> for EngineError {
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available core.
     pub workers: usize,
-    /// Bound of the job queue — backpressure for `BATCH` floods.
-    pub queue_capacity: usize,
     /// LRU capacity of each shard's perspective cache (`--cache-cap`); the
     /// least-recently-used entry is evicted when a new result would exceed
     /// it.
@@ -179,7 +180,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 0,
-            queue_capacity: 256,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             discovery: DiscoveryOptions,
             mapper: pingpong_mapper(),
@@ -195,18 +195,6 @@ pub struct ModelSpec {
     pub snapshot: ModelSnapshot,
     /// Per-perspective mapping derivation for this model.
     pub mapper: PerspectiveMapper,
-}
-
-/// One row of the `MODELS` response: a registered model with its epoch and
-/// cache residency.
-#[derive(Debug, Clone)]
-pub struct ModelInfo {
-    pub name: String,
-    pub epoch: u64,
-    pub cache_len: usize,
-    pub cache_capacity: usize,
-    /// Components whose MTBF/MTTR are observation-refined on this shard.
-    pub observed: usize,
 }
 
 /// A dynamicity command (paper Sec. V-A3), applied atomically to the
@@ -446,7 +434,7 @@ impl Phases for CampaignPhases {
     /// anchor; whoever stores the last scenario aggregates the report.
     fn claim(run: &Arc<ClaimRun<Self>>, ctx: &mut EvalCtx, mut anchor: bool) {
         let (campaign, metrics) = (&run.phases, &run.shard.metrics);
-        EngineMetrics::bump(&metrics.scatter_chunks);
+        metrics.bump(Counter::ScatterChunks);
         if campaign.baseline.get().is_none() {
             let price = |ix| evaluate_baseline(&campaign.input, ix, ctx);
             let Some(results) = run.claim_items(&campaign.pairs, anchor, price) else {
@@ -461,7 +449,7 @@ impl Phases for CampaignPhases {
             // `posterior` campaign.
             let sampled = built.perspectives.iter().filter(|p| p.mc.is_some());
             let samples = campaign.input.spec.mc.map_or(0, |mc| mc.samples as u64);
-            EngineMetrics::add(&metrics.mc_trials_total, samples * sampled.count() as u64);
+            metrics.add(Counter::McTrials, samples * sampled.count() as u64);
             campaign.baseline.get_or_init(|| built);
             run.open(campaign.scenarios.cursor.claims());
             anchor = true;
@@ -471,9 +459,9 @@ impl Phases for CampaignPhases {
             let outcome = evaluate_scenario_with(&campaign.input, baseline, ix, ctx);
             run.reply.tick();
             if let Ok(outcome) = &outcome {
-                EngineMetrics::bump(&metrics.scenarios_evaluated);
-                EngineMetrics::add(&metrics.mc_trials_total, outcome.mc_trials);
-                EngineMetrics::add(&metrics.campaign_crn_reuse, outcome.crn_reused);
+                metrics.bump(Counter::ScenariosEvaluated);
+                metrics.add(Counter::McTrials, outcome.mc_trials);
+                metrics.add(Counter::CampaignCrnReuse, outcome.crn_reused);
             }
             outcome
         });
@@ -481,7 +469,7 @@ impl Phases for CampaignPhases {
             let outcomes: Result<Vec<_>, _> = outcomes.into_iter().flatten().collect();
             let report = outcomes.map(|outcomes| aggregate(&campaign.input, baseline, &outcomes));
             if report.is_ok() {
-                EngineMetrics::bump(&metrics.campaigns_run);
+                metrics.bump(Counter::CampaignsRun);
             }
             let json = campaign.input.spec.json;
             let reply = report.map(|report| WireResponse::Campaign { report, json });
@@ -523,7 +511,7 @@ impl Shard {
             snapshot: RwLock::new(Arc::new(spec.snapshot)),
             cache: PerspectiveCache::with_capacity(cache_capacity),
             negative: NegativeCache::new(),
-            metrics: EngineMetrics::new(),
+            metrics: EngineMetrics::default(),
             mapper: spec.mapper,
             persist: Mutex::new(None),
             journal_len: AtomicU64::new(0),
@@ -537,6 +525,21 @@ impl Shard {
 
     fn model(&self) -> Arc<ModelSnapshot> {
         self.snapshot.read().expect("snapshot poisoned").clone()
+    }
+
+    /// This shard's `STATS` numbers: its counters plus its epoch, cache,
+    /// journal and observed-component gauges.
+    fn stats(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            observed_components: self.model().params.observed_components() as u64,
+            cache_len: self.cache.len(),
+            cache_capacity: self.cache.capacity(),
+            cache_evictions: self.cache.evictions(),
+            epoch: self.epoch(),
+            journal_len: self.journal_len.load(Ordering::Relaxed),
+            last_save_epoch: self.last_save_epoch.load(Ordering::Relaxed),
+            ..self.metrics.snapshot()
+        }
     }
 
     /// Appends the update to this shard's journal (fsynced). No-op without
@@ -686,7 +689,7 @@ impl Engine {
             idle_workers: AtomicUsize::new(workers),
             state_root: Mutex::new(None),
         });
-        let (job_tx, job_rx) = channel::bounded::<Job>(config.queue_capacity.max(1));
+        let (job_tx, job_rx) = channel::bounded::<Job>(QUEUE_CAPACITY);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let rx = job_rx.clone();
@@ -728,18 +731,15 @@ impl Engine {
         self.shard(Some(name)).map(|shard| shard.epoch())
     }
 
-    /// The registered models in registration order, with epoch and cache
-    /// residency (the `MODELS` response).
+    /// The registered models in registration order, each with its shard's
+    /// snapshot (the `MODELS` response and the per-model `STATS` rows).
     pub fn models(&self) -> Vec<ModelInfo> {
         self.shared
             .shards
             .iter()
             .map(|shard| ModelInfo {
                 name: shard.name.clone(),
-                epoch: shard.epoch(),
-                cache_len: shard.cache.len(),
-                cache_capacity: shard.cache.capacity(),
-                observed: shard.model().params.observed_components(),
+                stats: shard.stats(),
             })
             .collect()
     }
@@ -1031,7 +1031,7 @@ impl Engine {
         }
         match request {
             WireRequest::Query { client, provider } => {
-                EngineMetrics::bump(&shard.metrics.queries);
+                shard.metrics.bump(Counter::Queries);
                 match probe(&shard, &client, &provider) {
                     Err(err) => done(Err(err)),
                     Ok(Some(entry)) => done(Ok(WireResponse::Query {
@@ -1051,8 +1051,8 @@ impl Engine {
                 }
             }
             WireRequest::Batch { pairs } => {
-                EngineMetrics::bump(&shard.metrics.batches);
-                EngineMetrics::add(&shard.metrics.queries, pairs.len() as u64);
+                shard.metrics.bump(Counter::Batches);
+                shard.metrics.add(Counter::Queries, pairs.len() as u64);
                 // Probe in pair order up to the first failure, which fails
                 // every later pair: an all-hit batch never reaches the pool.
                 let mut probed = Vec::with_capacity(pairs.len());
@@ -1091,7 +1091,7 @@ impl Engine {
                 interval,
             } => {
                 if samples > MAX_MC_SAMPLES {
-                    EngineMetrics::bump(&shard.metrics.errors);
+                    shard.metrics.bump(Counter::Errors);
                     return done(Err(EngineError::McSampleLimit(samples)));
                 }
                 // One worker probes (and maybe evaluates) the perspective,
@@ -1101,7 +1101,7 @@ impl Engine {
                 self.enqueue(
                     Arc::clone(&shard),
                     Box::new(move |ctx| {
-                        EngineMetrics::bump(&shard.metrics.queries);
+                        shard.metrics.bump(Counter::Queries);
                         let (entry, cached) = match probe(&shard, &client, &provider) {
                             Ok(Some(entry)) => (entry, true),
                             Ok(None) => match evaluate(&shard, ctx, &client, &provider) {
@@ -1110,8 +1110,8 @@ impl Engine {
                             },
                             Err(err) => return done(Err(err)),
                         };
-                        EngineMetrics::bump(&shard.metrics.mc_queries);
-                        EngineMetrics::add(&shard.metrics.mc_trials_total, samples as u64);
+                        shard.metrics.bump(Counter::McQueries);
+                        shard.metrics.add(Counter::McTrials, samples as u64);
                         // Only an interval on observed parameters resamples
                         // from the posterior (the posterior mean's interval).
                         let sampler = (interval && entry.observed > 0)
@@ -1248,33 +1248,19 @@ impl Engine {
         }
     }
 
-    /// A point-in-time metrics snapshot (the `STATS` response): the rollup
-    /// across every shard, with per-model rows attached when the engine
-    /// serves named models. On a single-unnamed-model engine the rollup
-    /// *is* the shard and the line renders byte-identically to the
-    /// pre-registry engine.
+    /// A point-in-time metrics snapshot (the `STATS` response): the merge
+    /// of every shard's snapshot, with those snapshots attached as
+    /// per-model rows when the engine serves named models. On a
+    /// single-unnamed-model engine the merge *is* the shard and the line
+    /// renders byte-identically to the pre-registry engine.
     pub fn stats(&self) -> MetricsSnapshot {
-        let shards = &self.shared.shards;
-        let mut snapshot =
-            EngineMetrics::rollup(shards.iter().map(|shard| &shard.metrics), self.workers);
-        snapshot.epoch = shards.iter().map(|shard| shard.epoch()).max().unwrap_or(0);
-        snapshot.cache_len = shards.iter().map(|shard| shard.cache.len()).sum();
-        snapshot.cache_capacity = shards.iter().map(|shard| shard.cache.capacity()).sum();
-        snapshot.cache_evictions = shards.iter().map(|shard| shard.cache.evictions()).sum();
-        snapshot.journal_len = shards
-            .iter()
-            .map(|shard| shard.journal_len.load(Ordering::Relaxed))
-            .sum();
-        snapshot.last_save_epoch = shards
-            .iter()
-            .map(|shard| shard.last_save_epoch.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        snapshot.observed_components = shards
-            .iter()
-            .map(|shard| shard.model().params.observed_components() as u64)
-            .sum();
-        snapshot.state_dir = self
+        let models = self.models();
+        let mut total = MetricsSnapshot::default();
+        for model in &models {
+            total.merge(&model.stats);
+        }
+        total.workers = self.workers;
+        total.state_dir = self
             .shared
             .state_root
             .lock()
@@ -1282,26 +1268,9 @@ impl Engine {
             .as_ref()
             .map(|root| root.display().to_string());
         if !self.shared.unnamed_default {
-            snapshot.per_model = shards
-                .iter()
-                .map(|shard| ShardRollup {
-                    model: shard.name.clone(),
-                    epoch: shard.epoch(),
-                    queries: shard.metrics.queries.load(Ordering::Relaxed),
-                    cache_len: shard.cache.len(),
-                    cache_capacity: shard.cache.capacity(),
-                    cache_evictions: shard.cache.evictions(),
-                    negative_hits: shard.metrics.negative_hits.load(Ordering::Relaxed),
-                    campaigns_run: shard.metrics.campaigns_run.load(Ordering::Relaxed),
-                    scenarios_evaluated: shard.metrics.scenarios_evaluated.load(Ordering::Relaxed),
-                    journal_len: shard.journal_len.load(Ordering::Relaxed),
-                    last_save_epoch: shard.last_save_epoch.load(Ordering::Relaxed),
-                    observations_total: shard.metrics.observations_total.load(Ordering::Relaxed),
-                    observed_components: shard.model().params.observed_components() as u64,
-                })
-                .collect();
+            total.per_model = models;
         }
-        snapshot
+        total
     }
 
     /// Stops the pool and joins every worker. Idempotent; pending jobs
@@ -1332,20 +1301,20 @@ fn probe(
     // Known-bad perspectives of this epoch fail fast from the negative
     // cache — the model has not changed, so the error has not either.
     if let Some(err) = shard.negative.get(&key, snapshot.epoch) {
-        EngineMetrics::bump(&shard.metrics.negative_hits);
-        EngineMetrics::bump(&shard.metrics.errors);
+        shard.metrics.bump(Counter::NegativeHits);
+        shard.metrics.bump(Counter::Errors);
         return Err(err);
     }
     for device in [client, provider] {
         if !snapshot.infrastructure.has_device(device) {
-            EngineMetrics::bump(&shard.metrics.errors);
+            shard.metrics.bump(Counter::Errors);
             let err = EngineError::UnknownDevice(device.to_string());
             shard.negative.insert(key, err.clone(), snapshot.epoch);
             return Err(err);
         }
     }
     if let Some(hit) = shard.cache.get(&key) {
-        EngineMetrics::bump(&shard.metrics.cache_hits);
+        shard.metrics.bump(Counter::CacheHits);
         return Ok(Some(hit));
     }
     Ok(None)
@@ -1448,12 +1417,13 @@ fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, 
     // fsyncs) must not stall queries; the persist mutex alone already
     // serializes savers.
     shard.maybe_autosave(&published);
-    EngineMetrics::bump(&shard.metrics.updates);
-    EngineMetrics::add(&shard.metrics.invalidations, invalidated as u64);
-    EngineMetrics::add(
-        &shard.metrics.observations_total,
-        command.observation_count(),
-    );
+    shard.metrics.bump(Counter::Updates);
+    shard
+        .metrics
+        .add(Counter::Invalidations, invalidated as u64);
+    shard
+        .metrics
+        .add(Counter::ObservationsTotal, command.observation_count());
     Ok(UpdateSummary {
         epoch,
         invalidated,
@@ -1497,7 +1467,7 @@ fn evaluate(
     }
     let result = evaluate_uncached(shard, ctx, &snapshot, key.clone(), client, provider);
     if let Err(err) = &result {
-        EngineMetrics::bump(&shard.metrics.errors);
+        shard.metrics.bump(Counter::Errors);
         // Unknown devices and model errors are deterministic for this
         // epoch — remember them so repeats skip the evaluation entirely.
         if matches!(err, EngineError::UnknownDevice(_) | EngineError::Model(_)) {
@@ -1596,9 +1566,9 @@ fn evaluate_uncached(
     // insert rejected for a stale epoch (an update raced the evaluation)
     // is tracked separately so `hits + misses` matches admitted lookups.
     if shard.cache.insert(entry.clone(), &shard.epoch) {
-        EngineMetrics::bump(&shard.metrics.cache_misses);
+        shard.metrics.bump(Counter::CacheMisses);
     } else {
-        EngineMetrics::bump(&shard.metrics.stale_results);
+        shard.metrics.bump(Counter::StaleResults);
     }
     Ok(entry)
 }
@@ -1764,7 +1734,7 @@ mod tests {
             // The gated jobs, the MC and its helpers, which all ran:
             // a helper left waiting runs as soon as a worker is free.
             assert_eq!(
-                engine.stats().tasks_executed,
+                engine.stats()[Counter::TasksExecuted],
                 held + 1 + helpers,
                 "{held} of 3 workers held"
             );
@@ -1856,7 +1826,7 @@ mod tests {
         };
         assert_eq!(result, entry.mc_program.run(SAMPLES, 2, 7));
         engine.shutdown();
-        assert_eq!(engine.stats().tasks_executed, 4);
+        assert_eq!(engine.stats()[Counter::TasksExecuted], 4);
     }
 
     /// A campaign's helper hands its worker back between claims, as an
@@ -1905,7 +1875,7 @@ mod tests {
         );
         // The campaign's own job, the helper its baseline's builder
         // posted, and that helper posted again once the query was served.
-        assert_eq!(engine.stats().scatter_chunks, 3);
+        assert_eq!(engine.stats()[Counter::ScatterChunks], 3);
         let Ok(WireResponse::Campaign { report, .. }) = reply else {
             panic!("CAMPAIGN is answered with WireResponse::Campaign");
         };
@@ -1948,7 +1918,7 @@ mod tests {
             .expect("spec parses");
             let report = engine.campaign(spec, |_, _| {}).expect("campaign runs");
             assert_eq!(
-                engine.stats().mc_trials_total,
+                engine.stats()[Counter::McTrials],
                 SAMPLES * (sampled_baselines + report.affected_evaluations as u64),
                 "mc:{SAMPLES}:7 {clauses}"
             );
@@ -1979,8 +1949,12 @@ mod tests {
             .expect("valid perspective");
         assert!(cached, "second request replays the cached program");
         assert_eq!(again, result, "same (samples, seed) → same estimate");
-        assert_eq!(engine.stats().mc_queries, 2);
-        assert_eq!(engine.stats().evals, 1, "the program compiled once");
+        assert_eq!(engine.stats()[Counter::McQueries], 2);
+        assert_eq!(
+            engine.stats().eval_latency.count(),
+            1,
+            "the program compiled once"
+        );
 
         let wider = usi_engine(1);
         let (single, _, _) = wider
@@ -2009,11 +1983,19 @@ mod tests {
         let engine = usi_engine(1);
         let err = engine.query("ghost", "p1").expect_err("unknown device");
         assert_eq!(err, EngineError::UnknownDevice("ghost".into()));
-        assert_eq!(engine.stats().negative_hits, 0, "first failure is derived");
+        assert_eq!(
+            engine.stats()[Counter::NegativeHits],
+            0,
+            "first failure is derived"
+        );
 
         let err = engine.query("ghost", "p1").expect_err("still unknown");
         assert_eq!(err, EngineError::UnknownDevice("ghost".into()));
-        assert_eq!(engine.stats().negative_hits, 1, "repeat served negatively");
+        assert_eq!(
+            engine.stats()[Counter::NegativeHits],
+            1,
+            "repeat served negatively"
+        );
 
         // An update bumps the epoch: the cached negative is for a dead
         // generation, so the next failure is derived afresh.
@@ -2026,7 +2008,7 @@ mod tests {
         let err = engine.query("ghost", "p1").expect_err("still unknown");
         assert_eq!(err, EngineError::UnknownDevice("ghost".into()));
         assert_eq!(
-            engine.stats().negative_hits,
+            engine.stats()[Counter::NegativeHits],
             1,
             "post-update failure must be re-derived, not replayed"
         );
@@ -2082,8 +2064,15 @@ mod tests {
         let repeat = engine.query("t0_0_0", "srv0").expect_err("cached");
         assert_eq!(repeat, err);
         let after = engine.stats();
-        assert_eq!(after.negative_hits, before.negative_hits + 1);
-        assert_eq!(after.tasks_executed, before.tasks_executed, "no second run");
+        assert_eq!(
+            after[Counter::NegativeHits],
+            before[Counter::NegativeHits] + 1
+        );
+        assert_eq!(
+            after[Counter::TasksExecuted],
+            before[Counter::TasksExecuted],
+            "no second run"
+        );
         engine.shutdown();
     }
 
@@ -2225,7 +2214,7 @@ mod tests {
             .into_iter()
             .find(|m| m.name == "campus")
             .expect("campus registered");
-        assert_eq!(campus_before.cache_len, 1);
+        assert_eq!(campus_before.stats.cache_len, 1);
 
         for _ in 0..3 {
             engine
@@ -2252,8 +2241,8 @@ mod tests {
             .into_iter()
             .find(|m| m.name == "campus")
             .expect("campus registered");
-        assert_eq!(campus_after.epoch, 0, "campus epoch must not move");
-        assert_eq!(campus_after.cache_len, 1, "campus cache must survive");
+        assert_eq!(campus_after.stats.epoch, 0, "campus epoch must not move");
+        assert_eq!(campus_after.stats.cache_len, 1, "campus cache must survive");
         let (_, hit) = engine
             .query_traced_on(Some("campus"), "t0_0_0", "srv0")
             .expect("campus perspective still resolves");
@@ -2291,28 +2280,31 @@ mod tests {
         assert_eq!(stats.per_model.len(), 2, "one rollup row per shard");
         let usi = &stats.per_model[0];
         let campus = &stats.per_model[1];
-        assert_eq!(usi.model, "usi");
-        assert_eq!(campus.model, "campus");
-        assert!(usi.cache_evictions >= 1, "usi overflow must evict");
+        assert_eq!(usi.name, "usi");
+        assert_eq!(campus.name, "campus");
+        assert!(usi.stats.cache_evictions >= 1, "usi overflow must evict");
         assert_eq!(
-            campus.cache_evictions, 0,
+            campus.stats.cache_evictions, 0,
             "campus never overflowed — evictions must be per-shard"
         );
-        assert_eq!(usi.negative_hits, 1);
-        assert_eq!(campus.negative_hits, 1);
+        assert_eq!(usi.stats[Counter::NegativeHits], 1);
+        assert_eq!(campus.stats[Counter::NegativeHits], 1);
         // The rollup line is the sum of the per-shard rows.
         assert_eq!(
             stats.cache_evictions,
-            usi.cache_evictions + campus.cache_evictions
+            usi.stats.cache_evictions + campus.stats.cache_evictions
         );
         assert_eq!(
-            stats.negative_hits,
-            usi.negative_hits + campus.negative_hits
+            stats[Counter::NegativeHits],
+            usi.stats[Counter::NegativeHits] + campus.stats[Counter::NegativeHits]
         );
-        assert_eq!(stats.cache_len, usi.cache_len + campus.cache_len);
         assert_eq!(
-            stats.queries,
-            usi.queries + campus.queries,
+            stats.cache_len,
+            usi.stats.cache_len + campus.stats.cache_len
+        );
+        assert_eq!(
+            stats[Counter::Queries],
+            usi.stats[Counter::Queries] + campus.stats[Counter::Queries],
             "query counts sum across shards"
         );
         let rendered = stats.render();
@@ -2441,10 +2433,13 @@ mod tests {
         let after = engine.stats();
         assert_eq!(after.epoch, before.epoch, "no epoch bump");
         assert_eq!(after.cache_len, before.cache_len, "no cache traffic");
-        assert_eq!(after.campaigns_run, before.campaigns_run + 1);
         assert_eq!(
-            after.scenarios_evaluated,
-            before.scenarios_evaluated + report.scenarios as u64
+            after[Counter::CampaignsRun],
+            before[Counter::CampaignsRun] + 1
+        );
+        assert_eq!(
+            after[Counter::ScenariosEvaluated],
+            before[Counter::ScenariosEvaluated] + report.scenarios as u64
         );
         engine.shutdown();
     }

@@ -13,7 +13,7 @@ use dependability::mcprog::ClaimCursor;
 use upsim_campaign::EvalCtx;
 
 use super::{Engine, EngineError, Shard, WireCallback, WireResponse};
-use crate::metrics::EngineMetrics;
+use crate::metrics::Counter;
 
 /// One unit of pool work, run on its worker's scratch buffers.
 pub(super) type PoolTask = Box<dyn FnOnce(&mut EvalCtx) + Send>;
@@ -46,8 +46,8 @@ pub(super) fn worker_loop(rx: Receiver<Job>, idle: &AtomicUsize) {
                 idle.fetch_add(1, Ordering::Relaxed);
                 // Busy wall time and a job count, per shard.
                 let busy = started.elapsed().as_nanos() as u64;
-                EngineMetrics::add(&shard.metrics.worker_busy_ns, busy);
-                EngineMetrics::bump(&shard.metrics.tasks_executed);
+                shard.metrics.add(Counter::WorkerBusyNs, busy);
+                shard.metrics.bump(Counter::TasksExecuted);
             }
         }
     }

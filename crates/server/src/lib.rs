@@ -51,9 +51,12 @@
 //!   in receive order per connection), and routes completions from the
 //!   worker pool into per-connection write buffers. Idle connections
 //!   cost a few kilobytes, not an OS thread.
-//! * [`metrics::EngineMetrics`] — atomic counters, a log₂ latency
-//!   histogram, and per-stage timing aggregation over
-//!   [`upsim_core::pipeline::StepTiming`].
+//! * [`metrics`] — each shard's [`metrics::EngineMetrics`]: one relaxed
+//!   atomic per [`metrics::Counter`] (the 18 engine counters, declared
+//!   once), a log₂ latency histogram, and per-stage timing over
+//!   [`upsim_core::pipeline::StepTiming`]. `STATS` merges the shards'
+//!   [`metrics::MetricsSnapshot`]s into one line and, on a multi-model
+//!   engine, appends each shard's snapshot as its model's row.
 //! * [`persist`] — durable engine state: an XML `<engine-state>` snapshot
 //!   (export/import through the `crates/xmlio` interchange formats) plus
 //!   an append-only, fsynced update journal in the `UPDATE` wire syntax;
@@ -74,10 +77,10 @@ pub mod snapshot;
 
 pub use cache::{CachedPerspective, PerspectiveCache, PerspectiveKey, DEFAULT_CACHE_CAPACITY};
 pub use engine::{
-    valid_model_name, Engine, EngineConfig, EngineError, ModelInfo, ModelSpec, UpdateCommand,
-    UpdateSummary, WireCallback, WireRequest, WireResponse, DEFAULT_MODEL, MAX_MC_SAMPLES,
+    valid_model_name, Engine, EngineConfig, EngineError, ModelSpec, UpdateCommand, UpdateSummary,
+    WireCallback, WireRequest, WireResponse, DEFAULT_MODEL, MAX_MC_SAMPLES,
 };
-pub use metrics::{EngineMetrics, MetricsSnapshot, ServerMetrics, ShardRollup};
+pub use metrics::{Counter, EngineMetrics, MetricsSnapshot, ModelInfo, ServerMetrics};
 pub use persist::{Journal, JournalEntry, PersistError, RestoreReport, SaveSummary};
 pub use server::{serve, serve_with, ServerConfig, UpsimServer};
 pub use snapshot::{pingpong_mapper, ModelSnapshot, PerspectiveMapper};

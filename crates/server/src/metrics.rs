@@ -1,7 +1,12 @@
-//! Engine metrics: lock-free counters, a log₂ latency histogram, and
-//! per-pipeline-stage timing aggregation over
-//! [`upsim_core::pipeline::StepTiming`].
+//! Engine metrics: one table of lock-free counters ([`Counter`]), a log₂
+//! latency histogram, and per-pipeline-stage timing over
+//! [`upsim_core::pipeline::StepTiming`]. Each shard loads its
+//! [`EngineMetrics`] into a [`MetricsSnapshot`], and the `STATS` line is
+//! the [`MetricsSnapshot::merge`] of those snapshots, so a counter is
+//! declared once, in [`Counter`], and named again only where it is
+//! bumped, rendered or asserted.
 
+use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use upsim_core::pipeline::StepTiming;
 
@@ -16,8 +21,69 @@ pub const STAGES: [&str; 4] = [
 
 const BUCKETS: usize = 24;
 
+/// The engine's counters: one relaxed atomic each per shard, summed
+/// across shards into `STATS`. The discriminant indexes the arrays of
+/// [`EngineMetrics`] and [`MetricsSnapshot`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Counter {
+    /// Perspective lookups: each `QUERY`, each `BATCH` pair, each `MC`.
+    Queries,
+    CacheHits,
+    CacheMisses,
+    /// Evaluations whose result the cache rejected for a stale epoch (a
+    /// concurrent update superseded them mid-flight). Counted apart from
+    /// `CacheMisses`, so hits plus misses track entries the cache admitted.
+    StaleResults,
+    /// Failed queries answered from the per-epoch negative cache without
+    /// touching the pipeline (unknown device, deterministic model error).
+    NegativeHits,
+    Batches,
+    /// `MC` requests served (their perspective lookup also counts under
+    /// `Queries`).
+    McQueries,
+    /// Monte-Carlo trials drawn: `MC` requests plus every sampled campaign
+    /// pricing (baselines and scenarios).
+    McTrials,
+    /// `CAMPAIGN` requests completed.
+    CampaignsRun,
+    /// Scenarios evaluated across all campaigns.
+    ScenariosEvaluated,
+    /// Draw words campaign scenarios served from their perspective's
+    /// shared baseline table instead of re-packing (CRN reuse).
+    CampaignCrnReuse,
+    Updates,
+    Invalidations,
+    /// Transition events `OBSERVE`/`OBSERVE BATCH` accepted (a rejected
+    /// non-monotone event leaves no state behind and is not counted).
+    ObservationsTotal,
+    Errors,
+    /// Nanoseconds pool workers spent executing the shard's jobs (requests
+    /// and their claim runs' helpers): busy time, not wall time, so
+    /// `worker_busy_ns / (wall * workers)` is utilization.
+    WorkerBusyNs,
+    /// Pool jobs executed (every `Job` variant).
+    TasksExecuted,
+    /// Pool jobs campaigns ran as: each prepared campaign's own job plus
+    /// the helper jobs of its claim run, re-posted ones included (against
+    /// `ScenariosEvaluated`, the per-item count). `MC` and `BATCH` helpers
+    /// count only in `TasksExecuted`.
+    ScatterChunks,
+}
+
+impl Counter {
+    /// How many counters there are. `ScatterChunks` must stay the last
+    /// variant.
+    pub const COUNT: usize = Counter::ScatterChunks as usize + 1;
+}
+
+fn load(value: &AtomicU64) -> u64 {
+    value.load(Ordering::Relaxed)
+}
+
 /// Power-of-two microsecond latency histogram: bucket `i` counts
-/// evaluations with `latency_us in [2^(i-1), 2^i)` (bucket 0 is `< 1 µs`).
+/// latencies in `[2^(i-1), 2^i)` µs (bucket 0 is `< 1 µs`). It only
+/// records; [`LatencyHistogram::snapshot`] hands its contents to
+/// [`LatencyCounts`] for reading.
 #[derive(Default)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -33,42 +99,21 @@ impl LatencyHistogram {
         self.sum_micros.fetch_add(micros, Ordering::Relaxed);
     }
 
-    /// Upper bound (µs) of the first bucket at which the cumulative count
-    /// reaches quantile `q` (0.0..=1.0). Zero when nothing was recorded.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        let total = self.count.load(Ordering::Relaxed);
-        if total == 0 {
-            return 0;
+    pub fn snapshot(&self) -> LatencyCounts {
+        // The count first: `record` bumps a bucket before the count, so
+        // buckets loaded afterwards cover at least `count` samples.
+        let count = load(&self.count);
+        LatencyCounts {
+            buckets: self.buckets.each_ref().map(load),
+            count,
+            sum_micros: load(&self.sum_micros),
         }
-        let target = ((total as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= target.max(1) {
-                return if idx == 0 { 1 } else { 1u64 << idx };
-            }
-        }
-        1u64 << (BUCKETS - 1)
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn mean_micros(&self) -> f64 {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return 0.0;
-        }
-        self.sum_micros.load(Ordering::Relaxed) as f64 / count as f64
     }
 }
 
-/// A plain (non-atomic) accumulator over one or more [`LatencyHistogram`]s,
-/// used to fold per-shard histograms into the global `STATS` rollup. The
-/// quantile and mean algorithms mirror the histogram's exactly, so a
-/// rollup over a single histogram reproduces its numbers bit-for-bit.
-#[derive(Default)]
+/// The contents of one [`LatencyHistogram`], or of several summed with
+/// [`LatencyCounts::merge`]: where every quantile and mean is computed.
+#[derive(Debug, Clone, Default)]
 pub struct LatencyCounts {
     buckets: [u64; BUCKETS],
     count: u64,
@@ -76,13 +121,12 @@ pub struct LatencyCounts {
 }
 
 impl LatencyCounts {
-    /// Adds one histogram's current contents into the accumulator.
-    pub fn absorb(&mut self, hist: &LatencyHistogram) {
-        for (acc, bucket) in self.buckets.iter_mut().zip(hist.buckets.iter()) {
-            *acc += bucket.load(Ordering::Relaxed);
+    pub fn merge(&mut self, other: &LatencyCounts) {
+        for (acc, n) in self.buckets.iter_mut().zip(other.buckets) {
+            *acc += n;
         }
-        self.count += hist.count.load(Ordering::Relaxed);
-        self.sum_micros += hist.sum_micros.load(Ordering::Relaxed);
+        self.count += other.count;
+        self.sum_micros += other.sum_micros;
     }
 
     pub fn count(&self) -> u64 {
@@ -96,7 +140,8 @@ impl LatencyCounts {
         self.sum_micros as f64 / self.count as f64
     }
 
-    /// Same contract as [`LatencyHistogram::quantile_upper_bound`].
+    /// Upper bound (µs) of the first bucket at which the cumulative count
+    /// reaches quantile `q` (0.0..=1.0). Zero when nothing was recorded.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -143,83 +188,40 @@ impl ServerMetrics {
     /// The `STATS` suffix (leading space included):
     /// `open_connections= accept_errors= busy_rejections= pipelined_*`.
     pub fn render_suffix(&self) -> String {
+        let depth = self.pipelined_depth.snapshot();
         format!(
             " open_connections={} accept_errors={} busy_rejections={} \
              pipelined_requests={} pipelined_depth_p50<={} pipelined_depth_p99<={}",
-            self.open_connections.load(Ordering::Relaxed),
-            self.accept_errors.load(Ordering::Relaxed),
-            self.busy_rejections.load(Ordering::Relaxed),
-            self.pipelined_depth.count(),
-            self.pipelined_depth.quantile_upper_bound(0.50),
-            self.pipelined_depth.quantile_upper_bound(0.99),
+            load(&self.open_connections),
+            load(&self.accept_errors),
+            load(&self.busy_rejections),
+            depth.count(),
+            depth.quantile_upper_bound(0.50),
+            depth.quantile_upper_bound(0.99),
         )
     }
 }
 
-/// Shared engine counters. All loads/stores are `Relaxed`: the numbers are
-/// for observability, never for synchronization.
+/// One shard's counters, evaluation latencies and stage totals. All
+/// loads and stores are `Relaxed`: the numbers are for observability,
+/// never for synchronization.
 #[derive(Default)]
 pub struct EngineMetrics {
-    pub queries: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    /// Evaluations whose result was rejected by the cache for a stale
-    /// epoch (a concurrent update superseded them mid-flight). Counted
-    /// separately from `cache_misses` so `hits + misses` tracks entries
-    /// the cache actually admitted.
-    pub stale_results: AtomicU64,
-    /// Failed queries answered from the per-epoch negative cache without
-    /// touching the pipeline (unknown device, deterministic model error).
-    pub negative_hits: AtomicU64,
-    pub batches: AtomicU64,
-    /// `MC` requests served (the sampled estimate itself; the underlying
-    /// perspective lookup is also counted under `queries`).
-    pub mc_queries: AtomicU64,
-    /// Monte-Carlo trials drawn on this shard — `MC` requests plus every
-    /// sampled campaign pricing (baselines and scenarios).
-    pub mc_trials_total: AtomicU64,
-    /// `CAMPAIGN` requests completed against this shard.
-    pub campaigns_run: AtomicU64,
-    /// Scenarios evaluated across all campaigns on this shard.
-    pub scenarios_evaluated: AtomicU64,
-    /// Draw words campaign scenarios served from their perspective's
-    /// shared baseline table instead of re-packing (CRN reuse).
-    pub campaign_crn_reuse: AtomicU64,
-    pub updates: AtomicU64,
-    pub invalidations: AtomicU64,
-    /// Transition events accepted by `OBSERVE`/`OBSERVE BATCH` on this
-    /// shard (rejected non-monotone events are not counted — they leave
-    /// no state behind).
-    pub observations_total: AtomicU64,
-    pub errors: AtomicU64,
-    /// Nanoseconds pool workers spent executing this shard's jobs
-    /// (requests and their claim runs' helpers) — busy time, not
-    /// wall time, so `worker_busy_ns / (wall * workers)` is utilization.
-    pub worker_busy_ns: AtomicU64,
-    /// Pool jobs executed for this shard (every `Job` variant).
-    pub tasks_executed: AtomicU64,
-    /// Pool jobs this shard's campaigns ran as: each prepared campaign's
-    /// own job plus the helper jobs of its claim run, re-posted ones
-    /// included (vs. `scenarios_evaluated`, the per-item count). `MC` and
-    /// `BATCH` helpers count only in `tasks_executed`.
-    pub scatter_chunks: AtomicU64,
+    counters: [AtomicU64; Counter::COUNT],
     pub eval_latency: LatencyHistogram,
     /// Cumulative nanoseconds per stage, indexed like [`STAGES`].
     stage_nanos: [AtomicU64; 4],
 }
 
 impl EngineMetrics {
-    pub fn new() -> Self {
-        Self::default()
+    #[inline]
+    pub fn bump(&self, counter: Counter) {
+        self.add(counter, 1);
     }
 
     #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Folds one evaluation's step timings into the per-stage totals.
@@ -232,202 +234,105 @@ impl EngineMetrics {
         }
     }
 
-    pub fn snapshot(&self, cache_len: usize, epoch: u64, workers: usize) -> MetricsSnapshot {
-        let mut snapshot = EngineMetrics::rollup(std::iter::once(self), workers);
-        snapshot.cache_len = cache_len;
-        snapshot.epoch = epoch;
-        snapshot
-    }
-
-    /// Sums counters, stage timings, and latency histograms across shards
-    /// into one [`MetricsSnapshot`] — the global line of a multi-model
-    /// `STATS`. Cache/epoch/persistence fields are left at their defaults
-    /// for the caller to fill (they live on the shards, not here). Over a
-    /// single `EngineMetrics` this is exactly [`EngineMetrics::snapshot`].
-    pub fn rollup<'a>(
-        parts: impl IntoIterator<Item = &'a EngineMetrics>,
-        workers: usize,
-    ) -> MetricsSnapshot {
-        let mut queries = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut stale_results = 0u64;
-        let mut negative_hits = 0u64;
-        let mut batches = 0u64;
-        let mut mc_queries = 0u64;
-        let mut mc_trials_total = 0u64;
-        let mut campaigns_run = 0u64;
-        let mut scenarios_evaluated = 0u64;
-        let mut campaign_crn_reuse = 0u64;
-        let mut updates = 0u64;
-        let mut invalidations = 0u64;
-        let mut observations_total = 0u64;
-        let mut errors = 0u64;
-        let mut worker_busy_ns = 0u64;
-        let mut tasks_executed = 0u64;
-        let mut scatter_chunks = 0u64;
-        let mut latency = LatencyCounts::default();
-        let mut stage_nanos = [0u64; 4];
-        for metrics in parts {
-            queries += metrics.queries.load(Ordering::Relaxed);
-            hits += metrics.cache_hits.load(Ordering::Relaxed);
-            misses += metrics.cache_misses.load(Ordering::Relaxed);
-            stale_results += metrics.stale_results.load(Ordering::Relaxed);
-            negative_hits += metrics.negative_hits.load(Ordering::Relaxed);
-            batches += metrics.batches.load(Ordering::Relaxed);
-            mc_queries += metrics.mc_queries.load(Ordering::Relaxed);
-            mc_trials_total += metrics.mc_trials_total.load(Ordering::Relaxed);
-            campaigns_run += metrics.campaigns_run.load(Ordering::Relaxed);
-            scenarios_evaluated += metrics.scenarios_evaluated.load(Ordering::Relaxed);
-            campaign_crn_reuse += metrics.campaign_crn_reuse.load(Ordering::Relaxed);
-            updates += metrics.updates.load(Ordering::Relaxed);
-            invalidations += metrics.invalidations.load(Ordering::Relaxed);
-            observations_total += metrics.observations_total.load(Ordering::Relaxed);
-            errors += metrics.errors.load(Ordering::Relaxed);
-            worker_busy_ns += metrics.worker_busy_ns.load(Ordering::Relaxed);
-            tasks_executed += metrics.tasks_executed.load(Ordering::Relaxed);
-            scatter_chunks += metrics.scatter_chunks.load(Ordering::Relaxed);
-            latency.absorb(&metrics.eval_latency);
-            for (acc, nanos) in stage_nanos.iter_mut().zip(metrics.stage_nanos.iter()) {
-                *acc += nanos.load(Ordering::Relaxed);
-            }
-        }
-        let lookups = hits + misses;
+    /// The counters, latencies and stage totals as they stand; the caller
+    /// fills the gauges.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            queries,
-            cache_hits: hits,
-            cache_misses: misses,
-            stale_results,
-            negative_hits,
-            hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                hits as f64 / lookups as f64
-            },
-            batches,
-            mc_queries,
-            mc_trials_total,
-            campaigns_run,
-            scenarios_evaluated,
-            campaign_crn_reuse,
-            updates,
-            invalidations,
-            observations_total,
-            observed_components: 0,
-            errors,
-            worker_busy_ns,
-            tasks_executed,
-            scatter_chunks,
-            evals: latency.count(),
-            eval_mean_micros: latency.mean_micros(),
-            eval_p50_micros: latency.quantile_upper_bound(0.50),
-            eval_p99_micros: latency.quantile_upper_bound(0.99),
-            stage_millis: std::array::from_fn(|i| stage_nanos[i] as f64 / 1.0e6),
-            cache_len: 0,
-            cache_capacity: 0,
-            cache_evictions: 0,
-            epoch: 0,
-            workers,
-            state_dir: None,
-            journal_len: 0,
-            last_save_epoch: 0,
-            per_model: Vec::new(),
+            counters: self.counters.each_ref().map(load),
+            eval_latency: self.eval_latency.snapshot(),
+            stage_nanos: self.stage_nanos.each_ref().map(load),
+            ..MetricsSnapshot::default()
         }
     }
 }
 
-/// A point-in-time copy of the counters, renderable as one `STATS` line.
-#[derive(Debug, Clone)]
+/// A point-in-time copy of one shard's metrics, or of several merged,
+/// renderable as one `STATS` line. Index it by [`Counter`] to read a
+/// counter.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    pub queries: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Results computed against an epoch an update superseded mid-flight.
-    pub stale_results: u64,
-    /// Failed queries replayed from the per-epoch negative cache.
-    pub negative_hits: u64,
-    pub hit_rate: f64,
-    pub batches: u64,
-    /// Monte-Carlo (`MC`) requests served from compiled programs.
-    pub mc_queries: u64,
-    /// Monte-Carlo trials drawn (`MC` requests + sampled campaign pricing).
-    pub mc_trials_total: u64,
-    /// `CAMPAIGN` requests completed.
-    pub campaigns_run: u64,
-    /// Scenarios evaluated across all campaigns.
-    pub scenarios_evaluated: u64,
-    /// Draw words served from shared campaign baseline tables (CRN reuse).
-    pub campaign_crn_reuse: u64,
-    pub updates: u64,
-    pub invalidations: u64,
-    /// Transition events accepted by the `OBSERVE` verbs (summed over
-    /// shards).
-    pub observations_total: u64,
+    /// The counters, indexed by [`Counter`].
+    pub counters: [u64; Counter::COUNT],
+    pub eval_latency: LatencyCounts,
+    /// Cumulative nanoseconds per stage, indexed like [`STAGES`].
+    pub stage_nanos: [u64; 4],
     /// Components whose MTBF/MTTR are observation-refined (at least one
-    /// closed sojourn), summed over shards. Filled by the engine — it
-    /// lives on the shards' parameter layers, not in the counters.
+    /// closed sojourn). It lives on a shard's parameter layer, not in the
+    /// counters.
     pub observed_components: u64,
-    pub errors: u64,
-    /// Nanoseconds pool workers spent busy on jobs (summed over shards).
-    pub worker_busy_ns: u64,
-    /// Pool jobs executed (every `Job` variant, summed over shards).
-    pub tasks_executed: u64,
-    /// Pool jobs campaigns ran as: their own jobs plus their helpers
-    /// (re-posted ones included).
-    pub scatter_chunks: u64,
-    pub evals: u64,
-    pub eval_mean_micros: f64,
-    pub eval_p50_micros: u64,
-    pub eval_p99_micros: u64,
-    /// Cumulative milliseconds per stage, indexed like [`STAGES`].
-    pub stage_millis: [f64; 4],
     pub cache_len: usize,
     /// LRU capacity bound of the perspective cache.
     pub cache_capacity: usize,
     /// Entries evicted by the capacity bound (not invalidation sweeps).
     pub cache_evictions: u64,
     pub epoch: u64,
-    pub workers: usize,
-    /// Persistence directory, when the engine journals to disk.
-    pub state_dir: Option<String>,
-    /// Committed journal entries (`-`-free rendering: `0` when disabled).
+    /// Committed journal entries (`0` when persistence is off).
     pub journal_len: u64,
     /// Epoch of the last published `snapshot.xml` (`0` before any save).
     pub last_save_epoch: u64,
-    /// Per-model rollup rows, in registration order. Empty on a
+    /// Worker threads; set on the engine-wide snapshot.
+    pub workers: usize,
+    /// Persistence directory, when the engine journals to disk.
+    pub state_dir: Option<String>,
+    /// Per-model rows, in registration order. Empty on a
     /// single-unnamed-model engine, where the global line already *is*
     /// the one shard and the wire format must stay byte-identical to the
     /// pre-registry `STATS`.
-    pub per_model: Vec<ShardRollup>,
+    pub per_model: Vec<ModelInfo>,
 }
 
-/// One model's slice of a multi-model `STATS` line.
+/// One registered model: its name and its shard's snapshot. A row of
+/// `MODELS` and of a multi-model `STATS`.
 #[derive(Debug, Clone)]
-pub struct ShardRollup {
-    pub model: String,
-    pub epoch: u64,
-    pub queries: u64,
-    pub cache_len: usize,
-    pub cache_capacity: usize,
-    /// Entries this shard's LRU bound evicted (per-shard, not global).
-    pub cache_evictions: u64,
-    /// Failures this shard replayed from its negative cache.
-    pub negative_hits: u64,
-    /// `CAMPAIGN` requests completed against this shard.
-    pub campaigns_run: u64,
-    /// Scenarios evaluated across this shard's campaigns.
-    pub scenarios_evaluated: u64,
-    /// Transition events this shard's `OBSERVE` verbs accepted.
-    pub observations_total: u64,
-    /// Components with observation-refined parameters on this shard.
-    pub observed_components: u64,
-    pub journal_len: u64,
-    pub last_save_epoch: u64,
+pub struct ModelInfo {
+    pub name: String,
+    pub stats: MetricsSnapshot,
+}
+
+impl Index<Counter> for MetricsSnapshot {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.counters[counter as usize]
+    }
 }
 
 impl MetricsSnapshot {
+    /// Adds `other` into `self`: counters, latencies, stage totals and
+    /// sizes sum, and each epoch keeps the later of the two. The
+    /// engine-wide fields (`workers`, `state_dir`, `per_model`) stay.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        for (acc, n) in self.counters.iter_mut().zip(other.counters) {
+            *acc += n;
+        }
+        self.eval_latency.merge(&other.eval_latency);
+        for (acc, n) in self.stage_nanos.iter_mut().zip(other.stage_nanos) {
+            *acc += n;
+        }
+        self.observed_components += other.observed_components;
+        self.cache_len += other.cache_len;
+        self.cache_capacity += other.cache_capacity;
+        self.cache_evictions += other.cache_evictions;
+        self.journal_len += other.journal_len;
+        self.epoch = self.epoch.max(other.epoch);
+        self.last_save_epoch = self.last_save_epoch.max(other.last_save_epoch);
+    }
+
+    /// Cache hits over hits plus misses; `0` before the first lookup.
+    pub fn hit_rate(&self) -> f64 {
+        let hits = self[Counter::CacheHits];
+        let lookups = hits + self[Counter::CacheMisses];
+        if lookups == 0 {
+            0.0
+        } else {
+            hits as f64 / lookups as f64
+        }
+    }
+
     /// Single-line `key=value` rendering used by the `STATS` response.
     pub fn render(&self) -> String {
+        use Counter::*;
+        let latency = &self.eval_latency;
         let mut line = format!(
             "queries={} cache_hits={} cache_misses={} stale_results={} negative_hits={} \
              hit_rate={:.3} batches={} mc_queries={} mc_trials={} campaigns={} scenarios={} \
@@ -437,59 +342,58 @@ impl MetricsSnapshot {
              cache_residency={}/{} cache_evictions={} epoch={} workers={} \
              worker_busy_ms={:.2} tasks_executed={} scatter_chunks={} state_dir={} \
              journal_len={} last_save_epoch={}",
-            self.queries,
-            self.cache_hits,
-            self.cache_misses,
-            self.stale_results,
-            self.negative_hits,
-            self.hit_rate,
-            self.batches,
-            self.mc_queries,
-            self.mc_trials_total,
-            self.campaigns_run,
-            self.scenarios_evaluated,
-            self.campaign_crn_reuse,
-            self.observations_total,
+            self[Queries],
+            self[CacheHits],
+            self[CacheMisses],
+            self[StaleResults],
+            self[NegativeHits],
+            self.hit_rate(),
+            self[Batches],
+            self[McQueries],
+            self[McTrials],
+            self[CampaignsRun],
+            self[ScenariosEvaluated],
+            self[CampaignCrnReuse],
+            self[ObservationsTotal],
             self.observed_components,
-            self.updates,
-            self.invalidations,
-            self.errors,
-            self.evals,
-            self.eval_mean_micros,
-            self.eval_p50_micros,
-            self.eval_p99_micros,
+            self[Updates],
+            self[Invalidations],
+            self[Errors],
+            latency.count(),
+            latency.mean_micros(),
+            latency.quantile_upper_bound(0.50),
+            latency.quantile_upper_bound(0.99),
             self.cache_len,
             self.cache_len,
             self.cache_capacity,
             self.cache_evictions,
             self.epoch,
             self.workers,
-            self.worker_busy_ns as f64 / 1.0e6,
-            self.tasks_executed,
-            self.scatter_chunks,
+            self[WorkerBusyNs] as f64 / 1.0e6,
+            self[TasksExecuted],
+            self[ScatterChunks],
             self.state_dir.as_deref().unwrap_or("-"),
             self.journal_len,
             self.last_save_epoch,
         );
-        for (stage, millis) in STAGES.iter().zip(self.stage_millis.iter()) {
-            line.push_str(&format!(" stage[{stage}]_ms={millis:.2}"));
+        for (stage, nanos) in STAGES.iter().zip(self.stage_nanos) {
+            line.push_str(&format!(" stage[{stage}]_ms={:.2}", nanos as f64 / 1.0e6));
         }
-        for shard in &self.per_model {
+        for ModelInfo { name, stats } in &self.per_model {
             line.push_str(&format!(
-                " model[{}]=epoch:{},queries:{},cache:{}/{},evictions:{},negative_hits:{},campaigns:{},scenarios:{},observations:{},observed:{},journal:{},saved:{}",
-                shard.model,
-                shard.epoch,
-                shard.queries,
-                shard.cache_len,
-                shard.cache_capacity,
-                shard.cache_evictions,
-                shard.negative_hits,
-                shard.campaigns_run,
-                shard.scenarios_evaluated,
-                shard.observations_total,
-                shard.observed_components,
-                shard.journal_len,
-                shard.last_save_epoch,
+                " model[{name}]=epoch:{},queries:{},cache:{}/{},evictions:{},negative_hits:{},campaigns:{},scenarios:{},observations:{},observed:{},journal:{},saved:{}",
+                stats.epoch,
+                stats[Queries],
+                stats.cache_len,
+                stats.cache_capacity,
+                stats.cache_evictions,
+                stats[NegativeHits],
+                stats[CampaignsRun],
+                stats[ScenariosEvaluated],
+                stats[ObservationsTotal],
+                stats.observed_components,
+                stats.journal_len,
+                stats.last_save_epoch,
             ));
         }
         line
@@ -501,190 +405,213 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// The `STATS` line [`full_snapshot`] renders. Clients parse it by
+    /// key, so it is fixed byte for byte.
+    const FULL_LINE: &str = "queries=100 cache_hits=107 cache_misses=114 stale_results=121 \
+        negative_hits=128 hit_rate=0.484 batches=135 mc_queries=142 mc_trials=149 campaigns=156 \
+        scenarios=163 crn_reuse=170 observations_total=191 observed_components=5 updates=177 \
+        invalidations=184 errors=198 evals=4 eval_mean_us=240.0 eval_p50_us<=32 \
+        eval_p99_us<=1024 cache_len=11 cache_residency=11/64 cache_evictions=13 epoch=17 \
+        workers=3 worker_busy_ms=12.35 tasks_executed=212 scatter_chunks=219 \
+        state_dir=/var/lib/upsim journal_len=19 last_save_epoch=15 \
+        stage[5-import-models]_ms=2.50 stage[6-import-mapping]_ms=0.75 \
+        stage[7-path-discovery]_ms=1.23 stage[8-generate-upsim]_ms=0.57";
+
+    /// The two per-model rows [`FULL_LINE`] gains, fixed the same way.
+    const MODEL_ROWS: &str = " model[usi]=epoch:4,queries:21,cache:3/32,evictions:2,\
+        negative_hits:6,campaigns:1,scenarios:37,observations:8,observed:2,journal:4,saved:3 \
+        model[campus]=epoch:9,queries:55,cache:12/48,evictions:7,negative_hits:10,campaigns:2,\
+        scenarios:90,observations:14,observed:5,journal:9,saved:8";
+
+    fn timing(step: &'static str, micros: u64) -> StepTiming {
+        StepTiming {
+            step,
+            duration: Duration::from_micros(micros),
+            cached: false,
+        }
+    }
+
+    /// A distinct value in every counter, gauge and stage, and latencies
+    /// in four buckets.
+    fn full_snapshot() -> MetricsSnapshot {
+        let metrics = EngineMetrics::default();
+        for micros in [3, 40, 900, 17] {
+            metrics.eval_latency.record(micros);
+        }
+        metrics.record_timings(&[
+            timing("5-import-models", 2_500),
+            timing("6-import-mapping", 750),
+            timing("7-path-discovery", 1_234),
+            timing("8-generate-upsim", 567),
+        ]);
+        let mut snap = metrics.snapshot();
+        for (i, count) in snap.counters.iter_mut().enumerate() {
+            *count = 100 + 7 * i as u64;
+        }
+        snap.counters[Counter::WorkerBusyNs as usize] = 12_345_678;
+        MetricsSnapshot {
+            observed_components: 5,
+            cache_len: 11,
+            cache_capacity: 64,
+            cache_evictions: 13,
+            epoch: 17,
+            journal_len: 19,
+            last_save_epoch: 15,
+            workers: 3,
+            state_dir: Some("/var/lib/upsim".into()),
+            ..snap
+        }
+    }
+
+    /// A per-model row: `counts` fills queries, negative hits, campaigns,
+    /// scenarios and observations; `gauges` the epoch, cache length and
+    /// capacity, evictions, observed components, journal and save epoch.
+    fn row(name: &str, counts: [u64; 5], gauges: [u64; 7]) -> ModelInfo {
+        let mut stats = MetricsSnapshot::default();
+        let counters = [
+            Counter::Queries,
+            Counter::NegativeHits,
+            Counter::CampaignsRun,
+            Counter::ScenariosEvaluated,
+            Counter::ObservationsTotal,
+        ];
+        for (counter, n) in counters.into_iter().zip(counts) {
+            stats.counters[counter as usize] = n;
+        }
+        let [epoch, len, cap, evictions, observed, journal, saved] = gauges;
+        stats.epoch = epoch;
+        stats.cache_len = len as usize;
+        stats.cache_capacity = cap as usize;
+        stats.cache_evictions = evictions;
+        stats.observed_components = observed;
+        stats.journal_len = journal;
+        stats.last_save_epoch = saved;
+        ModelInfo {
+            name: name.into(),
+            stats,
+        }
+    }
+
     #[test]
     fn histogram_buckets_and_quantiles() {
         let hist = LatencyHistogram::default();
         for micros in [1, 2, 3, 100, 1000] {
             hist.record(micros);
         }
-        assert_eq!(hist.count(), 5);
-        assert!(hist.mean_micros() > 0.0);
+        let counts = hist.snapshot();
+        assert_eq!(counts.count(), 5);
+        assert!((counts.mean_micros() - 221.2).abs() < 1e-9);
         // The median of {1,2,3,100,1000} falls in the bucket covering 3 µs.
-        assert!(hist.quantile_upper_bound(0.5) <= 4);
-        assert!(hist.quantile_upper_bound(1.0) >= 1000 / 2);
+        assert_eq!(counts.quantile_upper_bound(0.5), 4);
+        assert_eq!(counts.quantile_upper_bound(1.0), 1024);
+        let empty = LatencyCounts::default();
+        assert_eq!((empty.count(), empty.quantile_upper_bound(0.5)), (0, 0));
+        assert_eq!(empty.mean_micros(), 0.0);
     }
 
     #[test]
     fn stage_timings_fold_by_label() {
-        let metrics = EngineMetrics::new();
+        let metrics = EngineMetrics::default();
         metrics.record_timings(&[
-            StepTiming {
-                step: "5-import-models",
-                duration: Duration::from_millis(2),
-                cached: false,
-            },
-            StepTiming {
-                step: "7-path-discovery",
-                duration: Duration::from_millis(5),
-                cached: false,
-            },
-            StepTiming {
-                step: "5-import-models",
-                duration: Duration::from_millis(1),
-                cached: true,
-            },
+            timing("5-import-models", 2_000),
+            timing("7-path-discovery", 5_000),
+            timing("5-import-models", 1_000),
+            timing("not-a-stage", 9_000),
         ]);
-        let snap = metrics.snapshot(0, 0, 1);
-        assert!((snap.stage_millis[0] - 3.0).abs() < 1e-6);
-        assert!((snap.stage_millis[2] - 5.0).abs() < 1e-6);
-        assert_eq!(snap.stage_millis[1], 0.0);
+        assert_eq!(metrics.snapshot().stage_nanos, [3_000_000, 0, 5_000_000, 0]);
     }
 
+    /// Every counter, gauge, latency and stage renders byte for byte.
     #[test]
     fn snapshot_hit_rate_and_render() {
-        let metrics = EngineMetrics::new();
-        EngineMetrics::add(&metrics.queries, 4);
-        EngineMetrics::add(&metrics.cache_hits, 3);
-        EngineMetrics::bump(&metrics.cache_misses);
-        let snap = metrics.snapshot(3, 7, 2);
-        assert!((snap.hit_rate - 0.75).abs() < 1e-9);
-        let line = snap.render();
-        assert!(line.contains("hit_rate=0.750"));
-        assert!(line.contains("epoch=7"));
-        assert!(line.contains("stale_results=0"));
-        assert!(line.contains("negative_hits=0"));
-        assert!(line.contains("state_dir=- journal_len=0 last_save_epoch=0"));
-        assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    fn cache_residency_and_evictions_render() {
-        let metrics = EngineMetrics::new();
-        EngineMetrics::add(&metrics.negative_hits, 2);
-        let mut snap = metrics.snapshot(3, 1, 1);
-        snap.cache_capacity = 8;
-        snap.cache_evictions = 5;
-        let line = snap.render();
-        assert!(line.contains("cache_residency=3/8"));
-        assert!(line.contains("cache_evictions=5"));
-        assert!(line.contains("negative_hits=2"));
-    }
-
-    #[test]
-    fn rollup_sums_counters_and_histograms_across_shards() {
-        let a = EngineMetrics::new();
-        let b = EngineMetrics::new();
-        EngineMetrics::add(&a.queries, 4);
-        EngineMetrics::add(&b.queries, 6);
-        EngineMetrics::add(&a.cache_hits, 2);
-        EngineMetrics::bump(&a.cache_misses);
-        EngineMetrics::bump(&b.cache_misses);
-        EngineMetrics::add(&a.negative_hits, 3);
-        EngineMetrics::add(&b.negative_hits, 5);
-        EngineMetrics::add(&a.worker_busy_ns, 1_500_000);
-        EngineMetrics::add(&b.worker_busy_ns, 2_500_000);
-        EngineMetrics::add(&a.tasks_executed, 7);
-        EngineMetrics::add(&b.tasks_executed, 9);
-        EngineMetrics::add(&a.scatter_chunks, 2);
-        EngineMetrics::add(&b.scatter_chunks, 4);
-        a.eval_latency.record(10);
-        b.eval_latency.record(30);
-        let rolled = EngineMetrics::rollup([&a, &b], 2);
-        assert_eq!(rolled.queries, 10);
-        assert_eq!(rolled.negative_hits, 8);
-        assert_eq!(rolled.worker_busy_ns, 4_000_000);
-        assert_eq!(rolled.tasks_executed, 16);
-        assert_eq!(rolled.scatter_chunks, 6);
-        assert_eq!(rolled.evals, 2);
-        let line = rolled.render();
-        assert!(line.contains("worker_busy_ms=4.00"), "line: {line}");
-        assert!(
-            line.contains("tasks_executed=16 scatter_chunks=6"),
-            "line: {line}"
-        );
-        assert!((rolled.eval_mean_micros - 20.0).abs() < 1e-9);
-        // hit_rate over the summed lookups: 2 hits / 4 lookups.
-        assert!((rolled.hit_rate - 0.5).abs() < 1e-9);
-        // Over a single shard the rollup is exactly that shard's snapshot.
-        let solo = a.snapshot(0, 0, 2);
-        let via_rollup = EngineMetrics::rollup([&a], 2);
-        assert_eq!(solo.render(), {
-            let mut s = via_rollup;
-            s.cache_len = 0;
-            s.epoch = 0;
-            s.render()
-        });
-    }
-
-    #[test]
-    fn campaign_counters_roll_up_and_render() {
-        let a = EngineMetrics::new();
-        let b = EngineMetrics::new();
-        EngineMetrics::bump(&a.campaigns_run);
-        EngineMetrics::add(&a.scenarios_evaluated, 358);
-        EngineMetrics::add(&b.campaigns_run, 2);
-        EngineMetrics::add(&b.scenarios_evaluated, 90);
-        EngineMetrics::add(&a.mc_trials_total, 1_000_000);
-        EngineMetrics::add(&b.mc_trials_total, 500_000);
-        EngineMetrics::add(&a.campaign_crn_reuse, 4096);
-        EngineMetrics::add(&b.campaign_crn_reuse, 1024);
-        EngineMetrics::add(&a.observations_total, 40);
-        EngineMetrics::add(&b.observations_total, 2);
-        let rolled = EngineMetrics::rollup([&a, &b], 2);
-        assert_eq!(rolled.campaigns_run, 3);
-        assert_eq!(rolled.scenarios_evaluated, 448);
-        assert_eq!(rolled.mc_trials_total, 1_500_000);
-        assert_eq!(rolled.campaign_crn_reuse, 5120);
-        // Observation counters roll up as plain sums too; the refined
-        // component count is the engine's to fill (it lives on the shards'
-        // parameter layers, not in the atomic counters).
-        assert_eq!(rolled.observations_total, 42);
-        assert_eq!(rolled.observed_components, 0);
-        let line = rolled.render();
-        assert!(line.contains("mc_trials=1500000"), "line: {line}");
-        assert!(line.contains("campaigns=3 scenarios=448"), "line: {line}");
-        assert!(line.contains("crn_reuse=5120"), "line: {line}");
-        assert!(
-            line.contains("observations_total=42 observed_components=0"),
-            "line: {line}"
-        );
+        let snap = full_snapshot();
+        assert!((snap.hit_rate() - 107.0 / 221.0).abs() < 1e-12);
+        assert_eq!(snap.render(), FULL_LINE);
+        assert_eq!(MetricsSnapshot::default().hit_rate(), 0.0);
     }
 
     #[test]
     fn per_model_rows_render_after_the_global_line() {
-        let metrics = EngineMetrics::new();
-        let mut snap = metrics.snapshot(0, 0, 1);
-        assert!(!snap.render().contains("model["), "empty rows add nothing");
-        snap.per_model.push(ShardRollup {
-            model: "campus".into(),
-            epoch: 3,
-            queries: 7,
-            cache_len: 2,
+        let mut snap = full_snapshot();
+        snap.per_model = vec![
+            row("usi", [21, 6, 1, 37, 8], [4, 3, 32, 2, 2, 4, 3]),
+            row("campus", [55, 10, 2, 90, 14], [9, 12, 48, 7, 5, 9, 8]),
+        ];
+        assert_eq!(snap.render(), format!("{FULL_LINE}{MODEL_ROWS}"));
+    }
+
+    #[test]
+    fn cache_residency_and_evictions_render() {
+        let snap = MetricsSnapshot {
+            cache_len: 3,
             cache_capacity: 8,
-            cache_evictions: 1,
-            negative_hits: 4,
-            campaigns_run: 2,
-            scenarios_evaluated: 450,
-            observations_total: 12,
-            observed_components: 3,
-            journal_len: 3,
-            last_save_epoch: 2,
-        });
+            cache_evictions: 5,
+            ..MetricsSnapshot::default()
+        };
         let line = snap.render();
-        assert!(line.contains(
-            "model[campus]=epoch:3,queries:7,cache:2/8,evictions:1,negative_hits:4,campaigns:2,scenarios:450,observations:12,observed:3,journal:3,saved:2"
-        ));
+        assert!(line.contains(" cache_len=3 cache_residency=3/8 cache_evictions=5 "));
         assert!(!line.contains('\n'));
     }
 
     #[test]
     fn persistence_fields_render_when_set() {
-        let metrics = EngineMetrics::new();
-        let mut snap = metrics.snapshot(0, 3, 1);
-        snap.state_dir = Some("/var/lib/upsim".into());
-        snap.journal_len = 12;
-        snap.last_save_epoch = 2;
+        let unset = MetricsSnapshot::default().render();
+        assert!(unset.contains(" state_dir=- journal_len=0 last_save_epoch=0 "));
+        assert!(full_snapshot()
+            .render()
+            .contains(" state_dir=/var/lib/upsim journal_len=19 last_save_epoch=15 "));
+    }
+
+    /// `bump` and `add` land in their own counter and nowhere else.
+    #[test]
+    fn campaign_counters_roll_up_and_render() {
+        let metrics = EngineMetrics::default();
+        metrics.bump(Counter::CampaignsRun);
+        metrics.add(Counter::ScenariosEvaluated, 358);
+        metrics.add(Counter::McTrials, 1_500_000);
+        metrics.add(Counter::CampaignCrnReuse, 5120);
+        let snap = metrics.snapshot();
+        let mut expected = [0; Counter::COUNT];
+        expected[Counter::CampaignsRun as usize] = 1;
+        expected[Counter::ScenariosEvaluated as usize] = 358;
+        expected[Counter::McTrials as usize] = 1_500_000;
+        expected[Counter::CampaignCrnReuse as usize] = 5120;
+        assert_eq!(snap.counters, expected);
         let line = snap.render();
-        assert!(line.contains("state_dir=/var/lib/upsim journal_len=12 last_save_epoch=2"));
+        assert!(line.contains(" mc_trials=1500000 campaigns=1 scenarios=358 crn_reuse=5120 "));
+    }
+
+    /// Merging sums counters, latencies, stages and sizes and keeps the
+    /// later epochs; merging one snapshot into an empty one reproduces it.
+    #[test]
+    fn rollup_sums_counters_and_histograms_across_shards() {
+        let a = full_snapshot();
+        let mut b = full_snapshot();
+        b.epoch = 4;
+        b.last_save_epoch = 30;
+        b.eval_latency = LatencyCounts::default();
+        let mut total = MetricsSnapshot::default();
+        total.merge(&a);
+        let engine_wide = MetricsSnapshot {
+            workers: 0,
+            state_dir: None,
+            ..a.clone()
+        };
+        assert_eq!(total.render(), engine_wide.render());
+        total.merge(&b);
+        assert_eq!(total.counters, a.counters.map(|n| 2 * n));
+        assert_eq!(total.stage_nanos, a.stage_nanos.map(|n| 2 * n));
+        assert_eq!(total.eval_latency.count(), 4);
+        assert_eq!(
+            (
+                total.observed_components,
+                total.cache_len,
+                total.cache_capacity
+            ),
+            (10, 22, 128)
+        );
+        assert_eq!((total.cache_evictions, total.journal_len), (26, 38));
+        assert_eq!((total.epoch, total.last_save_epoch), (17, 30));
+        assert_eq!((total.workers, total.state_dir), (0, None));
     }
 }

@@ -43,8 +43,8 @@ use upsim_core::service::CompositeService;
 use upsim_campaign::{CampaignReport, CampaignSpec};
 
 use crate::cache::CachedPerspective;
-use crate::engine::{EngineError, ModelInfo, UpdateCommand, UpdateSummary};
-use crate::metrics::MetricsSnapshot;
+use crate::engine::{EngineError, UpdateCommand, UpdateSummary};
+use crate::metrics::{MetricsSnapshot, ModelInfo};
 use crate::persist::SaveSummary;
 
 /// A parsed client request.
@@ -488,13 +488,13 @@ pub fn render_use(model: &str, epoch: u64) -> String {
 /// byte-identical for authored-only servers.
 pub fn render_models(models: &[ModelInfo]) -> String {
     let mut line = format!("OK models n={}", models.len());
-    for info in models {
+    for ModelInfo { name, stats } in models {
         line.push_str(&format!(
-            " {}:epoch={}:cache={}/{}",
-            info.name, info.epoch, info.cache_len, info.cache_capacity
+            " {name}:epoch={}:cache={}/{}",
+            stats.epoch, stats.cache_len, stats.cache_capacity
         ));
-        if info.observed > 0 {
-            line.push_str(&format!(":observed={}", info.observed));
+        if stats.observed_components > 0 {
+            line.push_str(&format!(":observed={}", stats.observed_components));
         }
     }
     line
@@ -851,34 +851,23 @@ mod tests {
     #[test]
     fn renders_use_models_and_the_distinct_unknown_model_error() {
         assert_eq!(render_use("campus", 4), "OK use model=campus epoch=4");
-        let line = render_models(&[
-            ModelInfo {
-                name: "default".into(),
-                epoch: 2,
-                cache_len: 3,
+        let model = |name: &str, epoch, cache_len, observed_components| ModelInfo {
+            name: name.into(),
+            stats: MetricsSnapshot {
+                epoch,
+                cache_len,
                 cache_capacity: 4096,
-                observed: 0,
+                observed_components,
+                ..MetricsSnapshot::default()
             },
-            ModelInfo {
-                name: "campus".into(),
-                epoch: 0,
-                cache_len: 0,
-                cache_capacity: 4096,
-                observed: 0,
-            },
-        ]);
+        };
+        let line = render_models(&[model("default", 2, 3, 0), model("campus", 0, 0, 0)]);
         assert_eq!(
             line,
             "OK models n=2 default:epoch=2:cache=3/4096 campus:epoch=0:cache=0/4096"
         );
         // A shard that absorbed observations advertises its refined count.
-        let line = render_models(&[ModelInfo {
-            name: "default".into(),
-            epoch: 5,
-            cache_len: 1,
-            cache_capacity: 4096,
-            observed: 3,
-        }]);
+        let line = render_models(&[model("default", 5, 1, 3)]);
         assert_eq!(
             line,
             "OK models n=1 default:epoch=5:cache=1/4096:observed=3"

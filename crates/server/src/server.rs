@@ -56,6 +56,11 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 /// Upper bound for the accept-error backoff.
 const MAX_ACCEPT_BACKOFF_MS: u64 = 1000;
+/// Largest accepted binary frame payload in bytes.
+const MAX_FRAME_BYTES: usize = 4 << 20;
+/// Most parsed-but-unanswered requests buffered per connection before the
+/// reactor stops reading that socket (backpressure).
+const MAX_PIPELINED: usize = 1024;
 
 /// Front-end tunables; [`ServerConfig::default`] matches the served
 /// protocol limits documented in the README.
@@ -67,11 +72,6 @@ pub struct ServerConfig {
     /// Longest accepted request line in bytes (terminator excluded);
     /// longer lines answer `ERR line too long` and close.
     pub max_line_bytes: usize,
-    /// Largest accepted binary frame payload in bytes.
-    pub max_frame_bytes: usize,
-    /// Most parsed-but-unanswered requests buffered per connection
-    /// before the reactor stops reading that socket (backpressure).
-    pub max_pipelined: usize,
 }
 
 impl Default for ServerConfig {
@@ -79,8 +79,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: 8192,
             max_line_bytes: 1 << 20,
-            max_frame_bytes: 4 << 20,
-            max_pipelined: 1024,
         }
     }
 }
@@ -687,7 +685,7 @@ impl Reactor {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
             };
-            if conn.parse_dead || conn.cmds.len() >= self.config.max_pipelined {
+            if conn.parse_dead || conn.cmds.len() >= MAX_PIPELINED {
                 break; // backpressure: let the dispatcher catch up first
             }
             match conn.stream.read(&mut chunk) {
@@ -716,14 +714,12 @@ impl Reactor {
     /// connection's read buffer into its command queue.
     fn parse_conn(&mut self, slot: usize) {
         let max_line = self.config.max_line_bytes;
-        let max_frame = self.config.max_frame_bytes;
-        let max_pipelined = self.config.max_pipelined;
         let metrics = Arc::clone(&self.metrics);
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
         let mut consumed = 0usize;
-        while !conn.parse_dead && conn.cmds.len() < max_pipelined {
+        while !conn.parse_dead && conn.cmds.len() < MAX_PIPELINED {
             let buf = &conn.rbuf[consumed..];
             if buf.is_empty() {
                 break;
@@ -733,9 +729,9 @@ impl Reactor {
                     break; // header incomplete
                 }
                 let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
-                if len > max_frame {
+                if len > MAX_FRAME_BYTES {
                     conn.parse_dead = true;
-                    Cmd::Fatal(format!("frame too large ({len} > {max_frame} bytes)"))
+                    Cmd::Fatal(format!("frame too large ({len} > {MAX_FRAME_BYTES} bytes)"))
                 } else if buf.len() < 5 + len {
                     break; // payload incomplete
                 } else {
@@ -1015,12 +1011,11 @@ impl Reactor {
     /// Re-arms the poller registration to match what the connection can
     /// currently make progress on.
     fn update_interest(&mut self, slot: usize) {
-        let max_pipelined = self.config.max_pipelined;
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
         let want = Interest::new(
-            !conn.parse_dead && !conn.closing && conn.cmds.len() < max_pipelined,
+            !conn.parse_dead && !conn.closing && conn.cmds.len() < MAX_PIPELINED,
             conn.has_unsent(),
         );
         if want != conn.want

@@ -12,7 +12,7 @@ use dependability::perturb::kill_deltas;
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
 use netgen::campus::{campus_scenario, CampusParams};
 use upsim_core::pipeline::UpsimPipeline;
-use upsim_server::{pingpong_mapper, serve, Engine, EngineConfig, ModelSnapshot};
+use upsim_server::{pingpong_mapper, serve, Counter, Engine, EngineConfig, ModelSnapshot};
 
 /// The 358-device campus: 2 cores, 32 distribution switches, 2 edge
 /// switches each, 4 clients per edge, 3 servers + server switch.
@@ -177,8 +177,8 @@ fn campus_kill_campaign_over_the_wire_matches_analytic_importance() {
     assert_eq!(server.engine().epoch(), 0);
     assert_eq!(twin.epoch(), 0);
     let stats = server.engine().stats();
-    assert_eq!(stats.campaigns_run, 1);
-    assert_eq!(stats.scenarios_evaluated, devices as u64);
+    assert_eq!(stats[Counter::CampaignsRun], 1);
+    assert_eq!(stats[Counter::ScenariosEvaluated], devices as u64);
     assert_eq!(stats.cache_len, 0, "campaign must not populate the cache");
     assert_eq!(batch_bits(server.engine()), twin_bits);
 

@@ -10,7 +10,7 @@ use netgen::usi::{
     all_printing_perspectives, perspective_mapping, printing_service, usi_infrastructure,
 };
 use proptest::prelude::*;
-use upsim_server::{CampaignSpec, Engine, EngineConfig, ModelSnapshot};
+use upsim_server::{CampaignSpec, Counter, Engine, EngineConfig, ModelSnapshot};
 
 fn usi_engine(workers: usize) -> Engine {
     let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
@@ -116,12 +116,12 @@ proptest! {
         prop_assert_eq!(campaigned.stats().cache_len, twin.stats().cache_len);
 
         // Only the campaign counters distinguish the engines.
-        prop_assert_eq!(campaigned.stats().campaigns_run, 1);
+        prop_assert_eq!(campaigned.stats()[Counter::CampaignsRun], 1);
         prop_assert_eq!(
-            campaigned.stats().scenarios_evaluated,
+            campaigned.stats()[Counter::ScenariosEvaluated],
             report.scenarios as u64
         );
-        prop_assert_eq!(twin.stats().campaigns_run, 0);
+        prop_assert_eq!(twin.stats()[Counter::CampaignsRun], 0);
 
         // The post-campaign 45-perspective batch is byte-identical.
         prop_assert_eq!(batch_bits(&campaigned), batch_bits(&twin));

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
-use upsim_server::{serve, serve_with, Engine, EngineConfig, ModelSnapshot, ServerConfig};
+use upsim_server::{serve, serve_with, Counter, Engine, EngineConfig, ModelSnapshot, ServerConfig};
 
 fn usi_engine(workers: usize) -> Engine {
     let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
@@ -203,7 +203,7 @@ fn disconnected_campaign_client_cancels_the_fanout() {
     // counter must settle short of the scenario total.
     let mut last = u64::MAX;
     let evaluated = loop {
-        let now = server.engine().stats().scenarios_evaluated;
+        let now = server.engine().stats()[Counter::ScenariosEvaluated];
         if now == last {
             break now;
         }

@@ -11,7 +11,7 @@
 //! workers, and only the CRN sweep reuses draw words.
 
 use netgen::campus::{campus_scenario, CampusParams};
-use upsim_server::{CampaignSpec, Engine, EngineConfig, ModelSnapshot};
+use upsim_server::{CampaignSpec, Counter, Engine, EngineConfig, ModelSnapshot};
 
 const SAMPLES: usize = 20_000;
 
@@ -126,18 +126,19 @@ fn crn_report_is_byte_identical_across_worker_counts() {
             let stats = engine.stats();
             if crn {
                 assert!(
-                    stats.campaign_crn_reuse > 0,
+                    stats[Counter::CampaignCrnReuse] > 0,
                     "CRN sweep never reused a cached draw word"
                 );
             } else {
                 assert_eq!(
-                    stats.campaign_crn_reuse, 0,
+                    stats[Counter::CampaignCrnReuse],
+                    0,
                     "`{spec_text}` touched the CRN draw table"
                 );
             }
             if mc {
                 assert!(
-                    stats.mc_trials_total > 0,
+                    stats[Counter::McTrials] > 0,
                     "`{spec_text}` priced no scenario by Monte-Carlo"
                 );
             }

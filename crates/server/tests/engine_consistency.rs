@@ -13,7 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use upsim_core::infrastructure::Infrastructure;
 use upsim_core::pipeline::UpsimPipeline;
-use upsim_server::{Engine, EngineConfig, ModelSnapshot, UpdateCommand};
+use upsim_server::{Counter, Engine, EngineConfig, ModelSnapshot, UpdateCommand};
 
 fn usi_engine(workers: usize) -> Engine {
     let snapshot = ModelSnapshot::new(usi_infrastructure(), printing_service())
@@ -92,13 +92,13 @@ fn repeated_queries_hit_the_cache() {
     assert!(Arc::ptr_eq(&first, &second));
 
     let stats = engine.stats();
-    assert_eq!(stats.queries, 2);
+    assert_eq!(stats[Counter::Queries], 2);
     assert!(
-        stats.cache_hits >= 1,
+        stats[Counter::CacheHits] >= 1,
         "expected a cache hit, stats: {}",
         stats.render()
     );
-    assert!(stats.hit_rate > 0.0);
+    assert!(stats.hit_rate() > 0.0);
     assert!(stats.render().contains("hit_rate=0.5"));
     engine.shutdown();
 }
@@ -109,8 +109,8 @@ fn unknown_devices_are_rejected_without_evaluation() {
     let err = engine.query("ghost", "p1").expect_err("unknown client");
     assert!(err.to_string().contains("ghost"));
     let stats = engine.stats();
-    assert_eq!(stats.evals, 0);
-    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.eval_latency.count(), 0);
+    assert_eq!(stats[Counter::Errors], 1);
     engine.shutdown();
 }
 

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
 use upsim_server::{
-    serve, CampaignSpec, Engine, EngineConfig, EngineError, MetricsSnapshot, ModelSnapshot,
-    UpdateCommand, MAX_MC_SAMPLES,
+    serve, CampaignSpec, Counter, Engine, EngineConfig, EngineError, MetricsSnapshot,
+    ModelSnapshot, UpdateCommand, MAX_MC_SAMPLES,
 };
 
 const CAMPAIGN: &str = "kill-each-component pairs:t1:p1,t6:p2";
@@ -74,39 +74,25 @@ fn field<'a>(line: &'a str, key: &str) -> &'a str {
         .unwrap_or_else(|| panic!("no `{key}=` in `{line}`"))
 }
 
-/// Every counter `STATS` reports, leaving out the time-valued ones
-/// (`worker_busy_ns`, the `eval_*` latencies, the stage milliseconds) and
-/// the state directory path.
-fn counters(stats: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
-    vec![
-        ("queries", stats.queries),
-        ("cache_hits", stats.cache_hits),
-        ("cache_misses", stats.cache_misses),
-        ("stale_results", stats.stale_results),
-        ("negative_hits", stats.negative_hits),
-        ("hit_rate", stats.hit_rate.to_bits()),
-        ("batches", stats.batches),
-        ("mc_queries", stats.mc_queries),
-        ("mc_trials_total", stats.mc_trials_total),
-        ("campaigns_run", stats.campaigns_run),
-        ("scenarios_evaluated", stats.scenarios_evaluated),
-        ("campaign_crn_reuse", stats.campaign_crn_reuse),
-        ("updates", stats.updates),
-        ("invalidations", stats.invalidations),
-        ("observations_total", stats.observations_total),
-        ("observed_components", stats.observed_components),
-        ("errors", stats.errors),
-        ("tasks_executed", stats.tasks_executed),
-        ("scatter_chunks", stats.scatter_chunks),
-        ("evals", stats.evals),
-        ("cache_len", stats.cache_len as u64),
-        ("cache_capacity", stats.cache_capacity as u64),
-        ("cache_evictions", stats.cache_evictions),
-        ("epoch", stats.epoch),
-        ("workers", stats.workers as u64),
-        ("journal_len", stats.journal_len),
-        ("last_save_epoch", stats.last_save_epoch),
-    ]
+/// What `STATS` counts: every counter of the table, so that one added
+/// later is compared too, and the gauges. Left out are the time-valued
+/// numbers (busy time, latencies, stage totals) and the state directory
+/// path.
+fn counts(stats: &MetricsSnapshot) -> ([u64; Counter::COUNT], [u64; 9]) {
+    let mut counters = stats.counters;
+    counters[Counter::WorkerBusyNs as usize] = 0;
+    let gauges = [
+        stats.eval_latency.count(),
+        stats.observed_components,
+        stats.cache_len as u64,
+        stats.cache_capacity as u64,
+        stats.cache_evictions,
+        stats.epoch,
+        stats.workers as u64,
+        stats.journal_len,
+        stats.last_save_epoch,
+    ];
+    (counters, gauges)
 }
 
 /// The same sequence — QUERY miss, QUERY hit, BATCH with an unknown
@@ -174,10 +160,7 @@ fn blocking_calls_move_the_same_counters_as_wire_requests() {
         .starts_with("OK campaign "));
     server.stop();
 
-    assert_eq!(
-        counters(&blocking.stats()),
-        counters(&server.engine().stats())
-    );
+    assert_eq!(counts(&blocking.stats()), counts(&server.engine().stats()));
     for dir in [blocking_dir, wire_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -310,8 +293,14 @@ fn mc_over_the_trial_cap_is_refused_before_the_pool() {
     );
     engine.shutdown();
     let stats = engine.stats();
-    assert_eq!((stats.mc_queries, stats.mc_trials_total), (0, 0));
-    assert_eq!((stats.errors, stats.tasks_executed), (1, 0));
+    assert_eq!(
+        (stats[Counter::McQueries], stats[Counter::McTrials]),
+        (0, 0)
+    );
+    assert_eq!(
+        (stats[Counter::Errors], stats[Counter::TasksExecuted]),
+        (1, 0)
+    );
 }
 
 /// On an idle 2-worker engine an `MC` of many claims runs as two pool
@@ -329,7 +318,7 @@ fn mc_posts_a_helper_only_when_it_has_blocks_to_share() {
         // Joining the pool makes every task's accounting visible.
         engine.shutdown();
         assert_eq!(
-            engine.stats().tasks_executed,
+            engine.stats()[Counter::TasksExecuted],
             tasks,
             "{samples}-trial MC on 2 idle workers"
         );
@@ -382,6 +371,9 @@ fn a_batch_evaluates_no_pair_after_its_first_failure() {
         assert_eq!(result.as_ref().err(), Some(&failure));
     }
     let stats = engine.stats();
-    assert_eq!((stats.cache_misses, stats.evals), (1, 1));
+    assert_eq!(
+        (stats[Counter::CacheMisses], stats.eval_latency.count()),
+        (1, 1)
+    );
     engine.shutdown();
 }

@@ -63,6 +63,7 @@ fn quiet_cache_len(engine: &Engine) -> usize {
         .into_iter()
         .find(|info| info.name == "quiet")
         .expect("quiet shard is registered")
+        .stats
         .cache_len
 }
 

@@ -14,7 +14,8 @@ use netgen::usi::{perspective_mapping, printing_service, usi_infrastructure};
 use proptest::prelude::*;
 use upsim_server::protocol::render_mc;
 use upsim_server::{
-    CampaignSpec, Engine, EngineConfig, ModelSnapshot, UpdateCommand, WireRequest, WireResponse,
+    CampaignSpec, Counter, Engine, EngineConfig, ModelSnapshot, UpdateCommand, WireRequest,
+    WireResponse,
 };
 
 fn usi_engine(workers: usize) -> Engine {
@@ -118,13 +119,13 @@ fn progress_ticks_per_scenario_under_chunked_scatter() {
     assert_eq!(seen, expected, "progress must tick 1..=total in order");
     let stats = engine.stats();
     assert!(
-        stats.scatter_chunks > 0,
+        stats[Counter::ScatterChunks] > 0,
         "campaign fan-out must be accounted as scatter chunks"
     );
     assert!(
-        (stats.scatter_chunks as usize) < report.scenarios + stats.workers * 2,
+        (stats[Counter::ScatterChunks] as usize) < report.scenarios + stats.workers * 2,
         "chunking must coalesce scenarios: {} chunks for {} scenarios",
-        stats.scatter_chunks,
+        stats[Counter::ScatterChunks],
         report.scenarios
     );
     // Busy-time accounting lands on the worker *after* it streams its
@@ -132,15 +133,18 @@ fn progress_ticks_per_scenario_under_chunked_scatter() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
     loop {
         let stats = engine.stats();
-        if stats.tasks_executed >= stats.scatter_chunks {
-            assert!(stats.worker_busy_ns > 0, "executed chunks accrue busy time");
+        if stats[Counter::TasksExecuted] >= stats[Counter::ScatterChunks] {
+            assert!(
+                stats[Counter::WorkerBusyNs] > 0,
+                "executed chunks accrue busy time"
+            );
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
             "every scatter chunk executes as a pool task ({} < {})",
-            stats.tasks_executed,
-            stats.scatter_chunks
+            stats[Counter::TasksExecuted],
+            stats[Counter::ScatterChunks]
         );
         std::thread::yield_now();
     }

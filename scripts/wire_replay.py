@@ -7,8 +7,10 @@ For each worker count in `WORKERS`, starts `<upsim-binary> serve
 --case-study --workers <n> --addr 127.0.0.1:0`, reads the port from its
 banner, sends the script's commands one line at a time over one
 connection, and collects each reply on its own line. `PROGRESS` lines are
-skipped and ` micros=<n>` is stripped, so the output holds no timing and
-can be diffed against a golden file (`scripts/wire_golden.txt`). Blank
+skipped, ` micros=<n>` is stripped, and every value of a `STATS` reply is
+masked (`key=<value>` becomes `key=`), so the output holds no timing, a
+`STATS` line records only its keys and their order, and the output can be
+diffed against a golden file (`scripts/wire_golden.txt`). Blank
 script lines are ignored. Prints the replies if every server gave the same
 ones. Exits 1 if they differ (naming the first differing line), if a
 server does not start, or if a reply does not arrive. On one worker no
@@ -22,6 +24,7 @@ import subprocess
 import sys
 
 MICROS = re.compile(r" micros=\d+")
+VALUE = re.compile(r"=\S*")
 BANNER = re.compile(r"listening on (\S+):(\d+)")
 REPLY_TIMEOUT_S = 120
 WORKERS = (1, 2, 4)
@@ -55,7 +58,10 @@ def replay(binary, commands, workers):
                         sys.exit(f"connection closed before the reply to: {command}")
                     if not reply.startswith("PROGRESS"):
                         break
-                lines.append(MICROS.sub("", reply.rstrip("\n")))
+                reply = MICROS.sub("", reply.rstrip("\n"))
+                if command.upper() == "STATS":
+                    reply = VALUE.sub("=", reply)
+                lines.append(reply)
             sock.sendall(b"SHUTDOWN\n")
             replies.readline()
         server.wait(timeout=30)
