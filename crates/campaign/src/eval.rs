@@ -307,6 +307,7 @@ pub fn evaluate_baseline(
         &input.graph,
         &mapping,
         &input.params,
+        false,
         &mut ctx.workspace,
     )
     .map_err(|e| e.to_string())?;
@@ -467,6 +468,7 @@ pub fn evaluate_scenario_with(
                 graph2,
                 &mapping,
                 &input.params,
+                false,
                 &mut ctx.workspace,
             )
             .map_err(|e| e.to_string())?;
@@ -702,7 +704,7 @@ fn price(
 }
 
 /// The component probability vector under kills and MTBF scales, priced
-/// with the formula [`evaluate_perspective`] builds every model with.
+/// with the exact formula campaigns build every model with.
 fn perturbed_probs(
     model: &ServiceAvailabilityModel,
     classes: &[String],

@@ -13,6 +13,8 @@
 //!   in DFS order),
 //! * `availability -i ... -s ... -m ...` — user-perceived steady-state
 //!   service availability (`--links`, `--paper-formula`, `--mc <samples>`),
+//! * `redundancy -i ... -s ... -m ...` — simple paths and node-disjoint
+//!   routes per mapping pair,
 //! * `validate -i ... [-s ... [-m ...]]` — well-formedness checks,
 //! * `serve [--case-study] [--addr <host:port>] [--workers <n>]
 //!   [--cache-cap <entries>] [--state-dir <dir>] [--save-every <n>]` — run
@@ -33,6 +35,14 @@
 //! * `restore --state-dir <dir>` — smoke-check a state directory: load
 //!   the snapshot, replay the journal, report the resulting epoch.
 //!
+//! The perspective commands (`availability`, `importance`, `redundancy`)
+//! price a perspective as the server does: `evaluate_perspective` on the
+//! infrastructure's interned view, with no model space, so they answer or
+//! refuse exactly what the server answers or refuses. Only `generate` runs
+//! the full pipeline. Every Step 7 walk has the server's budget of
+//! `MAX_DFS_FRAMES` DFS frames: `paths`, `generate` and `availability
+//! --links`, which list every path, charge it per pair.
+//!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error (unknown
 //! command, a flag the command does not read, a flag missing the flag it
 //! is read beside or given with one it excludes, a missing flag or a bad
@@ -44,12 +54,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use dependability::importance::component_importance;
-use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
+use dependability::transform::{evaluate_perspective, AnalysisOptions, ServiceAvailabilityModel};
+use dependability::ParamEstimator;
 use upsim_core::discovery::{discover_with_workspace, DiscoveryOptions, DiscoveryWorkspace};
 use upsim_core::generate::object_diagram_dot;
 use upsim_core::infrastructure::Infrastructure;
+use upsim_core::interned::InternedGraph;
 use upsim_core::mapping::{ServiceMapping, ServiceMappingPair};
-use upsim_core::pipeline::UpsimPipeline;
+use upsim_core::pipeline::{discover_and_merge, PerspectiveRun, UpsimPipeline};
 use upsim_core::service::CompositeService;
 
 const USAGE: &str = "upsim — user-perceived service infrastructure models (IPPS 2013)
@@ -252,6 +264,64 @@ fn load_models(
     let mapping = ServiceMapping::from_xml(&read(require(flags, &["m", "mapping"])?)?)
         .map_err(|e| e.to_string())?;
     Ok((infra, service, mapping))
+}
+
+/// Prices a perspective as the server does: [`evaluate_perspective`] on
+/// the infrastructure's interned view (Steps 7–8 within the frame budget,
+/// no model space), with the paper's Formula 1 if `paper_formula`.
+fn evaluate(
+    infra: &Infrastructure,
+    service: &CompositeService,
+    mapping: &ServiceMapping,
+    paper_formula: bool,
+) -> Result<(InternedGraph, PerspectiveRun, ServiceAvailabilityModel), CliError> {
+    infra.validate().map_err(|e| e.to_string())?;
+    let view = infra.to_interned_graph();
+    let (run, model, _) = evaluate_perspective(
+        infra,
+        service,
+        &view,
+        mapping,
+        &ParamEstimator::new(),
+        paper_formula,
+        &mut DiscoveryWorkspace::default(),
+    )
+    .map_err(|e| e.to_string())?;
+    Ok((view, run, model))
+}
+
+/// The model `availability` and `importance` price: the evaluator's, or
+/// with `--links`, where every simple path is a minimal path set,
+/// `from_run` over the listing (`discover_and_merge`, within the same
+/// budget per pair, still no model space).
+fn availability_model(
+    infra: &Infrastructure,
+    service: &CompositeService,
+    mapping: &ServiceMapping,
+    flags: &Flags,
+) -> Result<ServiceAvailabilityModel, CliError> {
+    let paper_formula = flag(flags, &["paper-formula"]).is_some();
+    if flag(flags, &["links"]).is_none() {
+        return Ok(evaluate(infra, service, mapping, paper_formula)?.2);
+    }
+    infra.validate().map_err(|e| e.to_string())?;
+    mapping
+        .validate(service, infra)
+        .map_err(|e| e.to_string())?;
+    let view = infra.to_interned_graph();
+    let run = discover_and_merge(
+        infra,
+        service,
+        mapping,
+        &view,
+        &mut DiscoveryWorkspace::default(),
+    )
+    .map_err(|e| e.to_string())?;
+    let options = AnalysisOptions {
+        include_links: true,
+        paper_formula,
+    };
+    Ok(ServiceAvailabilityModel::from_run(infra, &run, options))
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
@@ -808,13 +878,7 @@ fn importance(flags: &Flags) -> Result<(), CliError> {
     } else {
         load_models(flags)?
     };
-    let mut pipeline = UpsimPipeline::new(infra, service, mapping).map_err(|e| e.to_string())?;
-    let run = pipeline.run().map_err(|e| e.to_string())?;
-    let options = AnalysisOptions {
-        include_links: flag(flags, &["links"]).is_some(),
-        paper_formula: flag(flags, &["paper-formula"]).is_some(),
-    };
-    let model = ServiceAvailabilityModel::from_run(pipeline.infrastructure(), &run, options);
+    let model = availability_model(&infra, &service, &mapping, flags)?;
     println!(
         "perspective availability (exact, BDD): {:.9}",
         model.availability_bdd()
@@ -939,13 +1003,7 @@ fn paths(flags: &Flags) -> Result<(), CliError> {
 
 fn availability(flags: &Flags) -> Result<(), CliError> {
     let (infra, service, mapping) = load_models(flags)?;
-    let mut pipeline = UpsimPipeline::new(infra, service, mapping).map_err(|e| e.to_string())?;
-    let run = pipeline.run().map_err(|e| e.to_string())?;
-    let options = AnalysisOptions {
-        include_links: flag(flags, &["links"]).is_some(),
-        paper_formula: flag(flags, &["paper-formula"]).is_some(),
-    };
-    let model = ServiceAvailabilityModel::from_run(pipeline.infrastructure(), &run, options);
+    let model = availability_model(&infra, &service, &mapping, flags)?;
 
     println!("components ({}):", model.components.len());
     for c in &model.components {
@@ -1025,22 +1083,24 @@ fn availability(flags: &Flags) -> Result<(), CliError> {
 
 fn redundancy(flags: &Flags) -> Result<(), CliError> {
     let (infra, service, mapping) = load_models(flags)?;
-    let (graph, index) = infra.to_graph();
-    let mut pipeline = UpsimPipeline::new(infra, service, mapping).map_err(|e| e.to_string())?;
-    let run = pipeline.run().map_err(|e| e.to_string())?;
+    let (view, run, _) = evaluate(&infra, &service, &mapping, false)?;
+    let node = |name: &str| {
+        view.node_of(name)
+            .expect("a validated mapping names devices")
+    };
     println!("node-disjoint routes per mapping pair (Menger):");
-    for d in &run.discovered {
+    for p in &run.paths.pairs {
         let disjoint = ict_graph::disjoint::max_disjoint_paths(
-            &graph,
-            index[&d.pair.requester],
-            index[&d.pair.provider],
+            view.graph(),
+            node(&p.pair.requester),
+            node(&p.pair.provider),
         );
         println!(
             "  {:<22} {} -> {}: {} simple path(s), {} disjoint route(s)",
-            d.pair.atomic_service,
-            d.pair.requester,
-            d.pair.provider,
-            d.len(),
+            p.pair.atomic_service,
+            p.pair.requester,
+            p.pair.provider,
+            p.paths,
             if disjoint == usize::MAX {
                 "∞".to_string()
             } else {

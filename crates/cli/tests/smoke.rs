@@ -174,6 +174,205 @@ fn paths_lists_the_case_study_paths_in_dfs_order() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh temp directory holding the exported case-study models.
+fn exported_case_study(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("upsim-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let export = upsim()
+        .arg("export-case-study")
+        .arg(&dir)
+        .output()
+        .expect("run upsim export-case-study");
+    assert_eq!(
+        export.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&export.stderr)
+    );
+    dir
+}
+
+/// Runs `upsim` with `args`, expects exit 0 and returns its stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = upsim().args(args).output().expect("run upsim");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "upsim {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// `availability`, `importance` and `redundancy` price the case study's
+/// perspectives byte for byte as the recorded reports under
+/// `tests/golden/` read, Monte-Carlo bits included: the reports the
+/// commands printed when they listed every path in a model space.
+#[test]
+fn perspective_commands_print_the_recorded_case_study_reports() {
+    /// `upsim <command> -i <infra> -s <service> -m <mapping> <flags>`.
+    fn with_models<'a>(command: &'a str, models: [&'a str; 3], flags: &[&'a str]) -> Vec<&'a str> {
+        let [infra, service, mapping] = models;
+        let mut args = vec![command, "-i", infra, "-s", service, "-m", mapping];
+        args.extend_from_slice(flags);
+        args
+    }
+    let dir = exported_case_study("golden");
+    let file = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let (infra, service) = (file("usi-infrastructure.xml"), file("printing-service.xml"));
+    let (t1_p2, t15_p3) = (file("mapping-t1-p2.xml"), file("mapping-t15-p3.xml"));
+    let t1_p2 = [infra.as_str(), service.as_str(), t1_p2.as_str()];
+    let t15_p3 = [infra.as_str(), service.as_str(), t15_p3.as_str()];
+    let cases = [
+        (
+            with_models(
+                "availability",
+                t1_p2,
+                &["--mc", "4096", "--transient", "--sensitivity"],
+            ),
+            include_str!("golden/availability-t1-p2-mc-transient-sensitivity.txt"),
+        ),
+        (
+            with_models("availability", t15_p3, &[]),
+            include_str!("golden/availability-t15-p3.txt"),
+        ),
+        (
+            with_models("availability", t1_p2, &["--links", "--paper-formula"]),
+            include_str!("golden/availability-t1-p2-links-paper.txt"),
+        ),
+        (
+            vec![
+                "importance",
+                "--case-study",
+                "--from",
+                "t1",
+                "--to",
+                "p2",
+                "--sensitivity",
+            ],
+            include_str!("golden/importance-case-study-t1-p2-sensitivity.txt"),
+        ),
+        (
+            with_models("importance", t15_p3, &["--links"]),
+            include_str!("golden/importance-t15-p3-links.txt"),
+        ),
+        (
+            with_models("redundancy", t1_p2, &[]),
+            include_str!("golden/redundancy-t1-p2.txt"),
+        ),
+    ];
+    for (args, expected) in cases {
+        assert_eq!(stdout_of(&args), expected, "upsim {args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `t.16` and `t_16` are two devices, but a model space sanitizes both
+/// names to `t_16`: the perspective commands build none, and answer.
+#[test]
+fn perspective_commands_answer_names_that_clash_in_a_model_space() {
+    let dir = exported_case_study("clash");
+    let mut infra = netgen::usi::usi_infrastructure();
+    for name in ["t.16", "t_16"] {
+        infra.add_device(name, "Comp").expect("a new device");
+        infra.connect(name, "e4").expect("an access link");
+    }
+    let mut mapping = netgen::usi::second_perspective_mapping();
+    mapping.move_requester("t15", "t_16");
+    let (infra_xml, mapping_xml) = (dir.join("clash.xml"), dir.join("clash-mapping.xml"));
+    std::fs::write(&infra_xml, infra.to_xml()).expect("write the infrastructure");
+    std::fs::write(&mapping_xml, mapping.to_xml()).expect("write the mapping");
+    let service = dir.join("printing-service.xml");
+    let [infra_xml, mapping_xml, service] =
+        [infra_xml, mapping_xml, service].map(|p| p.to_str().expect("utf-8 path").to_string());
+    let run = |command: &str| {
+        stdout_of(&[
+            command,
+            "-i",
+            &infra_xml,
+            "-s",
+            &service,
+            "-m",
+            &mapping_xml,
+        ])
+    };
+    let availability = run("availability");
+    assert!(
+        availability.contains("service availability (exact, BDD):       0.991704285"),
+        "{availability}"
+    );
+    let importance = run("importance");
+    assert!(
+        importance.contains("perspective availability (exact, BDD): 0.991704285"),
+        "{importance}"
+    );
+    let redundancy = run("redundancy");
+    assert!(
+        redundancy.contains("t_16 -> printS: 6 simple path(s), 1 disjoint route(s)"),
+        "{redundancy}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// On E17's dual-homed campus with 11 distribution switches, the pair
+/// `t0_0_0 → srv0` needs more than `MAX_DFS_FRAMES` DFS frames: `paths`
+/// and `availability` refuse it with the server's budget error instead of
+/// listing or pricing it.
+#[test]
+fn perspective_commands_refuse_a_perspective_past_the_frame_budget() {
+    let dir = std::env::temp_dir().join(format!("upsim-cli-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a temp dir");
+    let infra = netgen::campus::campus_infrastructure(netgen::campus::CampusParams {
+        core: 2,
+        distributions: 11,
+        edges_per_distribution: 2,
+        clients_per_edge: 1,
+        servers: 1,
+        dual_homed_edges: true,
+    });
+    let service = upsim_core::service::CompositeService::sequential("fetch", &["request"])
+        .expect("a one-step service");
+    let mapping = upsim_core::mapping::ServiceMapping::new().with(
+        upsim_core::mapping::ServiceMappingPair::new("request", "t0_0_0", "srv0"),
+    );
+    let file = |name: &str, content: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, content).expect("write a model");
+        path.to_str().expect("utf-8 path").to_string()
+    };
+    let infra_xml = file("campus.xml", infra.to_xml());
+    let service_xml = file("service.xml", service.to_xml());
+    let mapping_xml = file("mapping.xml", mapping.to_xml());
+    let budget = format!(
+        "exceeds the budget of {} DFS frames",
+        upsim_core::discovery::MAX_DFS_FRAMES
+    );
+    for args in [
+        &[
+            "paths", "-i", &infra_xml, "--from", "t0_0_0", "--to", "srv0",
+        ][..],
+        &[
+            "availability",
+            "-i",
+            &infra_xml,
+            "-s",
+            &service_xml,
+            "-m",
+            &mapping_xml,
+        ],
+    ] {
+        let (code, stderr) = exit_of(args);
+        assert_eq!(code, Some(1), "upsim {args:?}: {stderr}");
+        assert!(
+            stderr.contains("path discovery between requester 't0_0_0' and provider 'srv0'")
+                && stderr.contains(&budget),
+            "upsim {args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Runs `upsim` with `args` to its exit and returns its exit code and
 /// stderr. A process still running after 10 s is killed and fails the
 /// test, so a command that wrongly starts serving cannot hang the suite.

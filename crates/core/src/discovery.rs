@@ -13,8 +13,8 @@
 //! (`ict_graph::prune`), enumerate on the caller's reused
 //! [`DiscoveryWorkspace`], keep the paths interned, and optionally record
 //! them in the model space (the paper's "reserved tree structure"). The
-//! paths come out in DFS order, from an unlimited
-//! `ict_graph::paths::walk_paths`.
+//! paths come out in DFS order, from one `ict_graph::paths::walk_paths`
+//! within a budget of [`MAX_DFS_FRAMES`] per pair.
 //!
 //! The serving path lists no paths: [`walk_perspective`] walks each
 //! endpoint pair of a perspective twice, once to count its simple paths
@@ -33,10 +33,10 @@ use std::sync::Arc;
 use vpm::ModelSpace;
 
 /// Most DFS frames [`walk_perspective`] may push for one perspective, its
-/// counting and chordless walks together. A frame costs tens of
-/// nanoseconds, so the budget bounds a perspective's Step 7 to a fraction
-/// of a second; the largest single-homed pair of a 4,486-device campus
-/// needs about 33,000.
+/// counting and chordless walks together, and [`discover_with_workspace`]
+/// for the listing of one pair. A frame costs tens of nanoseconds, so the
+/// budget bounds a perspective's Step 7 to a fraction of a second; the
+/// largest single-homed pair of a 4,486-device campus needs about 33,000.
 pub const MAX_DFS_FRAMES: usize = 1 << 22;
 
 /// Step 7 has no options: every caller runs the one DFS, unlimited. This
@@ -203,6 +203,11 @@ pub fn discover_on_graph(
 
 /// [`discover_on_graph`] with caller-owned scratch buffers: repeated calls
 /// reuse the DFS stack, on-path bitset and pruning mask across pairs.
+///
+/// The listing walks within a budget of [`MAX_DFS_FRAMES`] for the pair,
+/// the serving path's budget for a whole perspective; past it the pair
+/// fails with [`UpsimError::PathBudget`], and no partial listing is
+/// returned.
 pub fn discover_with_workspace(
     view: &InternedGraph,
     pair: &ServiceMappingPair,
@@ -238,7 +243,7 @@ pub fn discover_with_workspace(
             link_paths,
         });
     }
-    let mut budget = usize::MAX;
+    let mut budget = MAX_DFS_FRAMES;
     walk_paths(
         graph,
         source,
@@ -257,7 +262,12 @@ pub fn discover_with_workspace(
             );
         },
     )
-    .expect("an unlimited budget is never exhausted");
+    .map_err(|_| UpsimError::PathBudget {
+        atomic_service: pair.atomic_service.clone(),
+        requester: pair.requester.clone(),
+        provider: pair.provider.clone(),
+        frames: MAX_DFS_FRAMES,
+    })?;
     Ok(DiscoveredPaths {
         pair: pair.clone(),
         names: Arc::clone(view.names()),

@@ -320,7 +320,10 @@ impl UpsimPipeline {
 
 /// Steps 7–8 on a prebuilt graph view of `infrastructure`: discovers every
 /// path of each mapping pair, in service execution order, and merges them
-/// into the UPSIM. The run's timings hold these two steps only. The
+/// into the UPSIM. A pair whose listing needs more than
+/// [`crate::discovery::MAX_DFS_FRAMES`] DFS frames fails the run with
+/// [`crate::UpsimError::PathBudget`]. The run's timings hold these two
+/// steps only. The
 /// mapping must already be valid for `service` and `infrastructure`
 /// ([`ServiceMapping::validate`]); nothing here reads or builds a model
 /// space.

@@ -7,19 +7,16 @@
 //! UPSIM. The availability for individual components can be calculated
 //! using the component attributes MTBF and MTTR (Formula 1)."* The
 //! companion paper \[20\] ("Model-driven evaluation of user-perceived service
-//! availability") carries out that transformation; this crate implements
-//! both, plus the exact engines an RBD cannot cover:
+//! availability") carries out that transformation. This crate prices the
+//! UPSIM with one exact engine, a BDD over the model's minimal path sets,
+//! which is exact where components are shared and an RBD is not; the RBD,
+//! fault-tree and SDP views that check it live in `upsim-bench`:
 //!
 //! * [`availability`] — Formula 1 (exact steady-state and the paper's
 //!   printed first-order approximation) and redundancy expansion,
-//! * [`rbd`] — reliability block diagrams (series / parallel / k-of-n),
-//! * [`faulttree`] — fault trees (AND / OR / k-of-n gates) with the
-//!   RBD-dual construction,
 //! * [`bdd`] — a reduced ordered binary decision diagram engine for exact
 //!   evaluation of structure functions with **shared components** (the USI
 //!   core appears in every path — naive products are wrong there),
-//! * [`sdp`] — sum of disjoint products over minimal path sets (Abraham's
-//!   disjointing), the classical alternative to BDDs,
 //! * [`montecarlo`] — the reference trial-at-a-time Monte-Carlo sampler
 //!   with confidence intervals (crossbeam worker fan-out), the oracle the
 //!   compiled kernel is tested against,
@@ -31,8 +28,7 @@
 //! * [`transform`] — the UPSIM → availability-model transformation: builds
 //!   a [`transform::ServiceAvailabilityModel`] from an object diagram, the
 //!   class diagram it instantiates and the service mapping pairs, and
-//!   evaluates user-perceived steady-state service availability through any
-//!   of the engines,
+//!   [`evaluate_perspective`], the one evaluator of a perspective,
 //! * [`importance`] — Birnbaum / criticality / Fussell-Vesely component
 //!   importance, identifying *"which ICT components can be the cause"*
 //!   of service problems (Sec. VII).
@@ -46,17 +42,11 @@
 
 pub mod availability;
 pub mod bdd;
-pub mod cutsets;
-pub mod downtime;
-pub mod faulttree;
 pub mod importance;
 pub mod mcprog;
 pub mod montecarlo;
 pub mod params;
-pub mod performance;
 pub mod perturb;
-pub mod rbd;
-pub mod sdp;
 pub mod sensitivity;
 pub mod transform;
 pub mod transient;
@@ -68,5 +58,4 @@ pub use params::{
     overlay_model, refine, ComponentObservations, GammaPosterior, NonMonotoneTimestamp,
     ParamEstimator, ParamSource, PosteriorComponent,
 };
-pub use rbd::Block;
 pub use transform::{evaluate_perspective, AnalysisOptions, ServiceAvailabilityModel};

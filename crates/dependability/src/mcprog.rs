@@ -1181,8 +1181,8 @@ fn result_from(successes: u64, samples: usize) -> MonteCarloResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bdd::Bdd;
     use crate::montecarlo::estimate;
-    use crate::sdp::union_probability;
 
     fn compile(p: &[f64], systems: &[Vec<Vec<usize>>]) -> McProgram {
         McProgram::compile(p, systems.iter().map(Vec::as_slice))
@@ -1231,7 +1231,9 @@ mod tests {
     fn converges_to_exact_union_probability() {
         let p = [0.9, 0.8, 0.7];
         let sets = vec![vec![0, 1], vec![0, 2]];
-        let exact = union_probability(&sets, &p);
+        let mut bdd = Bdd::new();
+        let union = bdd.from_path_sets(&sets);
+        let exact = bdd.probability(union, &p);
         let mc = compile(&p, &[sets]).run(200_000, 4, 7);
         assert!(
             mc.covers(exact),

@@ -172,8 +172,8 @@ pub fn estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bdd::Bdd;
     use crate::mcprog::McProgram;
-    use crate::sdp::union_probability;
 
     #[test]
     fn deterministic_for_fixed_seed_and_workers() {
@@ -214,7 +214,9 @@ mod tests {
     fn converges_to_exact_value() {
         let p = [0.9, 0.8, 0.7];
         let sets = vec![vec![0, 1], vec![0, 2]];
-        let exact = union_probability(&sets, &p);
+        let mut bdd = Bdd::new();
+        let union = bdd.from_path_sets(&sets);
+        let exact = bdd.probability(union, &p);
         let mc = estimate(&p, &[sets], 200_000, 4, 7);
         assert!(
             mc.covers(exact),

@@ -9,25 +9,26 @@
 //! mapping pair of the composite service has at least one fully working
 //! path — all atomic services execute (Sec. V-E).
 //!
-//! Evaluation engines (all exact ones agree to machine precision;
-//! experiment E8 cross-validates):
+//! Evaluation:
 //!
 //! * [`ServiceAvailabilityModel::availability_bdd`] — exact, shared
-//!   components across paths *and* pairs handled correctly,
-//! * [`ServiceAvailabilityModel::pair_availability_sdp`] — exact per pair
-//!   via sum of disjoint products,
+//!   components across paths *and* pairs handled correctly; the one exact
+//!   engine, whose diagram every exact analysis of the model starts from
+//!   ([`ServiceAvailabilityModel::structure_function`]),
 //! * [`ServiceAvailabilityModel::availability_pairwise_product`] — the
 //!   naive pair-independence approximation (what a per-pair RBD analysis
 //!   yields); reported for comparison,
-//! * [`ServiceAvailabilityModel::pair_rbd`] — the companion paper's
-//!   parallel-of-series RBD, available when no component is shared between
-//!   the paths of the pair (tree-like networks),
 //! * [`ServiceAvailabilityModel::monte_carlo`] — parallel simulation on
 //!   the compiled bit-sliced kernel.
 //!
-//! [`evaluate_perspective`] is the one evaluator the server's engine and
-//! its campaigns run per perspective: Steps 7–8 sized to their answer
-//! ([`discover_perspective`]), the model built from its walks
+//! The companion paper's per-pair RBD, SDP, cut-set and fault-tree views
+//! are `upsim-bench`'s, which checks them against the BDD (experiment E8
+//! cross-validates).
+//!
+//! [`evaluate_perspective`] is the one evaluator of a perspective, which
+//! the server's engine, its campaigns and the CLI's perspective commands
+//! run: Steps 7–8 sized to their answer ([`discover_perspective`]), the
+//! model built from its walks
 //! ([`ServiceAvailabilityModel::from_perspective`], equal to what
 //! [`ServiceAvailabilityModel::from_run`] builds over a full run) and the
 //! observation overlay, with no model space.
@@ -37,8 +38,6 @@ use crate::bdd::{Bdd, BddRef};
 use crate::mcprog::McProgram;
 use crate::montecarlo::MonteCarloResult;
 use crate::params::{overlay_model, ParamEstimator, PosteriorComponent};
-use crate::rbd::Block;
-use crate::sdp::union_probability;
 use std::collections::HashMap;
 use std::sync::Arc;
 use upsim_core::discovery::DiscoveryWorkspace;
@@ -234,12 +233,17 @@ impl ServiceAvailabilityModel {
     }
 
     /// Builds the model of one perspective from its Step 7 walks
-    /// ([`discover_perspective`]) with [`AnalysisOptions::default`]: the
-    /// walks' components in their order, and each pair's minimal path
-    /// sets. `run` must come from a graph view of `infrastructure`, whose
-    /// interned ids are instance indices. The model equals what
-    /// [`Self::from_run`] builds over a full run of the same mapping.
-    pub fn from_perspective(infrastructure: &Infrastructure, run: &PerspectiveRun) -> Self {
+    /// ([`discover_perspective`]), devices only: the walks' components in
+    /// their order, and each pair's minimal path sets, with `paper_formula`
+    /// as in [`AnalysisOptions`]. `run` must come from a graph view of
+    /// `infrastructure`, whose interned ids are instance indices. The model
+    /// equals what [`Self::from_run`] builds over a full run of the same
+    /// mapping with the same `paper_formula` and no links.
+    pub fn from_perspective(
+        infrastructure: &Infrastructure,
+        run: &PerspectiveRun,
+        paper_formula: bool,
+    ) -> Self {
         let components = run
             .paths
             .components
@@ -247,7 +251,7 @@ impl ServiceAvailabilityModel {
             .map(|&id| {
                 let device = &infrastructure.objects.instances[id as usize];
                 debug_assert_eq!(device.name, run.name(id), "ids are instance indices");
-                device_component(infrastructure, &device.name, &device.class, false)
+                device_component(infrastructure, &device.name, &device.class, paper_formula)
             })
             .collect();
         let systems = run
@@ -300,14 +304,6 @@ impl ServiceAvailabilityModel {
         bdd.probability(f, &self.availability_vector())
     }
 
-    /// Exact availability of a single pair via sum of disjoint products.
-    pub fn pair_availability_sdp(&self, pair_index: usize) -> f64 {
-        union_probability(
-            &self.systems[pair_index].path_sets,
-            &self.availability_vector(),
-        )
-    }
-
     /// The naive pair-independence approximation: the product of exact
     /// per-pair availabilities. Upper/lower bounds depend on the sharing
     /// structure; for the USI case study it *underestimates* (the same
@@ -316,37 +312,6 @@ impl ServiceAvailabilityModel {
         (0..self.systems.len())
             .map(|i| self.pair_availability_bdd(i))
             .product()
-    }
-
-    /// The companion-paper RBD for one pair: parallel-of-series over its
-    /// path sets. `None` when a component is shared between two paths of
-    /// the pair (the RBD independence precondition fails; use BDD/SDP).
-    pub fn pair_rbd(&self, pair_index: usize) -> Option<Block> {
-        let block = Block::Parallel(
-            self.systems[pair_index]
-                .path_sets
-                .iter()
-                .map(|set| Block::Series(set.iter().map(|&v| Block::Unit(v)).collect()))
-                .collect(),
-        );
-        block.validate_single_use().then_some(block)
-    }
-
-    /// Minimal cut sets of one pair: the minimal component sets whose joint
-    /// failure disconnects requester from provider (paper Sec. VII's
-    /// fault-tree view; also the "where can the problem be caused"
-    /// overview).
-    pub fn pair_cut_sets(&self, pair_index: usize) -> Vec<Vec<usize>> {
-        crate::cutsets::minimal_cut_sets(
-            &self.systems[pair_index].path_sets,
-            crate::cutsets::CutLimits::default(),
-        )
-    }
-
-    /// The fault tree of one pair, built over its minimal cut sets. Its
-    /// BDD-exact top-event probability equals `1 − pair availability`.
-    pub fn pair_fault_tree(&self, pair_index: usize) -> crate::faulttree::Gate {
-        crate::cutsets::fault_tree_from_cut_sets(&self.pair_cut_sets(pair_index))
     }
 
     /// Parallel Monte-Carlo estimate of the service availability on the
@@ -392,21 +357,24 @@ impl ServiceAvailabilityModel {
 /// against the models ([`ServiceMapping::validate`]), runs Steps 7–8 on
 /// `graph`, a prebuilt view of `infrastructure`, sized to their answer
 /// ([`discover_perspective`]), builds the availability model from the
-/// walks ([`ServiceAvailabilityModel::from_perspective`]), and overlays
-/// the observation-fed parameters in `params` ([`overlay_model`]). Returns
-/// the run, the overlaid model and the per-component posteriors (`None` =
-/// authored). The run and the model equal what a full
-/// [`upsim_core::pipeline::UpsimPipeline`] run and
-/// [`ServiceAvailabilityModel::from_run`] with [`AnalysisOptions::default`]
-/// give, bit for bit; a perspective whose Step 7 needs more than
+/// walks ([`ServiceAvailabilityModel::from_perspective`]) with Formula 1 as
+/// `paper_formula` selects, and overlays the observation-fed parameters in
+/// `params` ([`overlay_model`]). Returns the run, the overlaid model and the
+/// per-component posteriors (`None` = authored). The run and the model
+/// equal what a full [`upsim_core::pipeline::UpsimPipeline`] run and
+/// [`ServiceAvailabilityModel::from_run`] with the same `paper_formula` and
+/// no links give, bit for bit; a perspective whose Step 7 needs more than
 /// [`upsim_core::discovery::MAX_DFS_FRAMES`] DFS frames fails with
-/// [`upsim_core::UpsimError::PathBudget`].
+/// [`upsim_core::UpsimError::PathBudget`]. The server's engine and its
+/// campaigns price with the exact formula (`paper_formula` false); the
+/// CLI passes its `--paper-formula`.
 pub fn evaluate_perspective(
     infrastructure: &Infrastructure,
     service: &CompositeService,
     graph: &InternedGraph,
     mapping: &ServiceMapping,
     params: &ParamEstimator,
+    paper_formula: bool,
     workspace: &mut DiscoveryWorkspace,
 ) -> UpsimResult<(
     PerspectiveRun,
@@ -415,8 +383,8 @@ pub fn evaluate_perspective(
 )> {
     mapping.validate(service, infrastructure)?;
     let run = discover_perspective(infrastructure, service, mapping, graph, workspace)?;
-    let mut model = ServiceAvailabilityModel::from_perspective(infrastructure, &run);
-    let posteriors = overlay_model(&mut model, params, false);
+    let mut model = ServiceAvailabilityModel::from_perspective(infrastructure, &run, paper_formula);
+    let posteriors = overlay_model(&mut model, params, paper_formula);
     Ok((run, model, posteriors))
 }
 
@@ -486,17 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn sdp_and_bdd_agree() {
-        let (infra, run) = run_fixture();
-        let model = ServiceAvailabilityModel::from_run(&infra, &run, AnalysisOptions::default());
-        for i in 0..model.systems.len() {
-            assert!(
-                (model.pair_availability_bdd(i) - model.pair_availability_sdp(i)).abs() < 1e-12
-            );
-        }
-    }
-
-    #[test]
     fn pairwise_product_underestimates_shared_pairs() {
         let (infra, run) = run_fixture();
         let model = ServiceAvailabilityModel::from_run(&infra, &run, AnalysisOptions::default());
@@ -552,53 +509,6 @@ mod tests {
             mc,
             crate::montecarlo::estimate(&model.availability_vector(), &systems, 200_000, 1, 5)
         );
-    }
-
-    #[test]
-    fn rbd_available_for_shared_free_pairs() {
-        let (infra, run) = run_fixture();
-        let model = ServiceAvailabilityModel::from_run(&infra, &run, AnalysisOptions::default());
-        // Both paths share t1 and srv → no single-use RBD.
-        assert!(model.pair_rbd(0).is_none());
-    }
-
-    #[test]
-    fn rbd_for_single_path_pair() {
-        let mut infra = Infrastructure::new("chain");
-        infra
-            .define_device_class(DeviceClassSpec::client("C", 100.0, 1.0))
-            .unwrap();
-        infra
-            .define_device_class(DeviceClassSpec::server("S", 100.0, 1.0))
-            .unwrap();
-        infra.add_device("c", "C").unwrap();
-        infra.add_device("s", "S").unwrap();
-        infra.connect("c", "s").unwrap();
-        let svc = CompositeService::sequential("f", &["r"]).unwrap();
-        let mapping = ServiceMapping::new().with(ServiceMappingPair::new("r", "c", "s"));
-        let mut pipeline = UpsimPipeline::new(infra.clone(), svc, mapping).unwrap();
-        let run = pipeline.run().unwrap();
-        let model = ServiceAvailabilityModel::from_run(&infra, &run, AnalysisOptions::default());
-        let rbd = model.pair_rbd(0).expect("single path is single-use");
-        let expected = (100.0f64 / 101.0).powi(2);
-        assert!((rbd.availability(&model.availability_vector()) - expected).abs() < 1e-12);
-        assert!((model.pair_availability_bdd(0) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cut_sets_and_fault_tree_agree_with_bdd() {
-        let (infra, run) = run_fixture();
-        let model = ServiceAvailabilityModel::from_run(&infra, &run, AnalysisOptions::default());
-        for i in 0..model.systems.len() {
-            let cuts = model.pair_cut_sets(i);
-            // Diamond: cuts are {t1}, {srv}, {a,b} (in variable indices).
-            assert_eq!(cuts.iter().filter(|c| c.len() == 1).count(), 2);
-            assert_eq!(cuts.iter().filter(|c| c.len() == 2).count(), 1);
-            let ft = model.pair_fault_tree(i);
-            let u = ft.top_event_probability(&model.availability_vector());
-            let a = model.pair_availability_bdd(i);
-            assert!((a + u - 1.0).abs() < 1e-12, "pair {i}: A={a} U={u}");
-        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! (Steps 5–8, paths recorded in the model space) followed by `from_run`
 //! and `overlay_model` gives: the same components in the same order, the
 //! same path sets, UPSIM, reduction ratio, per-pair path counts,
-//! availability bits, Monte-Carlo estimate and posteriors. Its errors read
-//! as the pipeline's.
+//! availability bits, Monte-Carlo estimate and posteriors, with the exact
+//! Formula 1 and with the paper's printed one. Its errors read as the
+//! pipeline's.
 //!
 //! On the same inputs, the oracle's answers must be a function of the set
 //! of paths Step 7 finds, not of the order it lists them in: a copy of the
@@ -189,11 +190,12 @@ proptest! {
         let graph = infra.to_interned_graph();
         let mut workspace = DiscoveryWorkspace::default();
         let other = random_mapping(&service, &infra, seed + 1);
-        evaluate_perspective(&infra, &service, &graph, &other, &estimator, &mut workspace)
+        evaluate_perspective(&infra, &service, &graph, &other, &estimator, false, &mut workspace)
             .unwrap();
-        let (run, model, posteriors) =
-            evaluate_perspective(&infra, &service, &graph, &mapping, &estimator, &mut workspace)
-                .unwrap();
+        let (run, model, posteriors) = evaluate_perspective(
+            &infra, &service, &graph, &mapping, &estimator, false, &mut workspace,
+        )
+        .unwrap();
 
         let (expected, expected_model, expected_posteriors) =
             oracle(&infra, &service, &mapping, &estimator);
@@ -234,6 +236,22 @@ proptest! {
             )
         );
         prop_assert_eq!(&posteriors, &expected_posteriors);
+
+        // With the paper's printed Formula 1 the evaluator builds, and
+        // overlays, what `from_run` builds with it.
+        let (_, paper, paper_posteriors) = evaluate_perspective(
+            &infra, &service, &graph, &mapping, &estimator, true, &mut workspace,
+        )
+        .unwrap();
+        let paper_formula = AnalysisOptions { paper_formula: true, ..AnalysisOptions::default() };
+        let mut expected_paper = ServiceAvailabilityModel::from_run(&infra, &expected, paper_formula);
+        let expected_paper_posteriors = overlay_model(&mut expected_paper, &estimator, true);
+        prop_assert_eq!(&paper, &expected_paper, "{}", shape);
+        prop_assert_eq!(&paper_posteriors, &expected_paper_posteriors);
+        prop_assert_eq!(
+            paper.availability_bdd().to_bits(),
+            expected_paper.availability_bdd().to_bits()
+        );
     }
 
     #[test]
@@ -385,6 +403,7 @@ fn evaluator_errors_read_as_the_pipelines() {
             &graph,
             &mapping,
             &ParamEstimator::new(),
+            false,
             &mut DiscoveryWorkspace::default(),
         )
         .expect_err("the evaluator refuses the mapping")

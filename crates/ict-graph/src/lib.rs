@@ -4,8 +4,8 @@
 //! ICT infrastructure as a graph and discovers **all simple paths** between a
 //! service requester and provider with a depth-first search that tracks the
 //! current path to avoid live-locks in cycles. This crate is that engine,
-//! built from scratch (no petgraph), plus everything the surrounding
-//! analyses need:
+//! built from scratch (no petgraph), plus what the product's other graph
+//! questions need:
 //!
 //! * [`Graph`] — an index-stable, directed or undirected multigraph with
 //!   arbitrary node/edge weights and O(1) removal tombstones,
@@ -15,10 +15,12 @@
 //! * [`prune`] — biconnected components and the block-cut tree, used to
 //!   restrict path discovery to the blocks between a source and target
 //!   (exactly the nodes that can lie on some simple path),
-//! * [`connectivity`] — components, bridges, articulation points,
-//! * [`seriesparallel`] — two-terminal series-parallel reduction (used by
-//!   the UPSIM → reliability-block-diagram transformation),
-//! * [`metrics`], [`dot`] — graph statistics and Graphviz export.
+//! * [`disjoint`] — node-disjoint routes (Menger), for `upsim redundancy`,
+//! * [`traversal`] — depth- and breadth-first traversal, reachability,
+//! * [`dot`] — Graphviz export.
+//!
+//! Connectivity, capacity and graph-statistics analyses that only the
+//! experiment reports print live in `upsim-bench`.
 //!
 //! ```
 //! use ict_graph::{Graph, paths::all_simple_paths};
@@ -37,15 +39,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod capacity;
-pub mod connectivity;
 pub mod disjoint;
 pub mod dot;
 pub mod graph;
-pub mod metrics;
 pub mod paths;
 pub mod prune;
-pub mod seriesparallel;
 pub mod traversal;
 
 pub use graph::{Direction, EdgeId, Graph, NodeId};

@@ -10,9 +10,8 @@
 //! time; this module removes them before enumeration starts.
 //!
 //! [`BlockCutTree`] computes blocks, cut vertices, and connected components
-//! once per graph build (linear time, iterative Tarjan DFS — same idiom as
-//! [`crate::connectivity::critical_elements`]). [`BlockCutTree::relevant_nodes`]
-//! then answers per-pair queries by walking the tree path between the two
+//! once per graph build (linear time, one iterative Tarjan DFS).
+//! [`BlockCutTree::relevant_nodes`] then answers per-pair queries by walking the tree path between the two
 //! endpoints and unioning the block node sets, producing a mask for
 //! [`crate::paths::walk_paths`].
 //!

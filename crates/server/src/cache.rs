@@ -344,13 +344,16 @@ impl PerspectiveCache {
     }
 }
 
-/// Per-epoch negative cache: perspectives whose evaluation *failed*
-/// (unknown device, model error) keep failing identically until the model
-/// changes, so the error string is cached and replayed without touching
-/// the pipeline. The epoch tag makes invalidation free: entries recorded
-/// against a superseded epoch are ignored and lazily cleared on the next
-/// write, so an `UPDATE` (which may well fix the error, e.g. by wiring in
-/// the missing device) implicitly flushes the whole negative set.
+/// Negative cache per view generation: perspectives whose evaluation
+/// *failed* (unknown device, model error) keep failing identically until
+/// the topology or the service changes, so the error string is cached and
+/// replayed without touching the pipeline. The tag is the snapshot's
+/// `view_generation`, which an `OBSERVE` keeps and every other write
+/// moves, so invalidation is free: entries recorded against another
+/// generation are ignored and lazily cleared on the next write, so an
+/// `UPDATE` (which may well fix the error, e.g. by wiring in the missing
+/// device) implicitly flushes the whole negative set, and a refusal
+/// derived before a write never replays after it.
 #[derive(Default)]
 pub struct NegativeCache {
     inner: RwLock<(u64, HashMap<PerspectiveKey, crate::engine::EngineError>)>,
@@ -361,31 +364,32 @@ impl NegativeCache {
         Self::default()
     }
 
-    /// The cached failure for `key`, if recorded against `epoch`.
-    pub fn get(&self, key: &PerspectiveKey, epoch: u64) -> Option<crate::engine::EngineError> {
+    /// The cached failure for `key`, if recorded against view generation
+    /// `view`.
+    pub fn get(&self, key: &PerspectiveKey, view: u64) -> Option<crate::engine::EngineError> {
         let inner = self.inner.read().expect("negative cache poisoned");
-        if inner.0 != epoch {
+        if inner.0 != view {
             return None;
         }
         inner.1.get(key).cloned()
     }
 
-    /// Records a failure observed at `epoch`, dropping entries of any
-    /// older epoch first.
-    pub fn insert(&self, key: PerspectiveKey, error: crate::engine::EngineError, epoch: u64) {
+    /// Records a failure observed at view generation `view`, dropping
+    /// entries of any other generation first.
+    pub fn insert(&self, key: PerspectiveKey, error: crate::engine::EngineError, view: u64) {
         let mut inner = self.inner.write().expect("negative cache poisoned");
-        if inner.0 != epoch {
-            inner.0 = epoch;
+        if inner.0 != view {
+            inner.0 = view;
             inner.1.clear();
         }
         inner.1.insert(key, error);
     }
 
-    /// Resident negative entries for `epoch` (0 when the cache belongs to
-    /// another epoch).
-    pub fn len(&self, epoch: u64) -> usize {
+    /// Resident negative entries for view generation `view` (0 when the
+    /// cache belongs to another generation).
+    pub fn len(&self, view: u64) -> usize {
         let inner = self.inner.read().expect("negative cache poisoned");
-        if inner.0 == epoch {
+        if inner.0 == view {
             inner.1.len()
         } else {
             0
@@ -556,10 +560,11 @@ mod tests {
             Some(EngineError::UnknownDevice("ghost".into()))
         );
         assert_eq!(negative.len(3), 1);
-        // A bumped epoch makes the entry invisible...
+        // A new view generation makes the entry invisible...
         assert_eq!(negative.get(&key, 4), None);
         assert_eq!(negative.len(4), 0);
-        // ...and the next write against the new epoch clears the old set.
+        // ...and the next write against the new generation clears the old
+        // set.
         negative.insert(
             PerspectiveKey::new("other", "p1", "printS"),
             EngineError::Model("no path".into()),

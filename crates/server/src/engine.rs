@@ -1298,9 +1298,10 @@ fn probe(
 ) -> Result<Option<Arc<CachedPerspective>>, EngineError> {
     let snapshot = shard.model();
     let key = PerspectiveKey::new(client, provider, snapshot.service_name());
-    // Known-bad perspectives of this epoch fail fast from the negative
-    // cache — the model has not changed, so the error has not either.
-    if let Some(err) = shard.negative.get(&key, snapshot.epoch) {
+    // Known-bad perspectives of this view generation fail fast from the
+    // negative cache — topology and service have not changed, so the error
+    // has not either.
+    if let Some(err) = shard.negative.get(&key, snapshot.view_generation) {
         shard.metrics.bump(Counter::NegativeHits);
         shard.metrics.bump(Counter::Errors);
         return Err(err);
@@ -1309,7 +1310,9 @@ fn probe(
         if !snapshot.infrastructure.has_device(device) {
             shard.metrics.bump(Counter::Errors);
             let err = EngineError::UnknownDevice(device.to_string());
-            shard.negative.insert(key, err.clone(), snapshot.epoch);
+            shard
+                .negative
+                .insert(key, err.clone(), snapshot.view_generation);
             return Err(err);
         }
     }
@@ -1387,6 +1390,9 @@ fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, 
         _ => next.apply(&command)?,
     }
     next.epoch = guard.epoch + 1;
+    if command.observation_count() == 0 {
+        next.view_generation = next.epoch;
+    }
     let published = Arc::new(next);
     // Journal before any in-memory effect, while still holding the
     // model write lock so lines land in strict epoch order. An update
@@ -1469,9 +1475,12 @@ fn evaluate(
     if let Err(err) = &result {
         shard.metrics.bump(Counter::Errors);
         // Unknown devices and model errors are deterministic for this
-        // epoch — remember them so repeats skip the evaluation entirely.
+        // view generation — remember them so repeats skip the evaluation
+        // entirely.
         if matches!(err, EngineError::UnknownDevice(_) | EngineError::Model(_)) {
-            shard.negative.insert(key, err.clone(), snapshot.epoch);
+            shard
+                .negative
+                .insert(key, err.clone(), snapshot.view_generation);
         }
     }
     result
@@ -1497,6 +1506,7 @@ fn evaluate_uncached(
         &snapshot.interned_graph(),
         &mapping,
         &snapshot.params,
+        false,
         &mut ctx.workspace,
     )?;
     let observed = posterior.iter().filter(|p| p.is_some()).count();
@@ -1975,7 +1985,7 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(5));
     }
 
-    /// Repeated failures replay from the per-epoch negative cache, and an
+    /// Repeated failures replay from the negative cache, and a topology
     /// update makes them invisible (the error is re-derived against the
     /// new generation, not served stale).
     #[test]
@@ -2019,7 +2029,8 @@ mod tests {
     /// of the 1,222-device campus (16 `CONNECT`s) gives `t0_0_0 → srv0`
     /// about 10⁵ simple paths, whose count needs about 9·10⁶ DFS frames:
     /// Step 7 refuses the perspective at its frame budget instead of
-    /// holding a worker, and the refusal is cached for the epoch.
+    /// holding a worker, and the refusal is cached until the topology
+    /// changes: an `OBSERVE` keeps it, a `DISCONNECT` drops it.
     #[test]
     fn a_perspective_past_the_frame_budget_is_a_cached_model_error() {
         let params = netgen::campus::CampusParams {
@@ -2072,6 +2083,49 @@ mod tests {
             after[Counter::TasksExecuted],
             before[Counter::TasksExecuted],
             "no second run"
+        );
+
+        // An observation bumps the epoch but changes no edge: the repeat
+        // is still a negative hit and runs no pool task.
+        engine
+            .update(UpdateCommand::Observe {
+                component: "dist0".into(),
+                up: false,
+                ts: 1,
+            })
+            .expect("a device");
+        let before = engine.stats();
+        let repeat = engine.query("t0_0_0", "srv0").expect_err("still cached");
+        assert_eq!(repeat, err);
+        let after = engine.stats();
+        assert_eq!(
+            after[Counter::NegativeHits],
+            before[Counter::NegativeHits] + 1
+        );
+        assert_eq!(
+            after[Counter::TasksExecuted],
+            before[Counter::TasksExecuted],
+            "no run after an observation"
+        );
+
+        // A topology write may change the answer: the repeat is evaluated
+        // again (cutting the client off makes it cheap to answer).
+        engine
+            .update(UpdateCommand::Disconnect {
+                a: "t0_0_0".into(),
+                b: "edge0_0".into(),
+            })
+            .expect("the client's access link");
+        let before = engine.stats();
+        engine
+            .query("t0_0_0", "srv0")
+            .expect("no path is an answer");
+        let after = engine.stats();
+        assert_eq!(after[Counter::NegativeHits], before[Counter::NegativeHits]);
+        assert_eq!(
+            after[Counter::TasksExecuted],
+            before[Counter::TasksExecuted] + 1,
+            "one run after a topology write"
         );
         engine.shutdown();
     }

@@ -34,8 +34,9 @@ pub enum Counter {
     /// concurrent update superseded them mid-flight). Counted apart from
     /// `CacheMisses`, so hits plus misses track entries the cache admitted.
     StaleResults,
-    /// Failed queries answered from the per-epoch negative cache without
-    /// touching the pipeline (unknown device, deterministic model error).
+    /// Failed queries answered from the negative cache, which holds a
+    /// refusal until the topology or the service changes, without touching
+    /// the pipeline (unknown device, deterministic model error).
     NegativeHits,
     Batches,
     /// `MC` requests served (their perspective lookup also counts under

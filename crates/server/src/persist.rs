@@ -538,6 +538,7 @@ pub fn restore(dir: &Path, fallback: ModelSnapshot) -> Result<RestoreReport, Per
         snapshot.epoch = entry.epoch;
         replayed += 1;
     }
+    snapshot.view_generation = snapshot.epoch;
     Ok(RestoreReport {
         snapshot,
         journal_entries,

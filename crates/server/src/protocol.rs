@@ -533,8 +533,8 @@ pub fn render_error(err: &EngineError) -> String {
 pub const FRAME_MARKER: u8 = 0x01;
 
 /// Encodes a binary `BATCH` request frame (marker + length + payload) —
-/// the client-side half, used by the CLI's `--pipeline` mode, benches,
-/// and tests.
+/// the client-side half, which the tests send (the CLI's `--pipeline`
+/// mode sends text `QUERY` lines).
 pub fn encode_batch_frame(pairs: &[(String, String)]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(4 + pairs.len() * 16);
     payload.extend_from_slice(&(pairs.len() as u32).to_le_bytes());

@@ -48,6 +48,10 @@ pub struct ModelSnapshot {
     pub service: Arc<CompositeService>,
     /// Generation counter; bumped by every published update.
     pub epoch: u64,
+    /// The view generation, which keys cached refusals: the epoch of the
+    /// last applied write that was not an observation (an `OBSERVE`
+    /// changes no edge), or of the restore.
+    pub view_generation: u64,
     /// The observation-fed parameter layer of this generation: interval-
     /// censored MTBF/MTTR evidence per component, folded in by the
     /// `OBSERVE` verb. `Arc`-shared like the models — an observation
@@ -73,6 +77,7 @@ impl Clone for ModelSnapshot {
             infrastructure: self.infrastructure.clone(),
             service: self.service.clone(),
             epoch: self.epoch,
+            view_generation: self.view_generation,
             params: self.params.clone(),
             interned: OnceLock::new(),
         }
@@ -87,6 +92,7 @@ impl ModelSnapshot {
             infrastructure: Arc::new(infrastructure),
             service: Arc::new(service),
             epoch: 0,
+            view_generation: 0,
             params: Arc::new(ParamEstimator::new()),
             interned: OnceLock::new(),
         })
@@ -104,6 +110,7 @@ impl ModelSnapshot {
             infrastructure: Arc::new(infrastructure),
             service: Arc::new(service),
             epoch,
+            view_generation: epoch,
             params: Arc::new(ParamEstimator::new()),
             interned: OnceLock::new(),
         }

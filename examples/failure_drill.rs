@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --example failure_drill`
 
-use dependability::downtime::{downtime_per_year, nines, render_downtime};
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
 use netgen::usi::{printing_service, table_i_mapping, usi_infrastructure};
+use upsim_bench::downtime::{downtime_per_year, nines, render_downtime};
 use upsim_core::pipeline::UpsimPipeline;
 
 fn availability_for(infra: upsim_core::Infrastructure) -> Option<(f64, usize)> {

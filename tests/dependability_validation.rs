@@ -6,6 +6,7 @@ use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
 use netgen::campus::{campus_scenario, CampusParams};
 use netgen::usi::{printing_service, table_i_mapping, usi_infrastructure};
 use proptest::prelude::*;
+use upsim_bench::transform::{pair_availability_sdp, pair_rbd};
 use upsim_core::pipeline::UpsimPipeline;
 
 fn usi_model() -> ServiceAvailabilityModel {
@@ -20,7 +21,7 @@ fn usi_engines_agree() {
     let model = usi_model();
     for i in 0..model.systems.len() {
         let bdd = model.pair_availability_bdd(i);
-        let sdp = model.pair_availability_sdp(i);
+        let sdp = pair_availability_sdp(&model, i);
         assert!((bdd - sdp).abs() < 1e-12, "pair {i}: {bdd} vs {sdp}");
     }
     let exact = model.availability_bdd();
@@ -122,10 +123,10 @@ proptest! {
         );
         for i in 0..model.systems.len() {
             let bdd = model.pair_availability_bdd(i);
-            let sdp = model.pair_availability_sdp(i);
+            let sdp = pair_availability_sdp(&model, i);
             prop_assert!((bdd - sdp).abs() < 1e-10, "pair {i}: {bdd} vs {sdp}");
             // An RBD, when the structure admits one, agrees too.
-            if let Some(rbd) = model.pair_rbd(i) {
+            if let Some(rbd) = pair_rbd(&model, i) {
                 let a = rbd.availability(&model.availability_vector());
                 prop_assert!((bdd - a).abs() < 1e-10, "pair {i}: rbd {a} vs bdd {bdd}");
             }
