@@ -546,6 +546,7 @@ pub fn e11_scalability() -> String {
         ]);
     }
     let _ = writeln!(out, "end-to-end pipeline vs network size:\n{t}");
+    let _ = writeln!(out, "{}", serving_cold_evaluations());
 
     // The kernel on the path-explosion worst case, measured at the graph
     // level (ict-graph), where the enumeration itself dominates: one
@@ -569,6 +570,106 @@ pub fn e11_scalability() -> String {
         millis[2]
     );
     out
+}
+
+/// E11's serving-path table: the in-process cost of one cold evaluation as
+/// a worker runs it on a cache miss — the ping-pong mapping of the
+/// campus's 5-step service, [`evaluate_perspective`], the BDD and the MC
+/// compile — over deterministic pseudo-random client → server perspectives
+/// on perbench's two campus shapes and a 4,486-device one. "Kept walks"
+/// times a second pass over the perspectives on one shared view, whose
+/// block walks the first pass made; "fresh view" gives each perspective a
+/// view of its own (built untimed), so it walks every block it crosses.
+fn serving_cold_evaluations() -> String {
+    let mut t = Table::new([
+        "campus devices",
+        "perspectives",
+        "kept walks: evaluation [ms]",
+        "fresh view: evaluation [ms]",
+        "walks kept",
+    ]);
+    for (distributions, clients_per_edge, perspectives) in
+        [(32usize, 4usize, 300usize), (64, 8, 300), (128, 16, 120)]
+    {
+        let params = CampusParams {
+            core: 2,
+            distributions,
+            edges_per_distribution: 2,
+            clients_per_edge,
+            servers: 3,
+            dual_homed_edges: false,
+        };
+        let (infra, service, _) = campus_scenario(params);
+        // splitmix64: the same perspectives on every run.
+        let mut state = 0x5eed_u64 + distributions as u64;
+        let mut next = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let pairs: Vec<(String, String)> = (0..perspectives)
+            .map(|_| {
+                let client = format!(
+                    "t{}_{}_{}",
+                    next(distributions),
+                    next(params.edges_per_distribution),
+                    next(clients_per_edge)
+                );
+                (client, format!("srv{}", next(params.servers)))
+            })
+            .collect();
+        let mut workspace = DiscoveryWorkspace::default();
+        let params_layer = ParamEstimator::new();
+        let mut evaluate = |view: &upsim_core::InternedGraph, client: &str, server: &str| {
+            let start = Instant::now();
+            let mut mapping = ServiceMapping::new();
+            for (i, atomic) in service.atomic_services().into_iter().enumerate() {
+                let (requester, provider) = if i % 2 == 0 {
+                    (client, server)
+                } else {
+                    (server, client)
+                };
+                mapping.add(ServiceMappingPair::new(atomic, requester, provider));
+            }
+            let (_, model, _) = evaluate_perspective(
+                &infra,
+                &service,
+                view,
+                &mapping,
+                &params_layer,
+                false,
+                &mut workspace,
+            )
+            .expect("a single-homed campus is within the budget");
+            std::hint::black_box((model.availability_bdd(), model.compile_mc()));
+            start.elapsed().as_secs_f64() * 1e3
+        };
+        let shared = infra.to_interned_graph();
+        for (client, server) in &pairs {
+            evaluate(&shared, client, server);
+        }
+        let kept: f64 = pairs
+            .iter()
+            .map(|(client, server)| evaluate(&shared, client, server))
+            .sum();
+        let fresh: f64 = pairs
+            .iter()
+            .map(|(client, server)| evaluate(&infra.to_interned_graph(), client, server))
+            .sum();
+        t.row([
+            infra.device_count().to_string(),
+            perspectives.to_string(),
+            format!("{:.3}", kept / perspectives as f64),
+            format!("{:.3}", fresh / perspectives as f64),
+            shared.kept_walks().to_string(),
+        ]);
+    }
+    format!(
+        "one cold evaluation on the serving path (ping-pong mapping, Steps 7–8, BDD, MC \
+         compile), mean over random client → server perspectives:\n{t}"
+    )
 }
 
 /// E12 — Sec. VII outlook extensions: cut sets, fault trees, RBDs and the

@@ -16,11 +16,13 @@
 //! paths come out in DFS order, from one `ict_graph::paths::walk_paths`
 //! within a budget of [`MAX_DFS_FRAMES`] per pair.
 //!
-//! The serving path lists no paths: [`walk_perspective`] walks each
-//! endpoint pair of a perspective twice, once to count its simple paths
-//! and number the devices on them, once for its chordless paths, whose
-//! node sets are the minimal path sets the availability model keeps. Both
-//! walks share one budget of [`MAX_DFS_FRAMES`].
+//! The serving path lists no paths: [`walk_perspective`] composes each
+//! endpoint pair of a perspective from the blocks between its endpoints,
+//! each walked twice, once to count its simple paths and order the devices
+//! on them, once for its chordless paths, whose node sets are the minimal
+//! path sets the availability model keeps. The view keeps every block walk
+//! ([`InternedGraph::block_paths`]), so a block is walked once per view
+//! and way across it, whatever the number of perspectives crossing it.
 
 use crate::error::{UpsimError, UpsimResult};
 use crate::importers::PATHS_NS;
@@ -28,15 +30,21 @@ use crate::infrastructure::Infrastructure;
 use crate::interned::{InternedGraph, NameTable};
 use crate::mapping::ServiceMappingPair;
 use ict_graph::paths::{walk_paths, DiscoveryScratch, PathKind};
+use ict_graph::prune::{
+    chain_count, chain_order, chain_path_sets, BlockScratch, BlockStep, Crossing,
+};
 use ict_graph::NodeId;
 use std::sync::Arc;
 use vpm::ModelSpace;
 
-/// Most DFS frames [`walk_perspective`] may push for one perspective, its
-/// counting and chordless walks together, and [`discover_with_workspace`]
-/// for the listing of one pair. A frame costs tens of nanoseconds, so the
-/// budget bounds a perspective's Step 7 to a fraction of a second; the
-/// largest single-homed pair of a 4,486-device campus needs about 33,000.
+/// Most DFS frames one walk of a block may push, its counting and
+/// chordless walks together; most frames [`walk_perspective`] may charge
+/// one perspective, the frames of every distinct block walk it needs,
+/// whether the view had kept the walk or not; and most frames
+/// [`discover_with_workspace`] may push for the listing of one pair. A
+/// frame costs tens of nanoseconds, so the budget bounds a walk to a
+/// fraction of a second; the core block of a single-homed 4,486-device
+/// campus needs about 33,000 for its largest pair.
 pub const MAX_DFS_FRAMES: usize = 1 << 22;
 
 /// Step 7 has no options: every caller runs the one DFS, unlimited. This
@@ -50,18 +58,28 @@ pub struct DiscoveryOptions;
 /// Reusable per-worker buffers for repeated discovery calls: the DFS
 /// scratch (on-path bitset, stack, path buffers), the pruning mask, and
 /// what [`walk_perspective`] keeps per perspective. A warm sweep over many
-/// pairs allocates nothing once these reach their high-water mark.
+/// pairs allocates little once these reach their high-water mark.
 #[derive(Debug, Default)]
 pub struct DiscoveryWorkspace {
     scratch: DiscoveryScratch,
     mask: Vec<bool>,
+    /// The scratch of the block walks a perspective misses.
+    blocks: BlockScratch,
     /// The union of the last perspective's masks: its UPSIM.
     pub(crate) upsim: Vec<bool>,
     /// Component number per interned id (`u32::MAX`: on no path yet).
     component_of: Vec<u32>,
+    /// The perspective's endpoints, one (requester, provider) per pair.
+    ends: Vec<(NodeId, NodeId)>,
     /// The perspective's walked endpoint pairs, (min, max) node, each with
     /// the index of the first mapping pair that walked it.
     walked: Vec<((NodeId, NodeId), usize)>,
+    /// The block chain of the pair being composed.
+    chain: Vec<BlockStep>,
+    /// How its paths cross each block of the chain.
+    crossings: Vec<Crossing>,
+    /// The block walks the perspective has been charged for.
+    charged: Vec<BlockStep>,
 }
 
 /// What Step 7 keeps of one mapping pair on the serving path.
@@ -276,46 +294,53 @@ pub fn discover_with_workspace(
     })
 }
 
-/// Step 7 for a whole perspective, sized to its answer: for each new
-/// unordered endpoint pair among `pairs`, takes the block-cut-tree mask of
-/// the nodes that lie on some simple path (and adds it to the workspace's
-/// UPSIM), then walks the view's sorted graph twice under that mask. The
-/// counting walk counts the simple paths and numbers each device at its
-/// first occurrence; since the sorted adjacency makes the DFS meet the
-/// node sequences in sorted order, that is the numbering
-/// `ServiceAvailabilityModel::from_run` gives over a full run. The
-/// chordless walk finds the minimal path sets: links are not components,
-/// so a path's device set is minimal exactly when the path has no chord.
-/// A later pair with the same endpoints, in either orientation, reuses
-/// the first one's count and sets: its paths are the same ones, reversed,
-/// and number no new device.
+/// Step 7 for a whole perspective, sized to its answer. First resolves
+/// every pair's endpoints: the first device outside the view fails the
+/// perspective with [`UpsimError::UnknownComponent`], naming its pair and
+/// role, as [`crate::mapping::ServiceMapping::validate`] does. Then, for
+/// each new unordered endpoint pair among `pairs`, takes the blocks on the
+/// block-cut-tree path from requester to provider (adding their nodes, the
+/// ones that lie on some simple path, to the workspace's UPSIM) and
+/// composes the pair from how its paths cross each block: a block of two
+/// nodes from its links, every other from its walk on the view's sorted
+/// graph, kept per (block, entry, exit) on the view
+/// ([`InternedGraph::block_paths`]).
 ///
-/// The walks share one budget of [`MAX_DFS_FRAMES`]; the first walk past
-/// it fails the perspective with [`UpsimError::PathBudget`], naming its
-/// pair. A pair naming a device outside the view fails with
-/// [`UpsimError::UnknownComponent`].
+/// `paths=` is the product of the blocks' counts and the minimal path sets
+/// are the products of their chordless sets (links are not components, so
+/// a path's device set is minimal exactly when the path has no chord).
+/// Devices are numbered at their first occurrence in one counting walk of
+/// the pair over the sorted graph, the numbering
+/// `ServiceAvailabilityModel::from_run` gives over a full run: the nodes of
+/// the lexicographically smallest path block by block, then each block's
+/// other nodes in its own walk's order, the last block first
+/// ([`ict_graph::prune::chain_order`]). A later pair with the same
+/// endpoints, in either orientation, reuses the first one's count and
+/// sets: its paths are the same ones, reversed, and number no new device.
+///
+/// The perspective is charged the frames of every distinct block walk it
+/// needs, kept or not, within one budget of [`MAX_DFS_FRAMES`], so its
+/// answer does not depend on what the view has kept. A block walk past
+/// the budget on its own, a charge past it, a count past `usize::MAX` or
+/// more than [`MAX_DFS_FRAMES`] minimal path sets for one pair fails the
+/// perspective with [`UpsimError::PathBudget`], naming that pair.
 pub fn walk_perspective(
     view: &InternedGraph,
     pairs: &[&ServiceMappingPair],
     workspace: &mut DiscoveryWorkspace,
 ) -> UpsimResult<PerspectivePaths> {
     let DiscoveryWorkspace {
-        scratch,
-        mask,
+        blocks,
         upsim,
         component_of,
+        ends,
         walked,
+        chain,
+        crossings,
+        charged,
+        ..
     } = workspace;
-    let capacity = view.graph().node_capacity();
-    upsim.clear();
-    upsim.resize(capacity, false);
-    component_of.clear();
-    component_of.resize(capacity, u32::MAX);
-    walked.clear();
-    let graph = view.sorted_graph();
-    let mut budget = MAX_DFS_FRAMES;
-    let mut components: Vec<u32> = Vec::new();
-    let mut out: Vec<PairPaths> = Vec::with_capacity(pairs.len());
+    ends.clear();
     for &pair in pairs {
         let resolve = |role: &'static str, name: &str| {
             view.node_of(name)
@@ -325,8 +350,23 @@ pub fn walk_perspective(
                     component: name.to_string(),
                 })
         };
-        let source = resolve("requester", &pair.requester)?;
-        let target = resolve("provider", &pair.provider)?;
+        ends.push((
+            resolve("requester", &pair.requester)?,
+            resolve("provider", &pair.provider)?,
+        ));
+    }
+    let capacity = view.graph().node_capacity();
+    upsim.clear();
+    upsim.resize(capacity, false);
+    component_of.clear();
+    component_of.resize(capacity, u32::MAX);
+    walked.clear();
+    charged.clear();
+    let tree = view.tree();
+    let mut budget = MAX_DFS_FRAMES;
+    let mut components: Vec<u32> = Vec::new();
+    let mut out: Vec<PairPaths> = Vec::with_capacity(pairs.len());
+    for (&pair, &(source, target)) in pairs.iter().zip(ends.iter()) {
         let endpoints = (source.min(target), source.max(target));
         if let Some(&(_, first)) = walked.iter().find(|(seen, _)| *seen == endpoints) {
             let PairPaths {
@@ -340,59 +380,48 @@ pub fn walk_perspective(
             continue;
         }
         walked.push((endpoints, out.len()));
+        let over_budget = || UpsimError::PathBudget {
+            atomic_service: pair.atomic_service.clone(),
+            requester: pair.requester.clone(),
+            provider: pair.provider.clone(),
+            frames: MAX_DFS_FRAMES,
+        };
         let mut path_sets: Vec<Vec<usize>> = Vec::new();
         let mut paths = 0;
-        if view.tree().relevant_nodes(source, target, mask) > 0 {
-            for (kept, &relevant) in upsim.iter_mut().zip(mask.iter()) {
-                *kept |= relevant;
+        if !tree.block_chain(source, target, chain) {
+            // Different connected components: no path.
+        } else if source == target {
+            // The trivial path.
+            upsim[source.index()] = true;
+            paths = 1;
+            path_sets.push(vec![number(component_of, &mut components, source)]);
+        } else {
+            crossings.clear();
+            for &step in chain.iter() {
+                for node in tree.block(step.block) {
+                    upsim[node.index()] = true;
+                }
+                if let Some(links) = tree.links_crossing(step) {
+                    crossings.push(links);
+                    continue;
+                }
+                let walk = view.block_paths(step, blocks).map_err(|_| over_budget())?;
+                if !charged.contains(&step) {
+                    charged.push(step);
+                    budget = budget.checked_sub(walk.frames).ok_or_else(over_budget)?;
+                }
+                crossings.push(Crossing::Walked(walk));
             }
-            let over_budget = |_| UpsimError::PathBudget {
-                atomic_service: pair.atomic_service.clone(),
-                requester: pair.requester.clone(),
-                provider: pair.provider.clone(),
-                frames: MAX_DFS_FRAMES,
-            };
-            let mask = Some(mask.as_slice());
-            paths = walk_paths(
-                graph,
-                source,
-                target,
-                PathKind::Simple,
-                mask,
-                &mut budget,
-                scratch,
-                |nodes, _| {
-                    for node in nodes {
-                        let number = &mut component_of[node.index()];
-                        if *number == u32::MAX {
-                            *number = components.len() as u32;
-                            components.push(node.index() as u32);
-                        }
-                    }
-                },
+            paths = chain_count(crossings).ok_or_else(over_budget)?;
+            chain_order(crossings, |node| {
+                number(component_of, &mut components, node);
+            });
+            path_sets = chain_path_sets(
+                crossings,
+                |node| component_of[node.index()] as usize,
+                MAX_DFS_FRAMES,
             )
-            .map_err(over_budget)?;
-            walk_paths(
-                graph,
-                source,
-                target,
-                PathKind::Chordless,
-                mask,
-                &mut budget,
-                scratch,
-                |nodes, _| {
-                    let mut set: Vec<usize> = nodes
-                        .iter()
-                        .map(|node| component_of[node.index()] as usize)
-                        .collect();
-                    set.sort_unstable();
-                    path_sets.push(set);
-                },
-            )
-            .map_err(over_budget)?;
-            // Parallel links repeat a set.
-            path_sets.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-            path_sets.dedup();
+            .ok_or_else(over_budget)?;
         }
         out.push(PairPaths {
             pair: pair.clone(),
@@ -404,6 +433,16 @@ pub fn walk_perspective(
         components,
         pairs: out,
     })
+}
+
+/// The component number of `node`, numbering it next if it has none yet.
+fn number(component_of: &mut [u32], components: &mut Vec<u32>, node: NodeId) -> usize {
+    let number = &mut component_of[node.index()];
+    if *number == u32::MAX {
+        *number = components.len() as u32;
+        components.push(node.index() as u32);
+    }
+    *number as usize
 }
 
 /// Convenience: discovery straight from an infrastructure (builds the
@@ -591,6 +630,244 @@ mod tests {
             components.len(),
             "components must be distinct"
         );
+    }
+
+    /// An infrastructure of `Sw` switches with the given links.
+    fn switches(devices: &[&str], links: &[(&str, &str)]) -> Infrastructure {
+        let mut infra = Infrastructure::new("switches");
+        infra
+            .define_device_class(DeviceClassSpec::switch("Sw", 61320.0, 0.5))
+            .unwrap();
+        for device in devices {
+            infra.add_device(*device, "Sw").unwrap();
+        }
+        for (a, b) in links {
+            infra.connect(a, b).unwrap();
+        }
+        infra
+    }
+
+    /// A complete block on `nodes`, with clients `c1` and `c2` hanging off
+    /// its first node and a server `s` off its last.
+    fn clique_with_clients(nodes: usize) -> Infrastructure {
+        let names: Vec<String> = (0..nodes).map(|i| format!("k{i}")).collect();
+        let mut devices: Vec<&str> = names.iter().map(String::as_str).collect();
+        devices.extend(["c1", "c2", "s"]);
+        let mut links = vec![
+            ("c1", devices[0]),
+            ("c2", devices[0]),
+            (devices[nodes - 1], "s"),
+        ];
+        for i in 0..nodes {
+            for j in i + 1..nodes {
+                links.push((devices[i], devices[j]));
+            }
+        }
+        switches(&devices, &links)
+    }
+
+    /// The devices and links of a `w`×`h` grid of devices named
+    /// `<prefix><x>_<y>`.
+    fn grid(prefix: &str, w: usize, h: usize) -> (Vec<String>, Vec<(String, String)>) {
+        let name = |x: usize, y: usize| format!("{prefix}{x}_{y}");
+        let mut devices = Vec::new();
+        let mut links = Vec::new();
+        for x in 0..w {
+            for y in 0..h {
+                devices.push(name(x, y));
+                if x + 1 < w {
+                    links.push((name(x, y), name(x + 1, y)));
+                }
+                if y + 1 < h {
+                    links.push((name(x, y), name(x, y + 1)));
+                }
+            }
+        }
+        (devices, links)
+    }
+
+    /// [`switches`] over owned names.
+    fn owned_switches(devices: &[String], links: &[(String, String)]) -> Infrastructure {
+        let devices: Vec<&str> = devices.iter().map(String::as_str).collect();
+        let links: Vec<(&str, &str)> = links
+            .iter()
+            .map(|(a, b)| (a.as_str(), b.as_str()))
+            .collect();
+        switches(&devices, &links)
+    }
+
+    /// A 6×6 grid, with clients `c1` and `c2` hanging off one corner and a
+    /// server `s` off the opposite one: more than 5·10⁶ frames to count
+    /// the paths between the corners, past the budget, at a few
+    /// neighbours a frame.
+    fn grid_with_clients() -> Infrastructure {
+        let (mut devices, mut links) = grid("g", 6, 6);
+        devices.extend(["c1", "c2", "s"].map(String::from));
+        for (a, b) in [("c1", "g0_0"), ("c2", "g0_0"), ("g5_5", "s")] {
+            links.push((a.into(), b.into()));
+        }
+        owned_switches(&devices, &links)
+    }
+
+    fn walk_one(
+        view: &InternedGraph,
+        pair: &ServiceMappingPair,
+        workspace: &mut DiscoveryWorkspace,
+    ) -> UpsimResult<PerspectivePaths> {
+        walk_perspective(view, &[pair], workspace)
+    }
+
+    #[test]
+    fn a_second_perspective_through_a_kept_block_walks_nothing() {
+        let view = clique_with_clients(5).to_interned_graph();
+        let mut workspace = DiscoveryWorkspace::default();
+        let first = walk_one(
+            &view,
+            &ServiceMappingPair::new("x", "c1", "s"),
+            &mut workspace,
+        )
+        .unwrap();
+        assert_eq!(first.pairs[0].paths, 16);
+        // The clique is walked once; the three links are composed, unkept.
+        assert_eq!(view.kept_walks(), 1);
+        let pair = ServiceMappingPair::new("x", "c2", "s");
+        let second = walk_one(&view, &pair, &mut workspace).unwrap();
+        assert_eq!(view.kept_walks(), 1, "the kept walk serves the second");
+        // What a view of its own answers.
+        let fresh = clique_with_clients(5).to_interned_graph();
+        assert_eq!(
+            second,
+            walk_one(&fresh, &pair, &mut DiscoveryWorkspace::default()).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_perspective_through_an_exhausted_block_is_refused_from_the_view() {
+        let view = grid_with_clients().to_interned_graph();
+        let mut workspace = DiscoveryWorkspace::default();
+        for client in ["c1", "c2"] {
+            let err = walk_one(
+                &view,
+                &ServiceMappingPair::new("x", client, "s"),
+                &mut workspace,
+            )
+            .unwrap_err();
+            let UpsimError::PathBudget {
+                requester, frames, ..
+            } = err
+            else {
+                panic!("a budget refusal, got {err:?}");
+            };
+            assert_eq!((requester.as_str(), frames), (client, MAX_DFS_FRAMES));
+            assert_eq!(view.kept_walks(), 1, "one walk, kept exhausted");
+        }
+    }
+
+    #[test]
+    fn a_perspective_is_charged_for_kept_walks_too() {
+        // Five 6×5 grids in series, each joined to the next by a link from
+        // its far corner: about 9·10⁵ frames to cross one corner to
+        // corner, 4.5·10⁶ to cross all five, past the budget.
+        let mut devices = vec!["c".to_string(), "s".to_string()];
+        let mut links = vec![("c".to_string(), "a0_0".to_string())];
+        let prefixes = ["a", "b", "d", "e", "f"];
+        for (i, prefix) in prefixes.iter().enumerate() {
+            let (nodes, edges) = grid(prefix, 6, 5);
+            devices.extend(nodes);
+            links.extend(edges);
+            let next = prefixes
+                .get(i + 1)
+                .map_or("s".to_string(), |p| format!("{p}0_0"));
+            links.push((format!("{prefix}5_4"), next));
+        }
+        let view = owned_switches(&devices, &links).to_interned_graph();
+        let mut workspace = DiscoveryWorkspace::default();
+        // Each grid alone is within the budget, and its walk is kept.
+        for prefix in prefixes {
+            let pair = ServiceMappingPair::new("x", format!("{prefix}0_0"), format!("{prefix}5_4"));
+            let crossed = walk_one(&view, &pair, &mut workspace).unwrap();
+            assert_eq!(crossed.pairs[0].paths, 79_384);
+        }
+        assert_eq!(view.kept_walks(), 5);
+        // All five cost the same frames whether walked or kept.
+        let err = walk_one(
+            &view,
+            &ServiceMappingPair::new("x", "c", "s"),
+            &mut workspace,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, UpsimError::PathBudget { requester, .. } if requester == "c"),
+            "{err:?}"
+        );
+        assert_eq!(view.kept_walks(), 5);
+    }
+
+    #[test]
+    fn blocks_in_series_multiply_past_what_one_walk_could_count() {
+        // Two K9s joined by the link a8–b8: 13,700 simple paths cross each,
+        // 13,700² in all, which one walk of the pair would need about as
+        // many frames to count; the direct links are the one minimal set.
+        let names: Vec<String> = ["a", "b"]
+            .iter()
+            .flat_map(|side| (0..9).map(move |i| format!("{side}{i}")))
+            .collect();
+        let devices: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut links = vec![("a8", "b8")];
+        for side in [&devices[..9], &devices[9..]] {
+            for i in 0..9 {
+                for j in i + 1..9 {
+                    links.push((side[i], side[j]));
+                }
+            }
+        }
+        let view = switches(&devices, &links).to_interned_graph();
+        let walked = walk_one(
+            &view,
+            &ServiceMappingPair::new("request", "a0", "b0"),
+            &mut DiscoveryWorkspace::default(),
+        )
+        .unwrap();
+        assert_eq!(walked.pairs[0].paths, 13_700 * 13_700);
+        let named: Vec<Vec<&str>> = walked.pairs[0]
+            .path_sets
+            .iter()
+            .map(|set| {
+                set.iter()
+                    .map(|&c| view.names().name(walked.components[c]))
+                    .collect()
+            })
+            .collect();
+        let mut set = named.concat();
+        set.sort_unstable();
+        assert_eq!(named.len(), 1);
+        assert_eq!(set, ["a0", "a8", "b0", "b8"]);
+        assert_eq!(walked.components.len(), 18);
+    }
+
+    #[test]
+    fn an_unknown_device_is_reported_before_any_walk() {
+        // The first pair alone is past the budget; the second names a
+        // device outside the view, and that is what the perspective fails
+        // on, as a mapping check before Step 7 would report it.
+        let view = grid_with_clients().to_interned_graph();
+        let first = ServiceMappingPair::new("x", "c1", "s");
+        let second = ServiceMappingPair::new("y", "s", "ghost");
+        let err = walk_perspective(
+            &view,
+            &[&first, &second],
+            &mut DiscoveryWorkspace::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            UpsimError::UnknownComponent {
+                atomic_service: "y".into(),
+                role: "provider",
+                component: "ghost".into(),
+            }
+        );
+        assert_eq!(view.kept_walks(), 0);
     }
 
     #[test]

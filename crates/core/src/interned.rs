@@ -19,12 +19,20 @@
 //! (neighbour id, link index), built once with the view: the serving
 //! path's Step 7 walks it, so its DFS meets paths in the order
 //! `ServiceAvailabilityModel::from_run` sorts them into.
+//!
+//! Step 7 walks each block of more than two nodes once per (entry, exit)
+//! and view: [`InternedGraph::block_paths`] keeps every walk, so every
+//! perspective of the view that crosses the block the same way, on any
+//! worker or campaign sharing the view, composes from the kept walk
+//! instead of walking it again.
 
+use crate::discovery::MAX_DFS_FRAMES;
 use crate::infrastructure::Infrastructure;
-use ict_graph::prune::BlockCutTree;
+use ict_graph::paths::FramesExhausted;
+use ict_graph::prune::{BlockCutTree, BlockPaths, BlockScratch, BlockStep};
 use ict_graph::{Graph, NodeId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// An append-only device-name table: `u32` id ⇄ name, both directions O(1)
 /// (the reverse direction via a hash map).
@@ -75,21 +83,27 @@ impl NameTable {
     }
 }
 
-/// The infrastructure's graph view with interned node names and a
-/// pre-computed block-cut tree.
+/// A kept walk of one block between two of its nodes: the walk, or
+/// [`FramesExhausted`] when it needed more than [`MAX_DFS_FRAMES`].
+pub type BlockWalk = Result<Arc<BlockPaths>, FramesExhausted>;
+
+/// The infrastructure's graph view with interned node names, a
+/// pre-computed block-cut tree and the block walks Step 7 has made on it.
 ///
 /// Node weights are the interned ids; because the view is built fresh
 /// (no removals), a node's id always equals its [`NodeId::index`], so
 /// discovered paths convert to interned form without lookups. Edge weights
 /// are the link's index into the infrastructure's `objects.links`, exactly
 /// like [`Infrastructure::to_graph`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct InternedGraph {
     graph: Graph<u32, usize>,
     /// `graph` with every adjacency list sorted by (neighbour, link).
     sorted: Graph<u32, usize>,
     names: Arc<NameTable>,
     tree: BlockCutTree,
+    /// The walks of [`Self::block_paths`], per (block, entry, exit).
+    walks: Mutex<HashMap<BlockStep, BlockWalk>>,
 }
 
 impl InternedGraph {
@@ -120,6 +134,7 @@ impl InternedGraph {
             sorted,
             names: Arc::new(names),
             tree,
+            walks: Mutex::default(),
         }
     }
 
@@ -157,6 +172,33 @@ impl InternedGraph {
     /// The device name of a node of this view.
     pub fn name_of(&self, node: NodeId) -> &str {
         self.names.name(node.index() as u32)
+    }
+
+    /// The walk of block `step.block` from `step.entry` to `step.exit` on
+    /// the sorted graph ([`BlockCutTree::walk_block`]) within
+    /// [`MAX_DFS_FRAMES`], walked on the first call and kept for the
+    /// view's life, exhausted or not. The walk runs outside the lock;
+    /// when two callers walk the same step at once, the first to finish
+    /// keeps its walk and both return it.
+    pub fn block_paths(&self, step: BlockStep, scratch: &mut BlockScratch) -> BlockWalk {
+        if let Some(kept) = self.walks.lock().expect("walks poisoned").get(&step) {
+            return kept.clone();
+        }
+        let walked = self
+            .tree
+            .walk_block(&self.sorted, step, MAX_DFS_FRAMES, scratch)
+            .map(Arc::new);
+        self.walks
+            .lock()
+            .expect("walks poisoned")
+            .entry(step)
+            .or_insert(walked)
+            .clone()
+    }
+
+    /// The number of block walks kept ([`Self::block_paths`]).
+    pub fn kept_walks(&self) -> usize {
+        self.walks.lock().expect("walks poisoned").len()
     }
 }
 

@@ -374,8 +374,9 @@ pub fn discover_and_merge(
 /// order. Step 8 reads the UPSIM off the union of the pairs' masks: every
 /// node of a block on the block-cut-tree path between two endpoints lies
 /// on a simple path between them, so the union holds exactly the devices
-/// on some discovered path, the nodes [`generate_upsim`] keeps. The
-/// mapping must already be valid for `service` and `infrastructure`.
+/// on some discovered path, the nodes [`generate_upsim`] keeps. A mapping
+/// pair naming a device outside `graph` fails as
+/// [`ServiceMapping::validate`] fails it.
 pub fn discover_perspective(
     infrastructure: &Infrastructure,
     service: &CompositeService,

@@ -353,10 +353,10 @@ impl ServiceAvailabilityModel {
     }
 }
 
-/// Evaluates one perspective without a model space: checks `mapping`
-/// against the models ([`ServiceMapping::validate`]), runs Steps 7–8 on
+/// Evaluates one perspective without a model space: runs Steps 7–8 on
 /// `graph`, a prebuilt view of `infrastructure`, sized to their answer
-/// ([`discover_perspective`]), builds the availability model from the
+/// ([`discover_perspective`], which refuses a device outside the view as
+/// [`ServiceMapping::validate`] does), builds the availability model from the
 /// walks ([`ServiceAvailabilityModel::from_perspective`]) with Formula 1 as
 /// `paper_formula` selects, and overlays the observation-fed parameters in
 /// `params` ([`overlay_model`]). Returns the run, the overlaid model and the
@@ -381,7 +381,6 @@ pub fn evaluate_perspective(
     ServiceAvailabilityModel,
     Vec<Option<PosteriorComponent>>,
 )> {
-    mapping.validate(service, infrastructure)?;
     let run = discover_perspective(infrastructure, service, mapping, graph, workspace)?;
     let mut model = ServiceAvailabilityModel::from_perspective(infrastructure, &run, paper_formula);
     let posteriors = overlay_model(&mut model, params, paper_formula);

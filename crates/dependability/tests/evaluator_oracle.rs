@@ -10,6 +10,10 @@
 //! Formula 1 and with the paper's printed one. Its errors read as the
 //! pipeline's.
 //!
+//! The evaluator must answer so whatever block walks the view has kept:
+//! on one view serving many perspectives in any order, and on a fresh
+//! view per perspective.
+//!
 //! On the same inputs, the oracle's answers must be a function of the set
 //! of paths Step 7 finds, not of the order it lists them in: a copy of the
 //! model whose links are listed in reverse order has the same devices, and
@@ -153,6 +157,55 @@ fn oracle(
     (run, model, posteriors)
 }
 
+/// What the evaluator answers for one perspective.
+type Evaluated = (
+    upsim_core::pipeline::PerspectiveRun,
+    ServiceAvailabilityModel,
+    Vec<Option<PosteriorComponent>>,
+);
+
+/// The evaluator's answer against the oracle's: the same components in the
+/// same order, path sets, model, UPSIM, reduction ratio, per-pair path
+/// counts, availability bits and posteriors.
+fn agrees_with(evaluated: &Evaluated, oracle: &Oracle, shape: &str) -> Result<(), TestCaseError> {
+    let (run, model, posteriors) = evaluated;
+    let (expected, expected_model, expected_posteriors) = oracle;
+    let names = |m: &ServiceAvailabilityModel| {
+        m.components
+            .iter()
+            .map(|c| c.name.clone())
+            .collect::<Vec<_>>()
+    };
+    prop_assert_eq!(names(model), names(expected_model), "{}", shape);
+    for (mine, theirs) in model.systems.iter().zip(&expected_model.systems) {
+        prop_assert_eq!(&mine.path_sets, &theirs.path_sets, "{}", shape);
+    }
+    prop_assert_eq!(model, expected_model, "{}", shape);
+    prop_assert_eq!(
+        run.upsim_names().collect::<Vec<_>>(),
+        expected.touched_devices().collect::<Vec<_>>(),
+        "{}",
+        shape
+    );
+    prop_assert_eq!(
+        run.reduction_ratio.to_bits(),
+        expected.reduction_ratio.to_bits()
+    );
+    let counts: Vec<_> = run.paths.pairs.iter().map(|p| (&p.pair, p.paths)).collect();
+    let expected_counts: Vec<_> = expected
+        .discovered
+        .iter()
+        .map(|d| (&d.pair, d.len()))
+        .collect();
+    prop_assert_eq!(counts, expected_counts, "{}", shape);
+    prop_assert_eq!(
+        model.availability_bdd().to_bits(),
+        expected_model.availability_bdd().to_bits()
+    );
+    prop_assert_eq!(posteriors, expected_posteriors);
+    Ok(())
+}
+
 /// A copy of `infra` with its links listed in reverse order: the same
 /// devices, and so the same interned ids, but every adjacency list
 /// reversed, so Step 7 lists each pair's paths in another DFS order.
@@ -197,30 +250,11 @@ proptest! {
         )
         .unwrap();
 
-        let (expected, expected_model, expected_posteriors) =
-            oracle(&infra, &service, &mapping, &estimator);
-        let names = |m: &ServiceAvailabilityModel| {
-            m.components.iter().map(|c| c.name.clone()).collect::<Vec<_>>()
-        };
-        prop_assert_eq!(names(&model), names(&expected_model), "{}", shape);
-        for (mine, theirs) in model.systems.iter().zip(&expected_model.systems) {
-            prop_assert_eq!(&mine.path_sets, &theirs.path_sets, "{}", shape);
-        }
-        prop_assert_eq!(&model, &expected_model, "{}", shape);
-        prop_assert_eq!(
-            run.upsim_names().collect::<Vec<_>>(),
-            expected.touched_devices().collect::<Vec<_>>(),
-            "{}", shape
-        );
-        prop_assert_eq!(run.reduction_ratio.to_bits(), expected.reduction_ratio.to_bits());
-        let counts: Vec<_> = run.paths.pairs.iter().map(|p| (&p.pair, p.paths)).collect();
-        let expected_counts: Vec<_> =
-            expected.discovered.iter().map(|d| (&d.pair, d.len())).collect();
-        prop_assert_eq!(counts, expected_counts, "{}", shape);
-        prop_assert_eq!(
-            model.availability_bdd().to_bits(),
-            expected_model.availability_bdd().to_bits()
-        );
+        let expected = oracle(&infra, &service, &mapping, &estimator);
+        let evaluated = (run, model, posteriors);
+        agrees_with(&evaluated, &expected, &shape)?;
+        let ((_, model, posteriors), (expected, expected_model, expected_posteriors)) =
+            (evaluated, expected);
         for low in [true, false] {
             prop_assert_eq!(
                 availability_with(&model, &corner(&model, low)).to_bits(),
@@ -235,7 +269,6 @@ proptest! {
                 4096, 1, seed, &expected_mc.posterior_sampler(&expected_posteriors)
             )
         );
-        prop_assert_eq!(&posteriors, &expected_posteriors);
 
         // With the paper's printed Formula 1 the evaluator builds, and
         // overlays, what `from_run` builds with it.
@@ -252,6 +285,60 @@ proptest! {
             paper.availability_bdd().to_bits(),
             expected_paper.availability_bdd().to_bits()
         );
+    }
+
+    #[test]
+    fn one_view_serving_many_perspectives_matches_the_full_pipeline(
+        params in params_strategy(),
+        service_len in 1usize..5,
+        seeds in proptest::collection::vec(0u64..1000, 2..6),
+        observations in proptest::collection::vec(observation_strategy(), 0..3),
+    ) {
+        // The engine evaluates every perspective of a view on that view, so
+        // its kept block walks serve the perspectives drawn after the
+        // first: in the order drawn, then again in reverse.
+        let infra = campus_infrastructure(params);
+        let service = sequential_service("svc", service_len);
+        let estimator = observed(&infra, observations);
+        let graph = infra.to_interned_graph();
+        let mut workspace = DiscoveryWorkspace::default();
+        let oracles: Vec<Oracle> = seeds
+            .iter()
+            .map(|&seed| oracle(&infra, &service, &random_mapping(&service, &infra, seed), &estimator))
+            .collect();
+        for (i, &seed) in seeds.iter().enumerate().chain(seeds.iter().enumerate().rev()) {
+            let mapping = random_mapping(&service, &infra, seed);
+            let shape = format!("{params:?}, {mapping:?}");
+            let evaluated = evaluate_perspective(
+                &infra, &service, &graph, &mapping, &estimator, false, &mut workspace,
+            )
+            .unwrap();
+            agrees_with(&evaluated, &oracles[i], &shape)?;
+        }
+    }
+
+    #[test]
+    fn a_fresh_view_per_perspective_matches_the_full_pipeline(
+        params in params_strategy(),
+        service_len in 1usize..5,
+        seeds in proptest::collection::vec(0u64..1000, 1..4),
+    ) {
+        // A view of its own per perspective, as the CLI and a campaign's
+        // cut scenarios build: every block walk made afresh.
+        let infra = campus_infrastructure(params);
+        let service = sequential_service("svc", service_len);
+        let estimator = ParamEstimator::new();
+        let mut workspace = DiscoveryWorkspace::default();
+        for seed in seeds {
+            let mapping = random_mapping(&service, &infra, seed);
+            let shape = format!("{params:?}, {mapping:?}");
+            let evaluated = evaluate_perspective(
+                &infra, &service, &infra.to_interned_graph(), &mapping, &estimator, false,
+                &mut workspace,
+            )
+            .unwrap();
+            agrees_with(&evaluated, &oracle(&infra, &service, &mapping, &estimator), &shape)?;
+        }
     }
 
     #[test]

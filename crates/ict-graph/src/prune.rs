@@ -1,4 +1,4 @@
-//! Block-cut-tree pruning for the all-simple-paths search.
+//! Block-cut-tree pruning and composition for the all-simple-paths search.
 //!
 //! Path discovery (paper Sec. V-D) is the methodology's only
 //! super-polynomial step, yet on real campus topologies almost all of the
@@ -10,27 +10,42 @@
 //! time; this module removes them before enumeration starts.
 //!
 //! [`BlockCutTree`] computes blocks, cut vertices, and connected components
-//! once per graph build (linear time, one iterative Tarjan DFS).
-//! [`BlockCutTree::relevant_nodes`] then answers per-pair queries by walking the tree path between the two
-//! endpoints and unioning the block node sets, producing a mask for
-//! [`crate::paths::walk_paths`].
+//! once per graph build (linear time, one iterative Tarjan DFS), and roots
+//! the tree there. [`BlockCutTree::block_chain`] then answers per-pair
+//! queries by climbing the rooted tree from both endpoints: the blocks
+//! between them, in order, each with the nodes where the paths enter and
+//! leave it. [`BlockCutTree::relevant_nodes`] unions those blocks into a
+//! mask for [`crate::paths::walk_paths`].
+//!
+//! Every simple path from `s` to `t` is one simple path from entry to exit
+//! inside each block of the chain, joined at the cut vertices between
+//! them, and every such choice is a simple path: two blocks share at most
+//! one node, and an edge lies in one block. So the paths compose from
+//! per-block walks ([`BlockCutTree::walk_block`], [`Crossing`]):
+//! [`chain_count`] is the product of the blocks' counts, [`chain_path_sets`]
+//! the product of their chordless sets (a chord joins two nodes of one
+//! block), and [`chain_order`] numbers the nodes as one counting walk over
+//! the sorted graph ([`crate::Graph::sort_adjacency`]) meets them. A
+//! walk in one block is reused by every pair that crosses the block
+//! between the same two nodes.
 //!
 //! **Soundness on directed graphs:** blocks are computed on the undirected
 //! view. Every directed simple path is also an undirected simple path, so
 //! the mask is a (possibly loose) superset of the relevant nodes — pruning
 //! never removes a genuine path, it merely prunes less aggressively.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{collect_simple_paths, Path};
+use crate::paths::{
+    collect_simple_paths, walk_paths, DiscoveryScratch, FramesExhausted, Path, PathKind,
+};
 
 const UNASSIGNED: u32 = u32::MAX;
-/// `parent[b]` marker for BFS roots (blocks containing the source).
-const BFS_ROOT: u32 = u32::MAX - 1;
 
 /// Biconnected components, cut vertices, and connected components of a
-/// graph, queryable as a block-cut tree.
+/// graph, queryable as a block-cut tree rooted where the DFS started each
+/// component.
 ///
 /// Self-loops are ignored (they can never lie on a simple path). Directed
 /// edges are treated as undirected (see module docs for why that is sound).
@@ -38,14 +53,37 @@ const BFS_ROOT: u32 = u32::MAX - 1;
 pub struct BlockCutTree {
     /// Node sets of each block, indexed by block id.
     block_nodes: Vec<Vec<NodeId>>,
-    /// Blocks containing each node index (cut vertices belong to several).
-    node_blocks: Vec<Vec<u32>>,
+    /// The number of edges in each block, parallel ones included.
+    block_links: Vec<u32>,
+    /// The node each block hangs from: the one of its nodes nearest the
+    /// root.
+    block_head: Vec<NodeId>,
+    /// The block above each node index, whose head is the next node up
+    /// (`UNASSIGNED` for roots and dead slots).
+    parent_block: Vec<u32>,
+    /// Blocks between each node index and its component's root.
+    depth: Vec<u32>,
     /// Block id per edge index (`UNASSIGNED` for dead or self-loop edges).
     edge_block: Vec<u32>,
     /// Cut-vertex flag per node index.
     is_cut: Vec<bool>,
     /// Connected-component id per node index (`UNASSIGNED` for dead slots).
     component: Vec<u32>,
+}
+
+/// One block on the block-cut-tree path between two nodes: every simple
+/// path between them crosses `block` from `entry` to `exit`
+/// ([`BlockCutTree::block_chain`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BlockStep {
+    /// The block id ([`BlockCutTree::block`]).
+    pub block: usize,
+    /// Where the paths enter the block: the source, or the cut vertex
+    /// shared with the previous block.
+    pub entry: NodeId,
+    /// Where they leave it: the cut vertex shared with the next block, or
+    /// the target.
+    pub exit: NodeId,
 }
 
 impl BlockCutTree {
@@ -67,7 +105,10 @@ impl BlockCutTree {
 
         let mut tree = BlockCutTree {
             block_nodes: Vec::new(),
-            node_blocks: vec![Vec::new(); cap],
+            block_links: Vec::new(),
+            block_head: Vec::new(),
+            parent_block: vec![UNASSIGNED; cap],
+            depth: vec![0; cap],
             edge_block: vec![UNASSIGNED; graph.edge_capacity()],
             is_cut: vec![false; cap],
             component: vec![UNASSIGNED; cap],
@@ -79,6 +120,8 @@ impl BlockCutTree {
         let mut edge_stack: Vec<EdgeId> = Vec::new();
         // Stamp array deduplicating node membership while a block is popped.
         let mut block_stamp = vec![UNASSIGNED; cap];
+        // Nodes in discovery order: a node's head is discovered before it.
+        let mut discovered: Vec<NodeId> = Vec::with_capacity(cap);
 
         struct DfsFrame {
             node: NodeId,
@@ -96,6 +139,7 @@ impl BlockCutTree {
             disc[root.index()] = timer;
             low[root.index()] = timer;
             tree.component[root.index()] = comp;
+            discovered.push(root);
             let mut root_children = 0usize;
             let mut stack = vec![DfsFrame {
                 node: root,
@@ -117,6 +161,7 @@ impl BlockCutTree {
                         disc[v.index()] = timer;
                         low[v.index()] = timer;
                         tree.component[v.index()] = comp;
+                        discovered.push(v);
                         if u == root {
                             root_children += 1;
                         }
@@ -141,22 +186,28 @@ impl BlockCutTree {
                     let v = child.node;
                     low[p.index()] = low[p.index()].min(low[v.index()]);
                     if low[v.index()] >= disc[p.index()] {
-                        // `p` separates `v`'s subtree: pop one block.
+                        // `p` separates `v`'s subtree: pop one block, which
+                        // hangs from `p`.
                         if p != root {
                             tree.is_cut[p.index()] = true;
                         }
                         let parent_edge = child.parent_edge.expect("non-root child");
                         let bid = tree.block_nodes.len() as u32;
                         tree.block_nodes.push(Vec::new());
+                        tree.block_links.push(0);
+                        tree.block_head.push(p);
+                        block_stamp[p.index()] = bid;
+                        tree.block_nodes[bid as usize].push(p);
                         loop {
                             let e = edge_stack.pop().expect("edge stack underflow");
                             tree.edge_block[e.index()] = bid;
+                            tree.block_links[bid as usize] += 1;
                             let (es, et) = graph.endpoints(e).expect("live edge");
                             for n in [es, et] {
                                 if block_stamp[n.index()] != bid {
                                     block_stamp[n.index()] = bid;
                                     tree.block_nodes[bid as usize].push(n);
-                                    tree.node_blocks[n.index()].push(bid);
+                                    tree.parent_block[n.index()] = bid;
                                 }
                             }
                             if e == parent_edge {
@@ -168,6 +219,12 @@ impl BlockCutTree {
             }
             if root_children >= 2 {
                 tree.is_cut[root.index()] = true;
+            }
+        }
+        for node in discovered {
+            if let Some(block) = tree.parent_of(node) {
+                let head = tree.block_head[block];
+                tree.depth[node.index()] = tree.depth[head.index()] + 1;
             }
         }
         tree
@@ -186,6 +243,16 @@ impl BlockCutTree {
     /// The node set of block `block` (unspecified order).
     pub fn block(&self, block: usize) -> &[NodeId] {
         &self.block_nodes[block]
+    }
+
+    /// How the simple paths cross `step`'s block when it has two nodes, a
+    /// bridge or parallel links: one path per link, with no walk. `None`
+    /// for a block of more nodes, which [`Self::walk_block`] walks.
+    pub fn links_crossing(&self, step: BlockStep) -> Option<Crossing> {
+        (self.block_nodes[step.block].len() == 2).then(|| Crossing::Links {
+            ends: [step.entry, step.exit],
+            links: self.block_links[step.block] as usize,
+        })
     }
 
     /// The block containing `edge`, if it is live and not a self-loop.
@@ -208,73 +275,356 @@ impl BlockCutTree {
         }
     }
 
+    /// The block above `node` in the rooted tree, if `node` is no root.
+    fn parent_of(&self, node: NodeId) -> Option<usize> {
+        match self.parent_block[node.index()] {
+            UNASSIGNED => None,
+            block => Some(block as usize),
+        }
+    }
+
+    /// Fills `chain` with the blocks on the block-cut-tree path from
+    /// `source` to `target`, in path order, each with the node where the
+    /// simple paths from `source` to `target` enter it and the node where
+    /// they leave it; each exit is the next block's entry. Returns `false`,
+    /// with `chain` empty, when no path joins the two; `source == target`
+    /// gives an empty chain.
+    ///
+    /// Climbs the rooted tree from both ends to where they meet: a cost of
+    /// one step per block on the path, whatever the size of the graph.
+    pub fn block_chain(&self, source: NodeId, target: NodeId, chain: &mut Vec<BlockStep>) -> bool {
+        chain.clear();
+        if !self.connected(source, target) {
+            return false;
+        }
+        let depth = |n: NodeId| self.depth[n.index()];
+        let up = |n: NodeId| -> (usize, NodeId) {
+            let block = self.parent_of(n).expect("a node below its root");
+            (block, self.block_head[block])
+        };
+        // First count the climbs from each end: the deeper end climbs
+        // (the source on a tie) until both ends meet at a node, or sit
+        // below the same block, which the paths then cross between them.
+        let (mut a, mut b) = (source, target);
+        let (mut left, mut right) = (0, 0);
+        while a != b {
+            if depth(a) == depth(b) && self.parent_block[a.index()] == self.parent_block[b.index()]
+            {
+                break;
+            }
+            if depth(a) >= depth(b) {
+                a = up(a).1;
+                left += 1;
+            } else {
+                b = up(b).1;
+                right += 1;
+            }
+        }
+        let mut a = source;
+        for _ in 0..left {
+            let (block, head) = up(a);
+            chain.push(BlockStep {
+                block,
+                entry: a,
+                exit: head,
+            });
+            a = head;
+        }
+        let mid = chain.len();
+        let mut b = target;
+        for _ in 0..right {
+            let (block, head) = up(b);
+            chain.push(BlockStep {
+                block,
+                entry: head,
+                exit: b,
+            });
+            b = head;
+        }
+        chain[mid..].reverse();
+        if a != b {
+            chain.insert(
+                mid,
+                BlockStep {
+                    block: up(a).0,
+                    entry: a,
+                    exit: b,
+                },
+            );
+        }
+        true
+    }
+
     /// Fills `mask` (re-sized to the graph's node capacity) with exactly
     /// the nodes that can lie on **some** simple path from `source` to
-    /// `target`: the union of the blocks on the block-cut-tree path between
-    /// them. Returns the number of allowed nodes (0 when no path exists).
+    /// `target`: the union of the blocks of their [`Self::block_chain`].
+    /// Returns the number of allowed nodes (0 when no path exists).
     ///
     /// The mask plugs directly into [`crate::paths::walk_paths`]; `mask` is
     /// reusable across calls without reallocation.
     pub fn relevant_nodes(&self, source: NodeId, target: NodeId, mask: &mut Vec<bool>) -> usize {
         mask.clear();
-        mask.resize(self.node_blocks.len(), false);
-        if !self.connected(source, target) {
+        mask.resize(self.component.len(), false);
+        let mut chain = Vec::new();
+        if !self.block_chain(source, target, &mut chain) {
             return 0;
         }
         if source == target {
             mask[source.index()] = true;
             return 1;
         }
-        // BFS over the block-cut tree, block vertices only (cut vertices
-        // are traversed implicitly): start from every block containing the
-        // source — equivalent to rooting at the source's tree vertex.
-        let mut parent = vec![UNASSIGNED; self.block_nodes.len()];
-        let mut queue = VecDeque::new();
-        for &b in &self.node_blocks[source.index()] {
-            parent[b as usize] = BFS_ROOT;
-            queue.push_back(b);
-        }
-        let target_blocks = &self.node_blocks[target.index()];
-        let mut found = None;
-        'bfs: while let Some(b) = queue.pop_front() {
-            if target_blocks.contains(&b) {
-                found = Some(b);
-                break 'bfs;
-            }
-            for &v in &self.block_nodes[b as usize] {
-                if !self.is_cut[v.index()] {
-                    continue;
-                }
-                for &next in &self.node_blocks[v.index()] {
-                    if parent[next as usize] == UNASSIGNED {
-                        parent[next as usize] = b;
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        // Same component and distinct endpoints implies both touch at
-        // least one edge, hence at least one block, and the tree connects
-        // them — but stay defensive.
-        let Some(found) = found else {
-            return 0;
-        };
         let mut allowed = 0usize;
-        let mut cursor = found;
-        loop {
-            for &n in &self.block_nodes[cursor as usize] {
+        for step in &chain {
+            for &n in &self.block_nodes[step.block] {
                 if !mask[n.index()] {
                     mask[n.index()] = true;
                     allowed += 1;
                 }
             }
-            match parent[cursor as usize] {
-                BFS_ROOT => break,
-                next => cursor = next,
-            }
         }
         allowed
     }
+
+    /// Walks the simple paths from `step.entry` to `step.exit` inside
+    /// block `step.block` of `graph` (the graph this tree was built from,
+    /// or a copy with sorted adjacency), twice under one budget of
+    /// `budget` DFS frames: once counting them
+    /// and ordering the block's nodes, once for the chordless ones. Past
+    /// the budget it returns [`FramesExhausted`].
+    ///
+    /// On a sorted adjacency ([`Graph::sort_adjacency`]) the counting walk
+    /// meets the paths with their node sequences in sorted order, so the
+    /// first path is the lexicographically smallest; [`chain_order`]
+    /// relies on that.
+    pub fn walk_block<N, E>(
+        &self,
+        graph: &Graph<N, E>,
+        step: BlockStep,
+        budget: usize,
+        scratch: &mut BlockScratch,
+    ) -> Result<BlockPaths, FramesExhausted> {
+        let BlockScratch { dfs, mask, seen } = scratch;
+        let nodes = &self.block_nodes[step.block];
+        // Both stay all false between walks, so they only ever grow.
+        let cap = graph.node_capacity();
+        if mask.len() < cap {
+            mask.resize(cap, false);
+            seen.resize(cap, false);
+        }
+        for n in nodes {
+            mask[n.index()] = true;
+        }
+        let mut left = budget;
+        let mut order = Vec::with_capacity(nodes.len());
+        let mut first_len = 0;
+        let mut sets: Vec<Vec<NodeId>> = Vec::new();
+        let walked = walk_paths(
+            graph,
+            step.entry,
+            step.exit,
+            PathKind::Simple,
+            Some(mask.as_slice()),
+            &mut left,
+            dfs,
+            |path, _| {
+                if first_len == 0 {
+                    first_len = path.len();
+                }
+                for &n in path {
+                    if !seen[n.index()] {
+                        seen[n.index()] = true;
+                        order.push(n);
+                    }
+                }
+            },
+        )
+        .and_then(|count| {
+            walk_paths(
+                graph,
+                step.entry,
+                step.exit,
+                PathKind::Chordless,
+                Some(mask.as_slice()),
+                &mut left,
+                dfs,
+                |path, _| {
+                    let mut set = path.to_vec();
+                    set.sort_unstable();
+                    sets.push(set);
+                },
+            )?;
+            Ok(count)
+        });
+        for n in nodes {
+            mask[n.index()] = false;
+            seen[n.index()] = false;
+        }
+        let count = walked?;
+        // Parallel links repeat a set.
+        sets.sort_unstable();
+        sets.dedup();
+        Ok(BlockPaths {
+            count,
+            order,
+            first_len,
+            sets,
+            frames: budget - left,
+        })
+    }
+}
+
+/// Reusable buffers for [`BlockCutTree::walk_block`]: the DFS scratch, the
+/// block's mask and the nodes its walk has ordered.
+#[derive(Debug, Default)]
+pub struct BlockScratch {
+    dfs: DiscoveryScratch,
+    mask: Vec<bool>,
+    seen: Vec<bool>,
+}
+
+/// What the simple paths between two nodes of one block contribute to the
+/// paths that cross it ([`BlockCutTree::walk_block`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockPaths {
+    /// The simple paths from entry to exit inside the block.
+    pub count: usize,
+    /// The nodes on those paths, in the order the counting walk first
+    /// meets them; the first [`Self::first_len`] are the first path's, in
+    /// path order from the entry.
+    pub order: Vec<NodeId>,
+    /// The number of nodes on the first path.
+    pub first_len: usize,
+    /// The node sets of the chordless paths: each sorted, without repeats.
+    pub sets: Vec<Vec<NodeId>>,
+    /// The DFS frames both walks pushed.
+    pub frames: usize,
+}
+
+/// How the simple paths along a block chain cross one of its blocks.
+#[derive(Debug, Clone)]
+pub enum Crossing {
+    /// A block of two nodes, a bridge or parallel links: one path per
+    /// link, from `ends[0]` to `ends[1]`, known without a walk.
+    Links {
+        /// The entry and the exit.
+        ends: [NodeId; 2],
+        /// The links between them.
+        links: usize,
+    },
+    /// A block of more nodes, walked ([`BlockCutTree::walk_block`]).
+    Walked(Arc<BlockPaths>),
+}
+
+impl Crossing {
+    /// The simple paths across the block.
+    pub fn count(&self) -> usize {
+        match self {
+            Crossing::Links { links, .. } => *links,
+            Crossing::Walked(paths) => paths.count,
+        }
+    }
+
+    /// The nodes of the first path the counting walk meets, entry first.
+    fn first_path(&self) -> &[NodeId] {
+        match self {
+            Crossing::Links { ends, .. } => ends,
+            Crossing::Walked(paths) => &paths.order[..paths.first_len],
+        }
+    }
+
+    /// The block's other nodes on its paths, in its walk's order.
+    fn rest(&self) -> &[NodeId] {
+        match self {
+            Crossing::Links { .. } => &[],
+            Crossing::Walked(paths) => &paths.order[paths.first_len..],
+        }
+    }
+
+    /// The chordless paths across the block, by node set.
+    fn choices(&self) -> usize {
+        match self {
+            Crossing::Links { .. } => 1,
+            Crossing::Walked(paths) => paths.sets.len(),
+        }
+    }
+}
+
+/// The simple paths along a chain of crossings: the product of their
+/// counts, or `None` past `usize::MAX`.
+pub fn chain_count(chain: &[Crossing]) -> Option<usize> {
+    chain.iter().try_fold(1usize, |paths, crossing| {
+        paths.checked_mul(crossing.count())
+    })
+}
+
+/// Visits the nodes on the simple paths along a chain of crossings in the
+/// order one counting walk over the sorted graph, masked to the chain's
+/// blocks, first meets them: the first path's nodes block by block, then
+/// each block's other nodes in its own walk's order, the last block first.
+///
+/// The whole walk meets the paths in sorted order, and two paths compare
+/// as their first differing block's parts do. So it meets every path of
+/// the last block after the first parts of all the others, then every path
+/// of the block before, and so on.
+pub fn chain_order(chain: &[Crossing], mut visit: impl FnMut(NodeId)) {
+    for (i, crossing) in chain.iter().enumerate() {
+        // Each entry after the first is the previous exit, visited.
+        for &n in &crossing.first_path()[usize::from(i > 0)..] {
+            visit(n);
+        }
+    }
+    for crossing in chain.iter().rev() {
+        for &n in crossing.rest() {
+            visit(n);
+        }
+    }
+}
+
+/// The minimal path sets along a chain of crossings: one per choice of a
+/// chordless path in each block, whose nodes `number` maps into the
+/// returned sets. Each set is sorted, and the sets are ordered by length,
+/// then members. `None` when there would be more than `cap` of them.
+pub fn chain_path_sets(
+    chain: &[Crossing],
+    number: impl Fn(NodeId) -> usize,
+    cap: usize,
+) -> Option<Vec<Vec<usize>>> {
+    let total = chain.iter().try_fold(1usize, |sets, crossing| {
+        sets.checked_mul(crossing.choices())
+    })?;
+    if total > cap {
+        return None;
+    }
+    let mut sets: Vec<Vec<usize>> = vec![Vec::new()];
+    for (i, crossing) in chain.iter().enumerate() {
+        let entry = crossing.first_path()[0];
+        // The entry after the first block is the previous exit, in every
+        // set already.
+        let fresh = |n: &&NodeId| i == 0 || **n != entry;
+        match crossing {
+            Crossing::Links { ends, .. } => {
+                for set in &mut sets {
+                    set.extend(ends.iter().filter(fresh).map(|&n| number(n)));
+                }
+            }
+            Crossing::Walked(paths) => {
+                let mut next = Vec::with_capacity(sets.len() * paths.sets.len());
+                for prefix in &sets {
+                    for block_set in &paths.sets {
+                        let mut set = prefix.clone();
+                        set.extend(block_set.iter().filter(fresh).map(|&n| number(n)));
+                        next.push(set);
+                    }
+                }
+                sets = next;
+            }
+        }
+    }
+    for set in &mut sets {
+        set.sort_unstable();
+    }
+    sets.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    Some(sets)
 }
 
 /// Enumerates all simple paths between `source` and `target` with
@@ -365,6 +715,31 @@ mod tests {
     }
 
     #[test]
+    fn block_chain_orders_the_blocks_from_source_to_target() {
+        let (g, [a, b, c, d, e, tail]) = two_triangles_and_tail();
+        let tree = BlockCutTree::new(&g);
+        let block = |x, y| tree.edge_block(g.find_edge(x, y).unwrap()).unwrap();
+        let step = |x, y, entry, exit| BlockStep {
+            block: block(x, y),
+            entry,
+            exit,
+        };
+        let mut chain = Vec::new();
+        assert!(tree.block_chain(a, e, &mut chain));
+        assert_eq!(chain, [step(a, b, a, c), step(d, e, c, e)]);
+        assert!(tree.block_chain(e, tail, &mut chain));
+        assert_eq!(chain, [step(d, e, e, c), step(c, tail, c, tail)]);
+        assert!(tree.block_chain(a, b, &mut chain));
+        assert_eq!(chain, [step(a, b, a, b)]);
+        assert!(tree.block_chain(c, c, &mut chain));
+        assert!(chain.is_empty());
+        // Two nodes only: the bridge is composed from its one link.
+        let links = tree.links_crossing(step(c, tail, c, tail));
+        assert!(matches!(links, Some(Crossing::Links { links: 1, .. })));
+        assert!(tree.links_crossing(step(a, b, a, b)).is_none());
+    }
+
+    #[test]
     fn relevant_nodes_trivial_and_disconnected() {
         let (mut g, [a, _, _, _, _, _]) = two_triangles_and_tail();
         let lonely = g.add_node("lonely");
@@ -376,6 +751,9 @@ mod tests {
         assert!(mask[a.index()]);
         assert!(!tree.connected(a, lonely));
         assert!(tree.connected(a, a));
+        let mut chain = Vec::new();
+        assert!(!tree.block_chain(a, lonely, &mut chain));
+        assert!(chain.is_empty());
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! perspective + negative caches, metrics, journal — is per shard. A
 //! worker holds no model state: a cache miss runs
 //! [`evaluate_perspective`] (Steps 7–8 sized to their answer, no model
-//! space) on the snapshot's shared interned graph, with the worker's one
-//! Step 7 workspace as scratch. A perspective whose Step 7 runs past the
-//! frame budget is a model error, cached for the epoch like the others.
+//! space) on the snapshot's shared interned graph, which keeps its block
+//! walks, with the worker's one Step 7 workspace as scratch. A perspective
+//! whose Step 7 runs past the frame budget is a model error, cached for
+//! the view generation like the others.
 //! An engine built with [`Engine::new`] has exactly one unnamed
 //! default shard and behaves byte-identically to the pre-registry engine;
 //! [`Engine::with_models`] registers several named shards behind the same
@@ -1290,7 +1291,9 @@ impl Engine {
 /// The synchronous half of a query: negative cache, device existence,
 /// perspective cache — the checks that decide whether the pool is
 /// needed. `Ok(None)` means "miss: evaluate". Bumps `negative_hits`,
-/// `errors` and `cache_hits` as it goes.
+/// `errors` and `cache_hits` as it goes. Device names resolve through the
+/// snapshot's graph view, which interns every device; the first probe
+/// after a topology write builds that view on the calling thread.
 fn probe(
     shard: &Shard,
     client: &str,
@@ -1306,8 +1309,9 @@ fn probe(
         shard.metrics.bump(Counter::Errors);
         return Err(err);
     }
+    let view = snapshot.interned_graph();
     for device in [client, provider] {
-        if !snapshot.infrastructure.has_device(device) {
+        if view.node_of(device).is_none() {
             shard.metrics.bump(Counter::Errors);
             let err = EngineError::UnknownDevice(device.to_string());
             shard
@@ -2051,6 +2055,24 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
+        // A worker counts a task after its caller has been woken, so wait
+        // for the tasks the test has caused so far before reading the
+        // count.
+        let settled = |tasks: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let stats = engine.stats();
+                if stats[Counter::TasksExecuted] >= tasks {
+                    return stats;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "{} of {tasks} tasks counted",
+                    stats[Counter::TasksExecuted]
+                );
+                std::thread::yield_now();
+            }
+        };
         let k = 8;
         for d in 0..k {
             for e in 0..2 {
@@ -2071,7 +2093,8 @@ mod tests {
             msg.contains("'t0_0_0'") && msg.contains("'srv0'") && msg.contains(&budget),
             "{msg}"
         );
-        let before = engine.stats();
+        // 16 connects and the refused query.
+        let before = settled(17);
         let repeat = engine.query("t0_0_0", "srv0").expect_err("cached");
         assert_eq!(repeat, err);
         let after = engine.stats();
@@ -2094,7 +2117,7 @@ mod tests {
                 ts: 1,
             })
             .expect("a device");
-        let before = engine.stats();
+        let before = settled(18);
         let repeat = engine.query("t0_0_0", "srv0").expect_err("still cached");
         assert_eq!(repeat, err);
         let after = engine.stats();
@@ -2116,11 +2139,11 @@ mod tests {
                 b: "edge0_0".into(),
             })
             .expect("the client's access link");
-        let before = engine.stats();
+        let before = settled(19);
         engine
             .query("t0_0_0", "srv0")
             .expect("no path is an answer");
-        let after = engine.stats();
+        let after = settled(20);
         assert_eq!(after[Counter::NegativeHits], before[Counter::NegativeHits]);
         assert_eq!(
             after[Counter::TasksExecuted],

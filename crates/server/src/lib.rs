@@ -24,11 +24,12 @@
 //!   [`dependability::transform::evaluate_perspective`]: Steps 7–8 on the
 //!   snapshot's shared interned graph, then the availability model, with
 //!   no model space (the paper's Steps 5–6 import one that the server
-//!   never reads). Step 7 walks each endpoint pair of the perspective
-//!   twice with the DFS of `ict_graph::paths` on the worker's reused
-//!   workspace, once to count its simple paths and once for its chordless
-//!   ones, within a budget of DFS frames; it lists no path and starts no
-//!   threads.
+//!   never reads). Step 7 composes each endpoint pair of the perspective
+//!   from the blocks between its endpoints, each walked twice with the
+//!   DFS of `ict_graph::paths` (once to count its simple paths and once
+//!   for its chordless ones, within a budget of DFS frames) and kept on
+//!   the graph view for every later perspective crossing it the same way;
+//!   it lists no path and starts no threads.
 //! * [`protocol`] — a line-delimited request protocol (`QUERY`, `BATCH`,
 //!   `MC`, `UPDATE`, `STATS`, `USE`, `MODELS`, `SHUTDOWN`) with
 //!   single-line responses.
